@@ -19,10 +19,15 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Immutable undirected weighted graph in compressed adjacency form.
 
-    Adjacency is CSR-style (indptr / indices / weights), with a global
-    cumulative-weight array so weighted neighbor sampling is a single binary
-    search. Node labels are remapped to dense integer ids at load time; hot
-    loops only ever see integers.
+    Adjacency is CSR-style (indptr / indices / weights). Node labels are
+    remapped to dense integer ids at load time; hot loops only ever see
+    integers.
+
+    ``unit_weights`` is true when every stored edge weight is exactly 1.0.
+    Such a graph samples a neighbor by indexing its row directly; any other
+    graph keeps a global cumulative-weight array ``_cum`` (None on unit-weight
+    graphs) and samples by binary search in it. An unweighted edge list that
+    repeats a pair merges it to weight 2.0, so its graph is not unit-weight.
 
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
@@ -30,7 +35,8 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "weights", "degrees",
-                 "labels", "label_ids", "weighted", "total_weight", "_cum")
+                 "labels", "label_ids", "weighted", "unit_weights", "total_weight",
+                 "_cum")
 
     def __init__(self, n: int, edges: dict, labels: list[str] | None = None,
                  weighted: bool = False):
@@ -76,7 +82,9 @@ class Graph:
         self.label_ids = {lab: i for i, lab in enumerate(self.labels)}
         self.weighted = weighted
         self.total_weight = float(sum(edges.values()))
-        self._cum = np.concatenate([[0.0], np.cumsum(weights)])
+        self.unit_weights = bool((weights == 1.0).all())
+        self._cum = None if self.unit_weights else np.concatenate(
+            [[0.0], np.cumsum(weights)])
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], n: int | None = None,
@@ -186,15 +194,30 @@ def degree(g: Graph, v: int) -> float:
 def step_many(g: Graph, nodes: np.ndarray, rng) -> np.ndarray:
     """Advance each walk position one transition, w_{vu}/d_v per neighbor.
 
-    Vectorized over ``nodes`` via one binary search on the global cumulative
-    weight array. All nodes must be non-isolated.
+    Vectorized over ``nodes`` with one uniform draw ``u`` per node; all nodes
+    must be non-isolated. With ``x = _cum[indptr[v]] + u*d_v``, the step takes
+    the slot ``k`` of the concatenated rows with ``_cum[k] <= x < _cum[k+1]``,
+    clamped to v's row:
+
+    - on unit-weight graphs ``_cum[k] == k``, so ``k = floor(x)`` with
+      ``x = indptr[v] + u*d_v``: O(1) per step, no search and no ``_cum``;
+    - on other graphs, by binary search in ``_cum``, visiting the targets in
+      sorted order so each search starts near the previous one.
+
+    On a unit-weight graph the search would pick the same slot from the
+    same draw, so the choice of path never changes a seeded walk.
     """
     starts = g.indptr[nodes]
-    targets = g._cum[starts] + rng.random(len(nodes)) * g.degrees[nodes]
-    j = np.searchsorted(g._cum, targets, side="right") - 1
+    u = rng.random(len(nodes))
+    if g.unit_weights:
+        j = (starts + u * g.degrees[nodes]).astype(np.int64)
+    else:
+        targets = g._cum[starts] + u * g.degrees[nodes]
+        order = np.argsort(targets)
+        j = np.empty_like(starts)
+        j[order] = np.searchsorted(g._cum, targets[order], side="right") - 1
     # float roundoff near the row boundary can land one slot past the row
     j = np.minimum(j, g.indptr[nodes + 1] - 1)
-    j = np.maximum(j, starts)
     return g.indices[j]
 
 

@@ -211,7 +211,9 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
 
     With ``shared_walks`` one batch of full-length trajectories from t is
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
-    of cross-level correlation); disable it for independent per-level batches.
+    of cross-level correlation); disable it for independent per-level batches,
+    level ell drawing from ``rng.child(ell)`` exactly as :func:`bidir_mstp`
+    would. Either way the dense residual is built once and read by every level.
     """
     g.require_walkable(s)
     g.require_walkable(t)
@@ -219,18 +221,18 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
         raise ValueError("w_per_level must be positive")
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
+    rdense = state.residual_dense(g.n)
+    if shared_walks:
+        shared = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
 
     per_level: list[float] = []
-    if shared_walks:
-        positions = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
-        rdense = state.residual_dense(g.n)
-        for ell in range(ell_max + 1):
-            x = _walk_samples(g, state, rdense, positions[:, :ell + 1], t, ell)
-            per_level.append(state.q[ell].get(t, 0.0) + float(x.mean()))
-    else:
-        for ell in range(ell_max + 1):
-            per_level.append(bidir_mstp(g, state, t, ell, w_per_level,
-                                        rng.child(ell)))
+    for ell in range(ell_max + 1):
+        if shared_walks:
+            positions = shared[:, :ell + 1]
+        else:
+            positions = fixed_walk_positions(g, t, ell, w_per_level, rng.child(ell))
+        x = _walk_samples(g, state, rdense, positions, t, ell)
+        per_level.append(state.q[ell].get(t, 0.0) + float(x.mean()))
 
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail,

@@ -2,8 +2,9 @@
 residuals, with degree-weighted work accounting."""
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +55,13 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not (r_max > 0):
         raise ValueError(f"r_max must be positive, got {r_max}")
-    total = 0.0
     for v, mass in sigma.items():
         if mass < 0:
             raise ValueError("sigma entries must be nonnegative")
         if mass > 0:
             g.require_walkable(v)
-        total += mass
+    # correctly rounded: a running sum over 1e5+ entries drifts past 1e-12
+    total = math.fsum(sigma.values())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"sigma must sum to 1, got {total}")
 

@@ -60,27 +60,18 @@ def sample_geometric_walk(g: Graph, start: int, alpha: float, rng: RandomStream)
 
     The stop/continue decision is drawn before each step, so the walk may stop
     at the start with probability alpha. The terminal node is distributed as
-    the personalized PageRank vector of ``start``.
+    the personalized PageRank vector of ``start``. A batch of one walk of
+    :func:`geometric_terminals`.
     """
-    g.require_walkable(start)
-    _check_alpha(alpha)
-    v = start
-    while rng.random() >= alpha:
-        v = int(step_many(g, np.array([v], dtype=np.int64), rng)[0])
-    return v
+    return int(geometric_terminals(g, start, alpha, 1, rng)[0][0])
 
 
 def sample_fixed_walk(g: Graph, start: int, ell: int, rng: RandomStream) -> WalkRecord:
-    """Walk of exactly ``ell`` steps; positions[k] is distributed as e_start W^k."""
-    g.require_walkable(start)
-    if ell < 0:
-        raise ValueError("walk length must be nonnegative")
-    positions = [start]
-    v = start
-    for _ in range(ell):
-        v = int(step_many(g, np.array([v], dtype=np.int64), rng)[0])
-        positions.append(v)
-    return WalkRecord(positions)
+    """Walk of exactly ``ell`` steps; positions[k] is distributed as e_start W^k.
+
+    A batch of one walk of :func:`fixed_walk_positions`.
+    """
+    return WalkRecord(fixed_walk_positions(g, start, ell, 1, rng)[0].tolist())
 
 
 def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
@@ -88,8 +79,8 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
                         return_lengths: bool = False):
     """Terminals of ``num`` independent geometric-length walks, plus total steps.
 
-    Vectorized batch version of :func:`sample_geometric_walk`; walks are
-    advanced in lockstep with the still-active subset shrinking geometrically.
+    Walks are advanced in lockstep, one ``step_many`` call per round, with
+    the still-active subset shrinking geometrically.
     With ``return_lengths`` also returns the per-walk length array.
     """
     g.require_walkable(start)

@@ -244,6 +244,16 @@ class TestEstimateDiffusion:
                                    shared_walks=False)
         assert abs(shared.value - indep.value) < 0.01
 
+    def test_independent_levels_match_bidir_mstp(self):
+        g = random_connected(30, "ba", seed=4)
+        w = pagerank_weights(0.2, 6)
+        est = estimate_diffusion(g, 0, 5, w, 1e-2, 40, RandomStream(12),
+                                 shared_walks=False)
+        state = approximate_mstp(g, 0, w.ell_max, 1e-2)
+        assert est.per_level == [
+            bidir_mstp(g, state, 5, ell, 40, RandomStream(12).child(ell))
+            for ell in range(w.ell_max + 1)]
+
     def test_converges_to_exact_ppr_mean(self, s3):
         ell_max = choose_ell_max("pagerank", 1e-8, alpha=0.2)
         w = pagerank_weights(0.2, ell_max)

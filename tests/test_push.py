@@ -146,3 +146,16 @@ class TestPushFromDistribution:
         g = Graph.from_edges([(0, 1)], n=3)
         with pytest.raises(ValueError, match="isolated"):
             push_from_distribution(g, 0.2, {2: 1.0}, 0.1)
+
+    def test_uniform_sigma_over_many_nodes_accepted(self):
+        # a left-to-right float sum of 1e5 copies of 1e-5 is off by ~2e-12
+        n = 100_000
+        g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], n=n)
+        sigma = dict.fromkeys(range(n), 1.0 / n)
+        res = push_from_distribution(g, 0.2, sigma, 1e-5)
+        assert res.push_count == 0
+        assert len(res.r) == n
+
+    def test_sigma_off_by_1e_9_rejected(self, k2):
+        with pytest.raises(ValueError, match="sum to 1"):
+            push_from_distribution(k2, 0.2, {0: 0.5, 1: 0.5 + 1e-9}, 0.1)
