@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (falls back to BIPPR_SEED, then 0)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; output is identical for any value")
+                       help="accepted for compatibility; execution is serial "
+                            "and output does not depend on it")
 
     def estimator_flags(p):
         p.add_argument("--alpha", type=float, default=0.2)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .graph import Graph
 from .push import PushResult, approximate_pagerank
-from .walk import RandomStream, geometric_terminals
+from .walk import RandomStream, _check_alpha, geometric_terminals
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
            "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
@@ -50,13 +50,16 @@ def num_walks(c: float, d_t: float, r_max: float, eps: float, delta: float) -> i
 
 
 def significance_delta(g: Graph, t: int) -> float:
-    """Natural significance threshold d_t/m (weighted: d_t / total edge weight)."""
+    """Natural significance threshold d_t/W, W the total edge weight.
+
+    W is m on a graph of distinct unit-weight edges; a repeated pair counts
+    with its merged weight, as it does in d_t.
+    """
     if not (0 <= t < g.n):
         raise ValueError(f"node {t} out of range [0, {g.n})")
-    denom = g.total_weight if g.weighted else float(g.m)
-    if denom <= 0:
+    if g.total_weight <= 0:
         raise ValueError("graph has no edges")
-    return g.degree(t) / denom
+    return g.degree(t) / g.total_weight
 
 
 @dataclass
@@ -76,8 +79,7 @@ class BipprParams:
     def derive(cls, alpha: float, delta: float, eps: float, p_fail: float,
                d_t: float, r_max: float | None = None, c: float | None = None,
                w: int | None = None) -> "BipprParams":
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         if c is None:
             c = chernoff_c(p_fail)
         if r_max is None:

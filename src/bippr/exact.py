@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
+from .walk import _check_alpha
 
 __all__ = ["transition_matrix", "exact_ppr", "exact_ppr_from", "exact_ppr_matrix",
            "exact_mstp", "exact_diffusion"]
@@ -19,12 +20,6 @@ def transition_matrix(g: Graph) -> sp.csr_matrix:
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     data = g.weights / g.degrees[rows]
     return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-
-
-def _check_alpha(alpha: float) -> None:
-    # open interval: alpha = 0 and alpha = 1 are rejected everywhere
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def exact_ppr(g: Graph, alpha: float, s: int, tol: float = 1e-12) -> np.ndarray:

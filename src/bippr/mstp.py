@@ -5,13 +5,13 @@ truncation accounting."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .walk import RandomStream, fixed_walk_positions
+from .push import _push
+from .walk import RandomStream, _check_alpha, fixed_walk_positions
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
            "approximate_mstp", "bidir_mstp", "pagerank_weights",
@@ -63,35 +63,10 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     r[0][s] = 1.0
     push_count = 0
     degree_work = 0.0
-    degrees = g.degrees
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-
     for i in range(ell_max):
-        queue: deque[int] = deque(
-            v for v, rv in r[i].items() if rv / degrees[v] > r_max)
-        queued = set(queue)
-        cur, nxt = r[i], r[i + 1]
-        while queue:
-            v = queue.popleft()
-            queued.discard(v)
-            rv = cur.pop(v, 0.0)
-            dv = degrees[v]
-            if rv / dv <= r_max:
-                if rv > 0.0:
-                    cur[v] = rv
-                continue
-            q[i][v] = q[i].get(v, 0.0) + rv
-            spread = rv / dv
-            for k in range(indptr[v], indptr[v + 1]):
-                u = int(indices[k])
-                nxt[u] = nxt.get(u, 0.0) + spread * weights[k]
-            # within a level the frontier only drains; re-entry is impossible
-            # because pushes feed the next level, but keep the check uniform
-            if v in cur and cur[v] / dv > r_max and v not in queued:
-                queue.append(v)
-                queued.add(v)
+        for du in _push(g, r[i], r[i + 1], q[i], 1.0, 1.0, r_max):
             push_count += 1
-            degree_work += float(dv)
+            degree_work += float(du)
             if on_push is not None:
                 on_push(q, r)
 
@@ -144,8 +119,7 @@ class DiffusionWeights:
 
 def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
     """Geometric weights alpha*(1-alpha)^i with tail (1-alpha)^(ell_max+1)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
     i = np.arange(ell_max + 1)

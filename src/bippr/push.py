@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
+from .walk import _check_alpha
 
 __all__ = ["PushResult", "approximate_pagerank", "push_from_distribution"]
 
@@ -51,8 +52,7 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
 def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
                            r_max: float, on_push=None) -> PushResult:
     """Identical push loop with the residual initialized to a distribution sigma."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not (r_max > 0):
         raise ValueError(f"r_max must be positive, got {r_max}")
     for v, mass in sigma.items():
@@ -67,39 +67,9 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
 
     p: dict[int, float] = {}
     r: dict[int, float] = {v: m for v, m in sigma.items() if m > 0}
-    degrees = g.degrees
-    queue: deque[int] = deque()
-    queued: set[int] = set()
-    for v in r:
-        if r[v] / degrees[v] > r_max:
-            queue.append(v)
-            queued.add(v)
-
     push_count = 0
     degree_work = 0.0
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        ru = r.pop(u, 0.0)
-        du = degrees[u]
-        if ru / du <= r_max:
-            # residual can only grow while queued, so this is unreachable in
-            # practice; restore defensively rather than drop mass
-            if ru > 0.0:
-                r[u] = ru
-            continue
-        # residual is read once and zeroed before spreading, so a self-loop
-        # routes its share back into r[u] like any other neighbor
-        p[u] = p.get(u, 0.0) + alpha * ru
-        spread = (1.0 - alpha) * ru / du
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(indices[k])
-            rv = r.get(v, 0.0) + spread * weights[k]
-            r[v] = rv
-            if v not in queued and rv / degrees[v] > r_max:
-                queue.append(v)
-                queued.add(v)
+    for du in _push(g, r, r, p, alpha, 1.0 - alpha, r_max):
         push_count += 1
         degree_work += float(du)
         if on_push is not None:
@@ -107,3 +77,39 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
 
     return PushResult(p=p, r=r, push_count=push_count, degree_work=degree_work,
                       alpha=alpha, r_max=r_max)
+
+
+def _push(g: Graph, r: dict[int, float], out: dict[int, float],
+          est: dict[int, float], settle: float, keep: float, r_max: float):
+    """The push loop shared by PPR and every MSTP level; yields d_u per push.
+
+    Pops, in FIFO order, every node of ``r`` whose ratio r[v]/d_v exceeds
+    r_max: adds settle*r_u to est[u] and spreads keep*r_u/d_u*w over u's
+    edges into ``out``. Only when ``out is r`` can a spread push a node over
+    the threshold again, so only then are neighbours queued. A queued node's
+    residual only grows until it is popped, so every pop is a valid push.
+    Callers count pushes and sum d_u in push order, across calls, so the
+    floating-point ``degree_work`` does not depend on how levels split it.
+    """
+    degrees = g.degrees
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    requeue = out is r
+    queue = deque(v for v, rv in r.items() if rv / degrees[v] > r_max)
+    queued = set(queue)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        # residual is read once and zeroed before spreading, so a self-loop
+        # routes its share back into r[u] like any other neighbor
+        ru = r.pop(u)
+        du = degrees[u]
+        est[u] = est.get(u, 0.0) + settle * ru
+        spread = keep * ru / du
+        for k in range(indptr[u], indptr[u + 1]):
+            v = int(indices[k])
+            x = out.get(v, 0.0) + spread * weights[k]
+            out[v] = x
+            if requeue and v not in queued and x / degrees[v] > r_max:
+                queue.append(v)
+                queued.add(v)
+        yield du

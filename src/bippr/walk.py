@@ -127,5 +127,6 @@ def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
 
 
 def _check_alpha(alpha: float) -> None:
+    # open interval: alpha = 0 and alpha = 1 are rejected everywhere
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -5,7 +5,8 @@ import pytest
 
 from bippr import (BipprParams, Graph, PreparedSource, chernoff_c,
                    choose_r_max, estimate_ppr, estimate_ppr_batch, exact_ppr,
-                   num_walks, significance_delta, RandomStream)
+                   num_walks, pagerank_weights, push_from_distribution,
+                   significance_delta, RandomStream)
 
 from conftest import random_connected
 
@@ -53,6 +54,19 @@ class TestParameterRules:
         with pytest.raises(ValueError):
             num_walks(1, 1, 0, 1, 1)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
+    def test_alpha_rejected_alike_everywhere(self, k2, alpha):
+        calls = [
+            lambda: BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=1.0),
+            lambda: push_from_distribution(k2, alpha, {0: 1.0}, 0.1),
+            lambda: pagerank_weights(alpha, 3),
+            lambda: exact_ppr(k2, alpha, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
+
 
 class TestSignificanceDelta:
     def test_k2(self, k2):
@@ -68,6 +82,13 @@ class TestSignificanceDelta:
     def test_weighted_uses_total_edge_weight(self):
         g = Graph.from_edges([(0, 1, 3.0), (1, 2, 1.0)], weighted=True)
         assert significance_delta(g, 0) == pytest.approx(3.0 / 4.0)
+
+    def test_repeated_pair_counts_merged_weight(self):
+        # the pair (0, 1) merges to weight 2, in d_0 and in the total
+        g = Graph.from_edges([(0, 1), (0, 1), (1, 2)])
+        assert g.m == 2
+        assert significance_delta(g, 0) == pytest.approx(2.0 / 3.0)
+        assert significance_delta(g, 2) == pytest.approx(1.0 / 3.0)
 
     def test_edgeless_graph_rejected(self):
         g = Graph(1, {})

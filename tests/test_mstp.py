@@ -73,6 +73,18 @@ class TestApproximateMstp:
         assert gaps
         assert max(gaps) <= 1e-10
 
+    @pytest.mark.parametrize("g", [
+        Graph.from_edges([(0, 0, 0.7), (0, 1, 0.3), (1, 2, 1.1), (2, 2, 0.4),
+                          (2, 3, 0.9)], weighted=True),
+        random_connected(30, "ba", seed=17),
+    ])
+    def test_on_push_called_once_per_push(self, g):
+        calls = []
+        state = approximate_mstp(g, 0, 5, 0.02,
+                                 on_push=lambda q, r: calls.append(1))
+        assert state.push_count > 0
+        assert len(calls) == state.push_count
+
     def test_residual_ratios_below_threshold(self):
         g = random_connected(30, "ba", seed=17)
         state = approximate_mstp(g, 0, 5, 0.02)

@@ -94,6 +94,21 @@ class TestApproximatePagerank:
         Pi = exact_ppr_matrix(g, 0.2, tol=1e-14)
         assert invariant_gap(g, res, 0, Pi) <= 1e-10
 
+    def test_on_push_called_once_per_push(self):
+        g = Graph.from_edges([(0, 0, 0.7), (0, 1, 0.3), (1, 2, 1.1), (2, 2, 0.4),
+                              (2, 3, 0.9)], weighted=True)
+        settled = []
+
+        def on_push(p, r):
+            settled.append(dict(p))
+
+        res = approximate_pagerank(g, 0.2, 0, 1e-3, on_push=on_push)
+        assert len(settled) == res.push_count
+        assert settled[-1] == res.p
+        # the self-loop sends node 0 back over the threshold after its own
+        # push, so the second push settles at 0 again
+        assert settled[0].keys() == settled[1].keys() == {0}
+
     def test_bad_arguments(self, k2):
         with pytest.raises(ValueError):
             approximate_pagerank(k2, 0.2, 0, 0.0)
