@@ -1,11 +1,15 @@
 """Undirected weighted graph storage, edge-list ingestion, and walk steps."""
 from __future__ import annotations
 
+import math
 from typing import Iterable, TextIO
 
 import numpy as np
 
 __all__ = ["Graph", "EdgeListParseError", "load_edge_list", "degree", "step"]
+
+# largest n for which every pair key lo*n + hi fits in int64
+_MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
 class EdgeListParseError(ValueError):
@@ -38,34 +42,61 @@ class Graph:
                  "labels", "label_ids", "weighted", "unit_weights", "total_weight",
                  "_cum")
 
-    def __init__(self, n: int, edges: dict, labels: list[str] | None = None,
+    def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None,
                  weighted: bool = False):
-        # edges: merged undirected edge dict {(u, v): weight} with u <= v.
-        adj: list[dict[int, float]] = [dict() for _ in range(n)]
-        for (u, v), w in edges.items():
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if w <= 0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            if v != u:
-                adj[v][u] = adj[v].get(u, 0.0) + w
+        """Build the graph from one entry per input edge, in input order.
 
+        ``src``, ``dst`` and ``weight`` are equal-length sequences: edge ``i``
+        joins ``src[i]`` and ``dst[i]`` with weight ``weight[i]``. Every id
+        must lie in ``[0, n)`` and every weight must be finite and positive;
+        both are checked before anything is merged.
+
+        The build is array code throughout. Each edge is canonicalised to
+        ``(lo, hi)``; repeated pairs (in either direction) merge by
+        ``np.unique`` on ``lo*n + hi`` and ``np.bincount``, which adds each
+        pair's weights in input order starting from 0.0, so a merged weight
+        is the left fold ``((0.0 + w1) + w2) + ...``. ``total_weight`` is
+        Python's ``sum`` over the merged weights in first-appearance order.
+        The CSR is one sort of the stored entries by ``row*n + col``; each
+        row lists its neighbors in increasing id order.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        w = np.asarray(weight, dtype=np.float64)
+        if not (src.ndim == 1 and src.shape == dst.shape == w.shape):
+            raise ValueError("src, dst and weight must be 1-d and of equal length")
+        if n > _MAX_NODES:
+            raise ValueError(f"n={n} exceeds {_MAX_NODES}: pair keys n*n overflow int64")
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({src[i]}, {dst[i]}) out of range for n={n}")
+        bad = ~((w > 0.0) & (w < np.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({src[i]}, {dst[i]}) has weight {w[i]}; "
+                             "weights must be positive and finite")
+
+        lo = np.minimum(src, dst)
+        hi = np.maximum(src, dst)
+        keys, first, inv = np.unique(lo * n + hi, return_index=True,
+                                     return_inverse=True)
+        # astype: bincount returns int64 when there are no edges
+        merged = np.bincount(inv, weights=w, minlength=keys.size).astype(
+            np.float64, copy=False)
+        lo, hi = lo[first], hi[first]
+        off = lo != hi
+        rows = np.concatenate([lo, hi[off]])
+        cols = np.concatenate([hi, lo[off]])
+        # keys are distinct after the merge, so an unstable sort is exact
+        order = np.argsort(rows * n + cols)
+        indices = cols[order]
+        weights = np.concatenate([merged, merged[off]])[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            indptr[v + 1] = indptr[v] + len(adj[v])
-        nnz = int(indptr[-1])
-        indices = np.zeros(nnz, dtype=np.int64)
-        weights = np.zeros(nnz, dtype=np.float64)
-        for v in range(n):
-            row = sorted(adj[v].items())
-            base = indptr[v]
-            for k, (u, w) in enumerate(row):
-                indices[base + k] = u
-                weights[base + k] = w
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
         self.n = n
-        self.m = len(edges)
+        self.m = int(keys.size)
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
@@ -76,12 +107,12 @@ class Graph:
         empty = indptr[:-1] == indptr[1:]
         if empty.any():
             self.degrees[empty] = 0.0
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+        self.labels = list(labels) if labels is not None else list(map(str, range(n)))
         if len(self.labels) != n:
             raise ValueError("label count does not match node count")
-        self.label_ids = {lab: i for i, lab in enumerate(self.labels)}
+        self.label_ids = dict(zip(self.labels, range(n)))
         self.weighted = weighted
-        self.total_weight = float(sum(edges.values()))
+        self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
         self.unit_weights = bool((weights == 1.0).all())
         self._cum = None if self.unit_weights else np.concatenate(
             [[0.0], np.cumsum(weights)])
@@ -89,21 +120,26 @@ class Graph:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], n: int | None = None,
                    weighted: bool = False) -> "Graph":
-        """Build from (u, v) or (u, v, w) integer tuples, merging duplicates."""
-        merged: dict[tuple[int, int], float] = {}
-        max_node = -1
+        """Build from (u, v) or (u, v, w) integer tuples, merging duplicates.
+
+        ``n`` defaults to one more than the largest id. A missing weight is
+        1.0; every given weight must be finite and positive.
+        """
+        src: list[int] = []
+        dst: list[int] = []
+        wts: list[float] = []
         for e in edges:
             if len(e) == 3:
                 u, v, w = e
             else:
                 u, v = e
                 w = 1.0
-            key = (u, v) if u <= v else (v, u)
-            merged[key] = merged.get(key, 0.0) + float(w)
-            max_node = max(max_node, u, v)
+            src.append(u)
+            dst.append(v)
+            wts.append(w)
         if n is None:
-            n = max_node + 1
-        return cls(n, merged, weighted=weighted)
+            n = max(max(src, default=-1), max(dst, default=-1)) + 1
+        return cls(n, src, dst, wts, weighted=weighted)
 
     def degree(self, v: int) -> float:
         if not (0 <= v < self.n):
@@ -150,22 +186,17 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
     Each non-comment line is "u v" (or "u v w" when ``weighted``). '#' starts
     a comment; blank lines are ignored. Labels are arbitrary strings mapped to
     dense ids in first-appearance order; duplicate edges sum their weights.
+    The loop only tokenises, interns labels and checks weights; the graph is
+    built from the collected id and weight lists by ``Graph``.
     """
-    labels: list[str] = []
     ids: dict[str, int] = {}
-    merged: dict[tuple[int, int], float] = {}
-
-    def intern(label: str) -> int:
-        if label not in ids:
-            ids[label] = len(labels)
-            labels.append(label)
-        return ids[label]
-
+    src: list[int] = []
+    dst: list[int] = []
+    wts: list[float] = []
     for line_no, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if weighted:
             if len(tokens) not in (2, 3):
                 raise EdgeListParseError(line_no, f"expected 2 or 3 tokens, got {len(tokens)}")
@@ -177,13 +208,13 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
                 w = float(tokens[2])
             except ValueError:
                 raise EdgeListParseError(line_no, f"non-numeric weight {tokens[2]!r}") from None
-            if not (w > 0) or not np.isfinite(w):
+            if not 0.0 < w < math.inf:
                 raise EdgeListParseError(line_no, f"weight must be positive, got {tokens[2]}")
-        u, v = intern(tokens[0]), intern(tokens[1])
-        key = (u, v) if u <= v else (v, u)
-        merged[key] = merged.get(key, 0.0) + w
+        src.append(ids.setdefault(tokens[0], len(ids)))
+        dst.append(ids.setdefault(tokens[1], len(ids)))
+        wts.append(w)
 
-    return Graph(len(labels), merged, labels=labels, weighted=weighted)
+    return Graph(len(ids), src, dst, wts, labels=list(ids), weighted=weighted)
 
 
 def degree(g: Graph, v: int) -> float:

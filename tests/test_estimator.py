@@ -91,7 +91,7 @@ class TestSignificanceDelta:
         assert significance_delta(g, 2) == pytest.approx(1.0 / 3.0)
 
     def test_edgeless_graph_rejected(self):
-        g = Graph(1, {})
+        g = Graph.from_edges([], n=1)
         with pytest.raises(ValueError):
             significance_delta(g, 0)
 

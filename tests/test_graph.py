@@ -1,7 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bippr import EdgeListParseError, Graph, RandomStream, degree, load_edge_list, step
 from bippr.graph import step_many
@@ -61,10 +64,40 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="positive"):
             load("a b -1.5", weighted=True)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity", "-0.0"])
+    def test_non_finite_or_zero_weight(self, token):
+        with pytest.raises(EdgeListParseError,
+                           match=rf"^line 3: weight must be positive, got {token}$"):
+            load(f"a b 1\n# note\nb c {token}\n", weighted=True)
+
     def test_first_appearance_label_order(self):
         g = load("z y\ny x")
         assert g.labels == ["z", "y", "x"]
         assert g.node_id("x") == 2
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, math.nan), (1, 2)],
+        [(0, 1, math.inf), (1, 2)],
+        [(0, 1, -math.inf), (1, 2)],
+        # a negative weight that its duplicate would sum back to positive
+        [(0, 1, -1.0), (0, 1, 2.0)],
+        [(0, 1, 0.0), (1, 2)],
+    ])
+    def test_bad_weight_rejected_before_merging(self, edges):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Graph.from_edges(edges, weighted=True)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+            Graph.from_edges([(0, 1), (0, 3)], n=3)
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges([(0, -1)], n=3)
+
+    def test_pair_keys_must_fit_int64(self):
+        with pytest.raises(ValueError, match="overflow int64"):
+            Graph(3_037_000_500, [], [], [])
 
 
 class TestDegree:
@@ -230,3 +263,182 @@ class TestStepMatchesSearch:
         assert not g.weighted
         assert not g.unit_weights
         assert g.degrees.tolist() == [2.0, 3.0, 1.0]
+
+
+def reference_arrays(n, merged, labels=None):
+    """The dict-of-dicts CSR builder the array build replaced, kept as the
+    reference: ``merged`` is ``{(u, v): w}`` with ``u <= v``."""
+    adj = [dict() for _ in range(n)]
+    for (u, v), w in merged.items():
+        adj[u][v] = adj[u].get(v, 0.0) + w
+        if v != u:
+            adj[v][u] = adj[v].get(u, 0.0) + w
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for v in range(n):
+        indptr[v + 1] = indptr[v] + len(adj[v])
+    nnz = int(indptr[-1])
+    indices = np.zeros(nnz, dtype=np.int64)
+    weights = np.zeros(nnz, dtype=np.float64)
+    for v in range(n):
+        for k, (u, w) in enumerate(sorted(adj[v].items())):
+            indices[indptr[v] + k] = u
+            weights[indptr[v] + k] = w
+    degrees = np.add.reduceat(
+        np.concatenate([weights, [0.0]]), indptr[:-1]) if n else np.zeros(0)
+    degrees[indptr[:-1] == indptr[1:]] = 0.0
+    labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+    unit = bool((weights == 1.0).all())
+    return {
+        "n": n, "m": len(merged), "indptr": indptr, "indices": indices,
+        "weights": weights, "degrees": degrees, "labels": labels,
+        "label_ids": {lab: i for i, lab in enumerate(labels)},
+        "total_weight": float(sum(merged.values())), "unit_weights": unit,
+        "_cum": None if unit else np.concatenate([[0.0], np.cumsum(weights)]),
+    }
+
+
+def reference_from_edges(edges, n=None):
+    merged, max_node = {}, -1
+    for e in edges:
+        u, v, w = e if len(e) == 3 else (*e, 1.0)
+        key = (u, v) if u <= v else (v, u)
+        merged[key] = merged.get(key, 0.0) + float(w)
+        max_node = max(max_node, u, v)
+    return reference_arrays(max_node + 1 if n is None else n, merged)
+
+
+def reference_load(text, weighted):
+    """The line parser the array build replaced, merging into a dict."""
+    labels, ids, merged = [], {}, {}
+
+    def intern(label):
+        if label not in ids:
+            ids[label] = len(labels)
+            labels.append(label)
+        return ids[label]
+
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if weighted:
+            if len(tokens) not in (2, 3):
+                raise EdgeListParseError(line_no, f"expected 2 or 3 tokens, got {len(tokens)}")
+        elif len(tokens) != 2:
+            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
+        w = 1.0
+        if len(tokens) == 3:
+            try:
+                w = float(tokens[2])
+            except ValueError:
+                raise EdgeListParseError(line_no, f"non-numeric weight {tokens[2]!r}") from None
+            if not (w > 0) or not np.isfinite(w):
+                raise EdgeListParseError(line_no, f"weight must be positive, got {tokens[2]}")
+        u, v = intern(tokens[0]), intern(tokens[1])
+        key = (u, v) if u <= v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    return reference_arrays(len(labels), merged, labels)
+
+
+def assert_same_graph(g, ref):
+    """Exact equality, down to the bytes and dtype of every array."""
+    for name, want in ref.items():
+        got = getattr(g, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert type(got) is type(want), name
+            assert got == want, name
+    assert repr(g.total_weight) == repr(ref["total_weight"])
+
+
+# A small weight menu makes repeated pairs sum to values with rounding in
+# them; the float draws add arbitrary mantissas.
+WEIGHTS = st.one_of(st.sampled_from([1.0, 0.1, 0.2, 0.3, 2.5, 1e-3, 7.0]),
+                    st.floats(min_value=1e-6, max_value=1e6))
+
+
+@st.composite
+def edge_lists(draw):
+    """(edges, n): few distinct ids so pairs repeat, in both directions, and
+    self-loops occur; ``n`` is None, or leaves trailing isolated nodes."""
+    ids = draw(st.integers(0, 9))
+    node = st.integers(0, max(ids - 1, 0))
+    weighted = draw(st.booleans())
+    edge = st.tuples(node, node, WEIGHTS) if weighted else st.tuples(node, node)
+    edges = draw(st.lists(edge, max_size=40)) if ids else []
+    top = max((max(e[0], e[1]) for e in edges), default=-1) + 1
+    n = draw(st.one_of(st.none(), st.integers(top, top + 3)))
+    return edges, n
+
+
+LABELS = st.sampled_from(["a", "b", "c", "node_7", "Z", "10", "-3", "x.y", "é"])
+BLANKS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Valid edge-list text: comments, blank lines, tabs, CRLF line ends."""
+    weighted = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "blank", "comment"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "  \t"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# header", "#", "  # a b 1"]))
+        else:
+            parts = [draw(LABELS), draw(LABELS)]
+            if weighted and draw(st.booleans()):
+                w = draw(WEIGHTS)
+                parts.append(draw(st.sampled_from([repr(w), f"{w:.3g}", f"{w:e}"])))
+            line = draw(BLANKS).join(parts)
+            if draw(st.booleans()):
+                line = draw(BLANKS) + line + draw(BLANKS)
+            if draw(st.booleans()):
+                line += draw(st.sampled_from(["#c", " # trailing a b", "\t#"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines), weighted
+
+
+class TestArrayBuildMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_from_edges(self, case):
+        edges, n = case
+        weighted = any(len(e) == 3 for e in edges)
+        g = Graph.from_edges(edges, n=n, weighted=weighted)
+        assert_same_graph(g, reference_from_edges(edges, n))
+        g.check()
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_list_texts())
+    def test_load_edge_list(self, case):
+        text, weighted = case
+        assert_same_graph(load(text, weighted), reference_load(text, weighted))
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_list_texts(), st.integers(1, 40),
+           st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e999", "w", "a b", ""]))
+    def test_load_edge_list_errors(self, case, at, bad):
+        # one malformed line inserted among valid ones: same message and line
+        text, weighted = case
+        lines = text.splitlines(keepends=True)
+        lines.insert(min(at, len(lines)), f"p q {bad}\n")
+        text = "".join(lines)
+        try:
+            want = reference_load(text, weighted)
+        except EdgeListParseError as exc:
+            with pytest.raises(EdgeListParseError) as got:
+                load(text, weighted)
+            assert str(got.value) == str(exc)
+            assert got.value.line_no == exc.line_no
+        else:
+            assert_same_graph(load(text, weighted), want)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_empty(self, n):
+        assert_same_graph(Graph.from_edges([], n=n), reference_from_edges([], n))
+        assert_same_graph(load("# nothing\n\n"), reference_load("# nothing\n\n", False))
