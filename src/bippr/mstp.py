@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .push import _push
+from .push import _push, _scatter
 from .walk import RandomStream, _check_alpha, fixed_walk_positions
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
@@ -24,7 +24,7 @@ class MstpState:
 
     Levels below ell_max are pushed until every ratio r[l][v]/d_v <= r_max;
     the top level is never pushed (there is no level to receive its mass) and
-    holds pure residual.
+    holds pure residual. Every value in ``q`` and ``r`` is a Python ``float``.
     """
 
     source: int
@@ -38,8 +38,7 @@ class MstpState:
     def residual_dense(self, n: int) -> np.ndarray:
         out = np.zeros((self.ell_max + 1, n))
         for level, rv in enumerate(self.r):
-            for v, mass in rv.items():
-                out[level, v] = mass
+            _scatter(rv, out[level])
         return out
 
 
@@ -66,7 +65,7 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     for i in range(ell_max):
         for du in _push(g, r[i], r[i + 1], q[i], 1.0, 1.0, r_max):
             push_count += 1
-            degree_work += float(du)
+            degree_work += du
             if on_push is not None:
                 on_push(q, r)
 

@@ -20,6 +20,8 @@ class PushResult:
 
     On return every residual ratio r[v]/d_v is <= r_max, each sample drawn
     against r is bounded by d_t*r_max, and degree_work <= 1/(alpha*r_max).
+    Every value in ``p`` and ``r``, and ``degree_work``, is a Python
+    ``float``, not a numpy scalar.
     """
 
     p: dict[int, float]
@@ -30,10 +32,14 @@ class PushResult:
     r_max: float
 
     def residual_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        for v, rv in self.r.items():
-            out[v] = rv
-        return out
+        return _scatter(self.r, np.zeros(n))
+
+
+def _scatter(vec: dict[int, float], out: np.ndarray) -> np.ndarray:
+    """Write the sparse vector ``vec`` into the zeroed 1-d array ``out``."""
+    k = len(vec)
+    out[np.fromiter(vec.keys(), np.int64, k)] = np.fromiter(vec.values(), np.float64, k)
+    return out
 
 
 def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
@@ -56,6 +62,8 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
     if not (r_max > 0):
         raise ValueError(f"r_max must be positive, got {r_max}")
     for v, mass in sigma.items():
+        if not math.isfinite(mass):
+            raise ValueError(f"sigma entries must be finite, got {mass}")
         if mass < 0:
             raise ValueError("sigma entries must be nonnegative")
         if mass > 0:
@@ -66,12 +74,12 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
         raise ValueError(f"sigma must sum to 1, got {total}")
 
     p: dict[int, float] = {}
-    r: dict[int, float] = {v: m for v, m in sigma.items() if m > 0}
+    r: dict[int, float] = {v: float(m) for v, m in sigma.items() if m > 0}
     push_count = 0
     degree_work = 0.0
     for du in _push(g, r, r, p, alpha, 1.0 - alpha, r_max):
         push_count += 1
-        degree_work += float(du)
+        degree_work += du
         if on_push is not None:
             on_push(p, r)
 
@@ -90,26 +98,47 @@ def _push(g: Graph, r: dict[int, float], out: dict[int, float],
     residual only grows until it is popped, so every pop is a valid push.
     Callers count pushes and sum d_u in push order, across calls, so the
     floating-point ``degree_work`` does not depend on how levels split it.
+
+    The CSR arrays are read through memoryviews, which index to Python
+    ``int``/``float`` without copying, so no numpy scalar is made per edge;
+    the arithmetic is the same IEEE double operations in the same order.
     """
-    degrees = g.degrees
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    requeue = out is r
-    queue = deque(v for v, rv in r.items() if rv / degrees[v] > r_max)
-    queued = set(queue)
+    degrees = memoryview(g.degrees)
+    indptr = memoryview(g.indptr)
+    indices = memoryview(g.indices)
+    weights = memoryview(g.weights)
+    pop_r, get_est, get_out = r.pop, est.get, out.get
+    todo = [v for v, rv in r.items() if rv / degrees[v] > r_max]
+    if out is not r:
+        # nothing spread here can lift a node of r over the threshold
+        for u in todo:
+            ru = pop_r(u)
+            du = degrees[u]
+            est[u] = get_est(u, 0.0) + settle * ru
+            spread = keep * ru / du
+            a, b = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[a:b], weights[a:b]):
+                out[v] = get_out(v, 0.0) + spread * w
+            yield du
+        return
+    queue = deque(todo)
+    queued = set(todo)
+    popleft, append = queue.popleft, queue.append
+    add, discard = queued.add, queued.discard
     while queue:
-        u = queue.popleft()
-        queued.discard(u)
+        u = popleft()
+        discard(u)
         # residual is read once and zeroed before spreading, so a self-loop
         # routes its share back into r[u] like any other neighbor
-        ru = r.pop(u)
+        ru = pop_r(u)
         du = degrees[u]
-        est[u] = est.get(u, 0.0) + settle * ru
+        est[u] = get_est(u, 0.0) + settle * ru
         spread = keep * ru / du
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(indices[k])
-            x = out.get(v, 0.0) + spread * weights[k]
+        a, b = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[a:b], weights[a:b]):
+            x = get_out(v, 0.0) + spread * w
             out[v] = x
-            if requeue and v not in queued and x / degrees[v] > r_max:
-                queue.append(v)
-                queued.add(v)
+            if v not in queued and x / degrees[v] > r_max:
+                append(v)
+                add(v)
         yield du

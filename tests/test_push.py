@@ -1,7 +1,14 @@
+import math
+from collections import deque
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bippr import (Graph, approximate_pagerank, exact_ppr_matrix,
+import bippr.push
+from bippr import (Graph, approximate_mstp, approximate_pagerank, exact_ppr_matrix,
                    push_from_distribution)
 
 from conftest import random_connected
@@ -174,3 +181,215 @@ class TestPushFromDistribution:
     def test_sigma_off_by_1e_9_rejected(self, k2):
         with pytest.raises(ValueError, match="sum to 1"):
             push_from_distribution(k2, 0.2, {0: 0.5, 1: 0.5 + 1e-9}, 0.1)
+
+    @pytest.mark.parametrize("sigma", [
+        {0: math.nan},
+        {0: 1.0, 2: math.nan},
+        {0: math.inf},
+        {0: 1.0, 1: -math.inf},
+        {0: np.float64("nan")},
+    ])
+    def test_non_finite_mass_rejected(self, k3, sigma):
+        # nan passes both `mass < 0` and `abs(fsum - 1) > tol`
+        with pytest.raises(ValueError, match="finite"):
+            push_from_distribution(k3, 0.2, sigma, 0.1)
+
+
+def reference_push(g, r, out, est, settle, keep, r_max):
+    """The numpy-scalar push kernel that preceded the memoryview one, kept
+    verbatim as the reference for push order and arithmetic."""
+    degrees = g.degrees
+    indptr, indices, weights = g.indptr, g.indices, g.weights
+    requeue = out is r
+    queue = deque(v for v, rv in r.items() if rv / degrees[v] > r_max)
+    queued = set(queue)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        # residual is read once and zeroed before spreading, so a self-loop
+        # routes its share back into r[u] like any other neighbor
+        ru = r.pop(u)
+        du = degrees[u]
+        est[u] = est.get(u, 0.0) + settle * ru
+        spread = keep * ru / du
+        for k in range(indptr[u], indptr[u + 1]):
+            v = int(indices[k])
+            x = out.get(v, 0.0) + spread * weights[k]
+            out[v] = x
+            if requeue and v not in queued and x / degrees[v] > r_max:
+                queue.append(v)
+                queued.add(v)
+        yield du
+
+
+def with_reference_kernel(fn, *args):
+    """Run ``fn(*args, on_push=...)`` once with the library kernel and once
+    with ``reference_push``; return both results and on_push call counts."""
+    runs = []
+    for kernel in (bippr.push._push, reference_push):
+        calls = []
+        with mock.patch("bippr.push._push", kernel), mock.patch("bippr.mstp._push", kernel):
+            res = fn(*args, on_push=lambda *_: calls.append(1))
+        runs.append((res, len(calls)))
+    return runs
+
+
+def ordered(vec):
+    """A push vector as (key, repr) pairs in insertion order."""
+    return [(k, repr(float(x))) for k, x in vec.items()]
+
+
+def assert_python_floats(*vecs):
+    for vec in vecs:
+        assert all(type(x) is float for x in vec.values())
+
+
+# Non-dyadic weights put rounding into every spread; the float draws add
+# arbitrary mantissas.
+WEIGHTS = st.one_of(st.sampled_from([1.0, 0.1, 0.3, 2.5, 1e-3, 7.0]),
+                    st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def push_graphs(draw):
+    """A small graph with self-loops, repeated pairs and isolated nodes, plus
+    its walkable nodes (at least one)."""
+    ids = draw(st.integers(1, 8))
+    node = st.integers(0, ids - 1)
+    weighted = draw(st.booleans())
+    edge = st.tuples(node, node, WEIGHTS) if weighted else st.tuples(node, node)
+    edges = draw(st.lists(edge, min_size=1, max_size=30))
+    g = Graph.from_edges(edges, n=ids + draw(st.integers(0, 2)), weighted=weighted)
+    walkable = [v for v in range(g.n) if not g.is_isolated(v)]
+    return g, walkable
+
+
+R_MAX = st.sampled_from([0.3, 0.05, 1e-2, 3e-3, 1e-3, 1e-4])
+ALPHA = st.sampled_from([0.05, 0.15, 0.2, 0.5, 0.85])
+
+
+class TestKernelMatchesReference:
+    """Push states, counts and on_push calls equal the reference kernel's
+    exactly: same dicts in the same insertion order, same float bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.data())
+    def test_approximate_pagerank(self, case, alpha, r_max, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        (new, n_new), (ref, n_ref) = with_reference_kernel(
+            approximate_pagerank, g, alpha, s, r_max)
+        assert ordered(new.p) == ordered(ref.p)
+        assert ordered(new.r) == ordered(ref.r)
+        assert new.push_count == ref.push_count == n_new == n_ref
+        assert repr(new.degree_work) == repr(float(ref.degree_work))
+        assert type(new.degree_work) is float
+        assert_python_floats(new.p, new.r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.data())
+    def test_push_from_distribution(self, case, alpha, r_max, data):
+        g, walkable = case
+        nodes = data.draw(st.lists(st.sampled_from(walkable), min_size=1,
+                                   unique=True))
+        masses = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(nodes),
+                                    max_size=len(nodes)))
+        total = math.fsum(masses)
+        sigma = {v: m / total for v, m in zip(nodes, masses)}
+        (new, n_new), (ref, n_ref) = with_reference_kernel(
+            push_from_distribution, g, alpha, sigma, r_max)
+        assert ordered(new.p) == ordered(ref.p)
+        assert ordered(new.r) == ordered(ref.r)
+        assert new.push_count == ref.push_count == n_new == n_ref
+        assert repr(new.degree_work) == repr(float(ref.degree_work))
+        assert_python_floats(new.p, new.r)
+        # numpy keys and masses give the same push
+        np_sigma = {np.int64(v): np.float64(m) for v, m in sigma.items()}
+        same = push_from_distribution(g, alpha, np_sigma, r_max)
+        assert ordered(same.p) == ordered(new.p)
+        assert ordered(same.r) == ordered(new.r)
+        assert repr(same.degree_work) == repr(new.degree_work)
+        assert_python_floats(same.p, same.r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_graphs(), st.integers(0, 6), R_MAX, st.data())
+    def test_approximate_mstp(self, case, ell_max, r_max, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        (new, n_new), (ref, n_ref) = with_reference_kernel(
+            approximate_mstp, g, s, ell_max, r_max)
+        assert [ordered(q) for q in new.q] == [ordered(q) for q in ref.q]
+        assert [ordered(r) for r in new.r] == [ordered(r) for r in ref.r]
+        assert new.push_count == ref.push_count == n_new == n_ref
+        assert repr(new.degree_work) == repr(float(ref.degree_work))
+        assert type(new.degree_work) is float
+        assert_python_floats(*new.q, *new.r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.data())
+    def test_threshold_on_a_reached_ratio(self, case, alpha, r_max, data):
+        # r_max equal to, or one ulp below, a ratio r[v]/d_v that a push
+        # reaches puts the threshold test on its rounding boundary
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        first = approximate_pagerank(g, alpha, s, r_max)
+        ratios = sorted({x / g.degree(v) for v, x in first.r.items()})
+        r_max = data.draw(st.sampled_from(ratios))
+        if data.draw(st.booleans()):
+            r_max = math.nextafter(r_max, 0.0)
+        (new, _), (ref, _) = with_reference_kernel(approximate_pagerank, g, alpha,
+                                                   s, r_max)
+        assert ordered(new.p) == ordered(ref.p)
+        assert ordered(new.r) == ordered(ref.r)
+        assert new.push_count == ref.push_count
+
+    def test_requeue_threshold_is_the_rounded_ratio(self):
+        # push 0 -> 1 leaves x = 0.8 at node 1; with r_max = x/d_1 the ratio
+        # is not above r_max, although x > r_max*d_1 after rounding
+        for k in range(1, 200):
+            g = Graph.from_edges([(0, 1, 1.0), (1, 2, k / 10)], weighted=True)
+            x, d = 0.8, g.degree(1)
+            if x > (x / d) * d:
+                break
+        else:
+            pytest.fail("no weight puts the ratio on a rounding boundary")
+        (new, _), (ref, _) = with_reference_kernel(approximate_pagerank, g, 0.2,
+                                                   0, x / d)
+        assert ref.push_count == 1
+        assert new.push_count == 1
+        assert ordered(new.r) == ordered(ref.r)
+
+    def test_numpy_int_source(self):
+        g = random_connected(30, "ba", seed=3)
+        a = approximate_pagerank(g, 0.2, np.int64(4), 1e-3)
+        b = approximate_pagerank(g, 0.2, 4, 1e-3)
+        assert ordered(a.p) == ordered(b.p)
+        assert ordered(a.r) == ordered(b.r)
+        m = approximate_mstp(g, np.int64(4), 5, 1e-3)
+        assert [ordered(q) for q in m.q] == [ordered(q) for q in
+                                            approximate_mstp(g, 4, 5, 1e-3).q]
+
+
+def loop_dense(vec, out):
+    """The per-entry fill that residual_dense used before, as reference."""
+    for v, x in vec.items():
+        out[v] = x
+    return out
+
+
+class TestResidualDense:
+    @settings(max_examples=100, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.integers(0, 5), st.data())
+    def test_matches_loop_fill(self, case, alpha, r_max, ell_max, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        res = approximate_pagerank(g, alpha, s, r_max)
+        want = loop_dense(res.r, np.zeros(g.n))
+        assert res.residual_dense(g.n).tobytes() == want.tobytes()
+        state = approximate_mstp(g, s, ell_max, r_max)
+        want = np.zeros((ell_max + 1, g.n))
+        for level, rv in enumerate(state.r):
+            loop_dense(rv, want[level])
+        got = state.residual_dense(g.n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
