@@ -55,11 +55,10 @@ def significance_delta(g: Graph, t: int) -> float:
     W is m on a graph of distinct unit-weight edges; a repeated pair counts
     with its merged weight, as it does in d_t.
     """
-    if not (0 <= t < g.n):
-        raise ValueError(f"node {t} out of range [0, {g.n})")
+    d_t = g.degree(t)
     if g.total_weight <= 0:
         raise ValueError("graph has no edges")
-    return g.degree(t) / g.total_weight
+    return d_t / g.total_weight
 
 
 @dataclass
@@ -114,7 +113,6 @@ class PreparedSource:
     immutable push state."""
 
     def __init__(self, g: Graph, alpha: float, s: int, r_max: float):
-        g.require_walkable(s)
         self.graph = g
         self.source = s
         self.push: PushResult = approximate_pagerank(g, alpha, s, r_max)

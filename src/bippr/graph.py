@@ -141,19 +141,23 @@ class Graph:
             n = max(max(src, default=-1), max(dst, default=-1)) + 1
         return cls(n, src, dst, wts, weighted=weighted)
 
-    def degree(self, v: int) -> float:
+    def _node(self, v) -> int:
+        """v as an int id in [0, n); bools and non-integral values are rejected."""
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"node id must be an integer, got {v!r}")
         if not (0 <= v < self.n):
             raise ValueError(f"node {v} out of range [0, {self.n})")
-        return float(self.degrees[v])
+        return int(v)
+
+    def degree(self, v: int) -> float:
+        return float(self.degrees[self._node(v)])
 
     def is_isolated(self, v: int) -> bool:
         return self.indptr[v] == self.indptr[v + 1]
 
     def require_walkable(self, v: int) -> None:
-        """Reject out-of-range or isolated nodes as walk/push endpoints."""
-        if not (0 <= v < self.n):
-            raise ValueError(f"node {v} out of range [0, {self.n})")
-        if self.is_isolated(v):
+        """Reject non-integer, out-of-range or isolated nodes as walk/push endpoints."""
+        if self.is_isolated(self._node(v)):
             raise ValueError(f"node {self.labels[v]!r} is isolated")
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,10 +26,9 @@ def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
     """Estimate the source-to-target PPR as a terminal-node hit frequency."""
     if num_walks <= 0:
         raise ValueError("num_walks must be positive")
-    if not (0 <= t < g.n):
-        raise ValueError(f"node {t} out of range [0, {g.n})")
+    d_t = g.degree(t)  # checks t before any walk runs
     terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
     value = float((terminals == t).sum()) / num_walks
     return PprEstimate(value=value, push_term=0.0, walk_term=value,
                        params=None, push_count=0, push_work=0.0,
-                       walk_steps=steps, d_t=g.degree(t))
+                       walk_steps=steps, d_t=d_t)

@@ -81,22 +81,20 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
         raise ValueError(f"ell must be in [0, {state.ell_max}], got {ell}")
     if w <= 0:
         raise ValueError("w must be positive")
-    g.require_walkable(t)
-    positions = fixed_walk_positions(g, t, ell, w, rng)
-    rdense = state.residual_dense(g.n)
-    x = _walk_samples(g, state, rdense, positions, t, ell)
+    pos = fixed_walk_positions(g, t, ell, w, rng)
+    return _level_estimate(g, state, state.residual_dense(g.n), pos,
+                           g.degree(t) / g.degrees[pos], t)
+
+
+def _level_estimate(g: Graph, state: MstpState, rd: np.ndarray, pos: np.ndarray,
+                    scale: np.ndarray, t: int) -> float:
+    """q[ell][t] + mean over walks of sum_k rd[k, pos[ell-k]] * scale[ell-k], for
+    ell = pos.shape[1] - 1, scale = d_t / d_pos: one gather, then a cumsum that adds
+    each walk's terms in increasing k (``sum`` would pair them, moving the last bits)."""
+    ell = pos.shape[1] - 1
+    idx = pos[:, ::-1].T + (np.arange(ell + 1) * g.n)[:, None]
+    x = np.cumsum(rd.ravel()[idx] * scale[:, ::-1].T, axis=0)[-1]
     return state.q[ell].get(t, 0.0) + float(x.mean())
-
-
-def _walk_samples(g: Graph, state: MstpState, rdense: np.ndarray,
-                  positions: np.ndarray, t: int, ell: int) -> np.ndarray:
-    """Per-walk samples sum_k r[k][pos[ell-k]] * d_t / d_{pos[ell-k]}."""
-    d_t = g.degree(t)
-    x = np.zeros(positions.shape[0])
-    for k in range(ell + 1):
-        nodes = positions[:, ell - k]
-        x += rdense[k, nodes] * (d_t / g.degrees[nodes])
-    return x
 
 
 @dataclass
@@ -186,7 +184,7 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
     of cross-level correlation); disable it for independent per-level batches,
     level ell drawing from ``rng.child(ell)`` exactly as :func:`bidir_mstp`
-    would. Either way the dense residual is built once and read by every level.
+    would. Either way the dense residual is built once; each level is one gather.
     """
     g.require_walkable(s)
     g.require_walkable(t)
@@ -195,17 +193,18 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
     rdense = state.residual_dense(g.n)
+    d_t = g.degree(t)
     if shared_walks:
-        shared = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
+        pos = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
+        scale = d_t / g.degrees[pos]
 
     per_level: list[float] = []
     for ell in range(ell_max + 1):
-        if shared_walks:
-            positions = shared[:, :ell + 1]
-        else:
-            positions = fixed_walk_positions(g, t, ell, w_per_level, rng.child(ell))
-        x = _walk_samples(g, state, rdense, positions, t, ell)
-        per_level.append(state.q[ell].get(t, 0.0) + float(x.mean()))
+        if not shared_walks:
+            pos = fixed_walk_positions(g, t, ell, w_per_level, rng.child(ell))
+            scale = d_t / g.degrees[pos]
+        per_level.append(_level_estimate(g, state, rdense, pos[:, :ell + 1],
+                                         scale[:, :ell + 1], t))
 
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail,

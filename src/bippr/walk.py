@@ -11,6 +11,7 @@ __all__ = ["RandomStream", "WalkRecord", "sample_geometric_walk",
            "sample_fixed_walk", "geometric_terminals", "fixed_walk_positions"]
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
 
 
 class RandomStream:
@@ -75,8 +76,7 @@ def sample_fixed_walk(g: Graph, start: int, ell: int, rng: RandomStream) -> Walk
 
 
 def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
-                        rng: RandomStream, chunk: int = 1 << 20,
-                        return_lengths: bool = False):
+                        rng: RandomStream, return_lengths: bool = False):
     """Terminals of ``num`` independent geometric-length walks, plus total steps.
 
     Walks are advanced in lockstep, one ``step_many`` call per round, with
@@ -92,7 +92,7 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     total_steps = 0
     done = 0
     while done < num:
-        size = min(chunk, num - done)
+        size = min(_CHUNK, num - done)
         pos = np.full(size, start, dtype=np.int64)
         active = rng.random(size) >= alpha
         while True:

@@ -95,6 +95,12 @@ class TestSignificanceDelta:
         with pytest.raises(ValueError):
             significance_delta(g, 0)
 
+    def test_bad_target_rejected(self, k2):
+        with pytest.raises(ValueError, match=r"^node 2 out of range \[0, 2\)$"):
+            significance_delta(k2, 2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            significance_delta(k2, 0.0)
+
 
 class TestEstimatePpr:
     def params(self, g, t, alpha=0.2, delta=0.01, eps=0.1, p_fail=0.01, **kw):

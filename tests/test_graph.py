@@ -118,6 +118,20 @@ class TestDegree:
         with pytest.raises(ValueError):
             degree(k2, -1)
 
+    @pytest.mark.parametrize("v", [1.0, np.float64(1.0), 0.5, True, np.True_, "1", None],
+                             ids=["float", "np.float64", "half", "bool", "np.bool_",
+                                  "str", "None"])
+    def test_non_integer_id_rejected(self, path3, v):
+        # True would otherwise be a boolean index and 1.0 a numpy IndexError
+        for check in (path3.degree, path3.require_walkable):
+            with pytest.raises(ValueError, match="node id must be an integer"):
+                check(v)
+
+    @pytest.mark.parametrize("v", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_integer_ids_accepted(self, path3, v):
+        assert path3.degree(v) == 2.0
+        path3.require_walkable(v)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 
@@ -29,6 +30,15 @@ class TestMcEstimate:
     def test_zero_walks_rejected(self, k2):
         with pytest.raises(ValueError):
             mc_estimate(k2, 0, 1, 0.2, 0, RandomStream(0))
+
+    @pytest.mark.parametrize("t,message", [(2, r"node 2 out of range \[0, 2\)"),
+                                           (-1, "out of range"),
+                                           (1.0, "must be an integer")])
+    def test_bad_target_rejected_before_walks(self, k2, t, message):
+        with mock.patch("bippr.mc.geometric_terminals",
+                        side_effect=AssertionError("walks ran")):
+            with pytest.raises(ValueError, match=message):
+                mc_estimate(k2, 0, t, 0.2, 10, RandomStream(0))
 
 
 class TestMcNumWalks:

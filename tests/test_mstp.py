@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    choose_ell_max, estimate_diffusion, exact_diffusion,
-                   exact_mstp, exact_ppr, heat_kernel_weights,
-                   pagerank_weights)
+                   exact_mstp, exact_ppr, fixed_walk_positions,
+                   heat_kernel_weights, pagerank_weights)
+from bippr.mstp import _level_estimate
 
 from conftest import random_connected
+from test_push import push_graphs
 
 
 def level_gap(g, state, s, Wpows, ell):
@@ -275,3 +279,59 @@ class TestEstimateDiffusion:
                   for i in range(100)]
         se = np.std(values, ddof=1) / math.sqrt(len(values))
         assert abs(np.mean(values) - true) <= max(3 * se, 1e-6) + w.tail
+
+
+def loop_level_estimate(g, state, rd, pos, t):
+    """The per-k loop the combine used before, as reference: each walk adds
+    its terms in increasing k, starting from 0.0."""
+    ell = pos.shape[1] - 1
+    d_t = g.degree(t)
+    x = np.zeros(pos.shape[0])
+    for k in range(ell + 1):
+        nodes = pos[:, ell - k]
+        x += rd[k, nodes] * (d_t / g.degrees[nodes])
+    return state.q[ell].get(t, 0.0) + float(x.mean())
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLevelEstimateMatchesLoop:
+    """The one-gather combine returns the reference loop's bits at every
+    level, for shared prefixes and for independent per-level batches."""
+
+    def check_levels(self, g, s, t, ell_max, r_max, w, seed):
+        state = approximate_mstp(g, s, ell_max, r_max)
+        rd = state.residual_dense(g.n)
+        d_t = g.degree(t)
+        shared = fixed_walk_positions(g, t, ell_max, w, RandomStream(seed))
+        scale = d_t / g.degrees[shared]
+        for ell in range(ell_max + 1):
+            pos = shared[:, :ell + 1]
+            got = _level_estimate(g, state, rd, pos, scale[:, :ell + 1], t)
+            assert same_bits(got, loop_level_estimate(g, state, rd, pos, t))
+            pos = fixed_walk_positions(g, t, ell, w, RandomStream(seed).child(ell))
+            got = _level_estimate(g, state, rd, pos, d_t / g.degrees[pos], t)
+            assert same_bits(got, loop_level_estimate(g, state, rd, pos, t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(push_graphs(), st.integers(0, 6),
+           st.sampled_from([0.3, 0.05, 1e-2, 1e-3]), st.integers(1, 12), st.data())
+    def test_random_small_graphs(self, case, ell_max, r_max, w, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        t = data.draw(st.sampled_from(walkable))
+        self.check_levels(g, s, t, ell_max, r_max, w, data.draw(st.integers(0, 2**32)))
+
+    @pytest.mark.parametrize("ell_max", [17, 40])
+    def test_long_walks(self, ell_max):
+        # more than eight terms per walk, where numpy's pairwise sum differs
+        # from a sequential one
+        rng = np.random.default_rng(8)
+        ends = rng.integers(0, 30, (90, 2)).tolist()  # self-loops included
+        edges = [(i, (i + 1) % 30) for i in range(30)] + ends
+        g = Graph.from_edges([(u, v, w) for (u, v), w in
+                              zip(edges, rng.uniform(0.1, 5.0, len(edges)))],
+                             weighted=True)
+        self.check_levels(g, 0, 4, ell_max, 1e-3, 64, 11)

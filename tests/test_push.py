@@ -194,6 +194,18 @@ class TestPushFromDistribution:
         with pytest.raises(ValueError, match="finite"):
             push_from_distribution(k3, 0.2, sigma, 0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda g: approximate_pagerank(g, 0.2, 1.0, 0.1),
+        lambda g: approximate_pagerank(g, 0.2, True, 0.1),
+        lambda g: push_from_distribution(g, 0.2, {1.0: 1.0}, 0.1),
+        lambda g: push_from_distribution(g, 0.2, {True: 1.0}, 0.1),
+        lambda g: push_from_distribution(g, 0.2, {0: 0.5, np.float64(2): 0.5}, 0.1),
+        lambda g: approximate_mstp(g, 1.0, 2, 0.1),
+    ])
+    def test_non_integer_node_rejected(self, path3, call):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            call(path3)
+
 
 def reference_push(g, r, out, est, settle, keep, r_max):
     """The numpy-scalar push kernel that preceded the memoryview one, kept

@@ -5,6 +5,7 @@ from scipy import stats
 from bippr import (Graph, RandomStream, exact_mstp, exact_ppr,
                    fixed_walk_positions, geometric_terminals,
                    sample_fixed_walk, sample_geometric_walk)
+from bippr.walk import _CHUNK
 
 from conftest import random_connected
 
@@ -66,6 +67,21 @@ class TestGeometricWalk:
         _, pvalue = stats.chisquare(observed[keep], expected[keep] *
                                     observed[keep].sum() / expected[keep].sum())
         assert pvalue > 1e-3
+
+    def test_chunk_boundary(self, k2):
+        # walks run in chunks of _CHUNK; the first chunk's draws must not
+        # depend on how many walks follow it
+        alpha = 0.9
+        a, steps_a, len_a = geometric_terminals(k2, 0, alpha, _CHUNK, RandomStream(6),
+                                                return_lengths=True)
+        b, steps_b, len_b = geometric_terminals(k2, 0, alpha, _CHUNK + 5,
+                                                RandomStream(6), return_lengths=True)
+        assert np.array_equal(b[:_CHUNK], a)
+        assert np.array_equal(len_b[:_CHUNK], len_a)
+        assert steps_a == len_a.sum()
+        assert steps_b == len_b.sum()
+        # on K2 a walk from 0 ends at 0 exactly when its length is even
+        assert np.array_equal(b == 0, len_b % 2 == 0)
 
     def test_scalar_matches_contract(self, k2):
         assert sample_geometric_walk(k2, 0, 1 - 1e-12, RandomStream(5)) == 0
