@@ -29,9 +29,11 @@ class Graph:
 
     ``unit_weights`` is true when every stored edge weight is exactly 1.0.
     Such a graph samples a neighbor by indexing its row directly; any other
-    graph keeps a global cumulative-weight array ``_cum`` (None on unit-weight
-    graphs) and samples by binary search in it. An unweighted edge list that
-    repeats a pair merges it to weight 2.0, so its graph is not unit-weight.
+    graph samples from per-row alias tables (see :func:`step_many`), built
+    by array code on its first weighted step and cached in ``_alias``, so
+    ingest and unit-weight graphs never pay for them. An unweighted edge list
+    that repeats a pair merges it to weight 2.0, so its graph is not
+    unit-weight.
 
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
@@ -40,7 +42,7 @@ class Graph:
 
     __slots__ = ("n", "m", "indptr", "indices", "weights", "degrees",
                  "labels", "label_ids", "weighted", "unit_weights", "total_weight",
-                 "_cum")
+                 "_alias")
 
     def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None,
                  weighted: bool = False):
@@ -114,8 +116,7 @@ class Graph:
         self.weighted = weighted
         self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
         self.unit_weights = bool((weights == 1.0).all())
-        self._cum = None if self.unit_weights else np.concatenate(
-            [[0.0], np.cumsum(weights)])
+        self._alias = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], n: int | None = None,
@@ -168,6 +169,13 @@ class Graph:
         if label not in self.label_ids:
             raise KeyError(f"unknown node label {label!r}")
         return self.label_ids[label]
+
+    def _alias_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(prob, alias_node)``, one entry per CSR slot, built on first use."""
+        if self._alias is None:
+            self._alias = _build_alias(self.indptr, self.indices, self.weights,
+                                       self.degrees)
+        return self._alias
 
     def check(self) -> None:
         """Verify adjacency symmetry and the degree-sum identity."""
@@ -230,30 +238,110 @@ def step_many(g: Graph, nodes: np.ndarray, rng) -> np.ndarray:
     """Advance each walk position one transition, w_{vu}/d_v per neighbor.
 
     Vectorized over ``nodes`` with one uniform draw ``u`` per node; all nodes
-    must be non-isolated. With ``x = _cum[indptr[v]] + u*d_v``, the step takes
-    the slot ``k`` of the concatenated rows with ``_cum[k] <= x < _cum[k+1]``,
-    clamped to v's row:
+    must be non-isolated.
 
-    - on unit-weight graphs ``_cum[k] == k``, so ``k = floor(x)`` with
-      ``x = indptr[v] + u*d_v``: O(1) per step, no search and no ``_cum``;
-    - on other graphs, by binary search in ``_cum``, visiting the targets in
-      sorted order so each search starts near the previous one.
-
-    On a unit-weight graph the search would pick the same slot from the
-    same draw, so the choice of path never changes a seeded walk.
+    - On unit-weight graphs the slot is ``floor(indptr[v] + u*d_v)``, clamped
+      to v's row: O(1) per step, no table.
+    - On other graphs, per-row alias tables (Walker 1977): with
+      ``x = u*cnt_v`` for the row length ``cnt_v``, slot
+      ``j = indptr[v] + floor(x)`` is kept when ``x - floor(x) < prob[j]``
+      and swapped for ``alias_node[j]`` otherwise. Also O(1) per step.
     """
     starts = g.indptr[nodes]
     u = rng.random(len(nodes))
     if g.unit_weights:
         j = (starts + u * g.degrees[nodes]).astype(np.int64)
-    else:
-        targets = g._cum[starts] + u * g.degrees[nodes]
-        order = np.argsort(targets)
-        j = np.empty_like(starts)
-        j[order] = np.searchsorted(g._cum, targets[order], side="right") - 1
-    # float roundoff near the row boundary can land one slot past the row
-    j = np.minimum(j, g.indptr[nodes + 1] - 1)
-    return g.indices[j]
+        # float roundoff near the row boundary can land one slot past the row
+        return g.indices[np.minimum(j, g.indptr[nodes + 1] - 1)]
+    prob, alias_node = g._alias_tables()
+    # u < 1 keeps x below cnt_v, so the slot never leaves the row
+    x = u * (g.indptr[nodes + 1] - starts)
+    k = x.astype(np.int64)
+    x -= k
+    j = starts + k
+    return np.where(x < prob[j], g.indices[j], alias_node[j])
+
+
+def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row alias tables by the prefix-sum sweep (Huebschle-Schneider and
+    Sanders, ESA 2019), array code only.
+
+    Row v's entries are scaled to ``p = w*cnt_v/d_v`` (mean 1). Entries with
+    ``p < 1`` are light, the rest heavy, each taken in CSR order; ``D`` and
+    ``E`` are the row-local inclusive prefix sums of the light deficits
+    ``1-p`` and the heavy excesses ``p-1``. Light ``i`` keeps ``p`` and
+    aliases the first heavy of its row with ``E_j >= D_{i-1}``. Heavy ``j``
+    keeps ``1 + E_j - D_{i*}``, ``i*`` the first light of its row with
+    ``D_{i*} > E_j``, and aliases the next heavy; the row's last heavy (or
+    a heavy with no such light) keeps 1. Every alias is clamped into its own
+    row; a row that rounding left without a heavy aliases each slot to itself.
+    """
+    n = indptr.size - 1
+    cnt = np.diff(indptr)
+    prob = weights * np.repeat(cnt, cnt)
+    prob /= np.repeat(degrees, cnt)
+    light = prob < 1.0
+    li = np.flatnonzero(light)
+    hi = np.flatnonzero(~light)
+    nl = np.diff(np.concatenate([[0], np.cumsum(light)])[indptr])
+    nh = cnt - nl
+    lrow = np.repeat(np.arange(n), nl)
+    hrow = np.repeat(np.arange(n), nh)
+    D = _row_cumsum(1.0 - prob[li], nl)
+    E = _row_cumsum(prob[hi] - 1.0, nh)
+    d_before = np.zeros_like(D)
+    d_before[1:] = D[:-1]
+    d_before[(np.cumsum(nl) - nl)[nl > 0]] = 0.0
+    h_first = np.cumsum(nh) - nh
+    last = np.zeros(hi.size, dtype=bool)
+    last[(h_first + nh - 1)[nh > 0]] = True
+
+    # the smallest signed type that holds every node id: at n=20k a quarter
+    # of int64's memory, and the step's result is still int64
+    alias_node = indices.astype(np.min_scalar_type(-n))
+    # complex keys order lexicographically: by row, then by prefix sum
+    a = np.searchsorted(_keys(hrow, E), _keys(lrow, d_before), side="left")
+    a = np.minimum(a, h_first[lrow] + nh[lrow] - 1)
+    has = nh[lrow] > 0
+    alias_node[li[has]] = indices[hi[a[has]]]
+    nxt = np.flatnonzero(~last)
+    alias_node[hi[nxt]] = indices[hi[nxt + 1]]
+
+    # first light past E_j, if any, and whether it lies in heavy j's row
+    b = np.searchsorted(_keys(lrow, D), _keys(hrow, E), side="right")
+    d_star = np.append(D, 0.0)[b]
+    shared = (np.append(lrow, -1)[b] == hrow) & ~last
+    prob[hi] = np.where(shared, (1.0 + E) - d_star, 1.0)
+    return prob, alias_node
+
+
+def _keys(row: np.ndarray, value: np.ndarray) -> np.ndarray:
+    key = np.empty(row.size, dtype=np.complex128)
+    key.real = row
+    key.imag = value
+    return key
+
+
+def _row_cumsum(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``x`` restarting at each of the consecutive
+    segments of lengths ``lens``, each added left to right.
+
+    Segments are padded with zeros to the next power of two and summed as the
+    rows of one 2-d ``cumsum`` per width: O(len(x)) memory and work, and at
+    most log2(max(lens)) + 1 rounds.
+    """
+    out = np.empty_like(x)
+    starts = np.cumsum(lens) - lens
+    _, width = np.frexp(np.maximum(lens - 1, 0))
+    for b in np.unique(width):
+        rows = np.flatnonzero(width == b)
+        cols = np.arange(1 << int(b))
+        mask = cols < lens[rows, None]
+        idx = (starts[rows, None] + cols)[mask]
+        pad = np.zeros(mask.shape)
+        pad[mask] = x[idx]
+        out[idx] = np.cumsum(pad, axis=1)[mask]
+    return out
 
 
 def step(g: Graph, v: int, rng) -> int:

@@ -125,22 +125,31 @@ def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
 
 
 def heat_kernel_weights(gamma: float, ell_max: int) -> DiffusionWeights:
-    """Poisson weights e^{-gamma} gamma^i / i!, by the stable ratio recurrence."""
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    """Poisson weights e^{-gamma} gamma^i / i!, each taken from its logarithm."""
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
-    alphas = np.empty(ell_max + 1)
-    alphas[0] = math.exp(-gamma)
-    for i in range(1, ell_max + 1):
-        alphas[i] = alphas[i - 1] * gamma / i
+    alphas = _poisson_pmf(gamma, ell_max)
     tail = max(0.0, 1.0 - float(alphas.sum()))
     return DiffusionWeights(alphas=alphas, tail=tail)
 
 
+def _poisson_pmf(gamma: float, ell_max: int) -> np.ndarray:
+    # exp(-gamma) underflows past gamma ~745, so no term is built from it;
+    # imported here, as scipy.special adds 0.2 s to every CLI start
+    from scipy.special import gammaln
+    if not (gamma > 0):
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    i = np.arange(ell_max + 1)
+    return np.exp(i * math.log(gamma) - gammaln(i + 1) - gamma)
+
+
 def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
                    gamma: float | None = None, max_levels: int = 10_000) -> int:
-    """Smallest truncation length whose tail mass is <= trunc_tol."""
+    """Smallest truncation length whose tail mass is <= trunc_tol.
+
+    A heat-kernel tail still above ``trunc_tol`` at ``max_levels`` raises
+    ``ValueError`` rather than truncating silently.
+    """
     if not (0.0 < trunc_tol <= 1.0):
         raise ValueError(f"trunc_tol must be in (0, 1], got {trunc_tol}")
     if family == "pagerank":
@@ -152,14 +161,12 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
     if family == "heat-kernel":
         if gamma is None:
             raise ValueError("heat-kernel family requires gamma")
-        term = math.exp(-gamma)
-        cum = term
-        ell = 0
-        while 1.0 - cum > trunc_tol and ell < max_levels:
-            ell += 1
-            term *= gamma / ell
-            cum += term
-        return ell
+        tails = 1.0 - np.cumsum(_poisson_pmf(gamma, max_levels))
+        hit = np.flatnonzero(tails <= trunc_tol)
+        if hit.size == 0:
+            raise ValueError(f"heat-kernel tail is still {tails[-1]:.3g} > trunc_tol="
+                             f"{trunc_tol} at max_levels={max_levels} (gamma={gamma})")
+        return int(hit[0])
     raise ValueError(f"unknown weight family {family!r}")
 
 

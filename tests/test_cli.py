@@ -13,13 +13,14 @@ from bippr.cli import main
 from conftest import random_connected
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     full_env = dict(os.environ)
     full_env.pop("BIPPR_SEED", None)
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "bippr.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env,
+                          timeout=timeout)
 
 
 @pytest.fixture
@@ -166,6 +167,25 @@ class TestDiffusionCommand:
         assert abs(record["value"] - math.sinh(1) / math.e) < 0.01
         assert record["trunc_bound"] <= 1e-6
         assert len(record["per_level"]) == record["ell_max"] + 1
+
+    def test_heat_kernel_large_gamma(self, k3_file):
+        # K3 walks mix fast: the heat-kernel diffusion is 1/3 - e^{-1.5 gamma}/3
+        proc = run_cli("diffusion", "--graph", k3_file, "--source", "a",
+                       "--target", "b", "--family", "heat-kernel",
+                       "--gamma", "800", "--walks-per-level", "20", "--seed", "0",
+                       timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["trunc_bound"] <= 1e-6
+        assert record["ell_max"] < 2000
+        assert abs(record["value"] - 1 / 3) < 0.01
+
+    def test_heat_kernel_tail_out_of_reach_exit_2(self, k3_file):
+        proc = run_cli("diffusion", "--graph", k3_file, "--source", "a",
+                       "--target", "b", "--family", "heat-kernel",
+                       "--gamma", "20000", "--seed", "0", timeout=60)
+        assert proc.returncode == 2
+        assert "max_levels" in proc.stderr
 
     def test_pagerank_family(self, k2_file):
         proc = run_cli("diffusion", "--graph", k2_file, "--source", "a",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bippr import EdgeListParseError, Graph, RandomStream, degree, load_edge_list, step
@@ -194,6 +194,77 @@ def step_many_by_search(g, nodes, rng):
     return g.indices[j]
 
 
+def alias_row_reference(g, v):
+    """Row v's alias table by a Python loop: Vose's pairing with the light
+    (p < 1) and heavy slots each swept in CSR order. A light takes the heavy
+    whose running excess covers where its deficit starts; a heavy that runs
+    dry takes the next heavy. Returns (prob, alias node) per slot of the row."""
+    a, b = int(g.indptr[v]), int(g.indptr[v + 1])
+    cnt = b - a
+    p = [float(g.weights[s]) * cnt / float(g.degrees[v]) for s in range(a, b)]
+    lights = [k for k in range(cnt) if p[k] < 1.0]
+    heavies = [k for k in range(cnt) if p[k] >= 1.0]
+    deficit, excess, acc = [], [], 0.0
+    for k in lights:
+        acc += 1.0 - p[k]
+        deficit.append(acc)
+    acc = 0.0
+    for k in heavies:
+        acc += p[k] - 1.0
+        excess.append(acc)
+    prob, alias = list(p), list(range(cnt))
+    h = 0
+    for i, k in enumerate(lights):
+        start = deficit[i - 1] if i else 0.0
+        while h < len(heavies) - 1 and excess[h] < start:
+            h += 1
+        if heavies:
+            alias[k] = heavies[h]
+    i = 0
+    for h, k in enumerate(heavies):
+        while i < len(lights) and deficit[i] <= excess[h]:
+            i += 1
+        prob[k] = 1.0
+        if h < len(heavies) - 1:
+            alias[k] = heavies[h + 1]
+            if i < len(lights):
+                prob[k] = 1.0 + excess[h] - deficit[i]
+    nodes = g.indices[a:b].tolist()
+    return prob, [nodes[k] for k in alias]
+
+
+def step_many_by_alias_loop(g, nodes, rng):
+    """Reference stepping: one alias draw per node, in a Python loop."""
+    tables = {}
+    out = []
+    for v, u in zip(nodes.tolist(), rng.random(len(nodes)).tolist()):
+        if v not in tables:
+            tables[v] = alias_row_reference(g, v)
+        prob, alias = tables[v]
+        x = u * len(prob)
+        k = int(x)
+        out.append(int(g.indices[g.indptr[v] + k]) if x - k < prob[k] else alias[k])
+    return np.array(out, dtype=np.int64)
+
+
+def alias_boundary_draws(g, nodes):
+    """Uniforms that put ``x = u*cnt`` on, and one or two ulps either side
+    of, each slot start and each keep/alias threshold of each node's row,
+    plus 0 and one ulp below 1, with the node repeated once per draw."""
+    prob, _ = g._alias_tables()
+    reps, draws = [], []
+    for v in nodes:
+        a, b = g.indptr[v], g.indptr[v + 1]
+        k = np.arange(b - a)
+        base = np.concatenate([k, k + prob[a:b], [0.0, b - a]]) / (b - a)
+        below = np.nextafter(base, -1.0)
+        near = [base, below, np.nextafter(below, -1.0), np.nextafter(base, 2.0)]
+        u = np.clip(np.concatenate(near), 0.0, np.nextafter(1.0, 0.0))
+        reps.append(np.full(u.size, v, dtype=np.int64))
+        draws.append(u)
+    return np.concatenate(reps), np.concatenate(draws)
+
+
 class PresetDraws:
     """Stand-in random stream that hands out prepared uniforms."""
 
@@ -243,17 +314,24 @@ def random_small_graph(seed, kind):
 
 
 class TestStepMatchesSearch:
+    """Unit-weight graphs step to the slot a binary search in the cumulative
+    weights would pick from the same draw; the ``weighted`` and ``repeated``
+    cases, which sample from alias tables, match the Python-loop alias
+    reference draw by draw instead."""
+
     @pytest.mark.parametrize("kind", ["unit", "weighted", "repeated"])
     @pytest.mark.parametrize("seed", range(12))
     def test_same_neighbors_for_same_stream(self, kind, seed):
         g = random_small_graph(seed, kind)
         assert g.unit_weights == (kind == "unit")
-        assert (g._cum is None) == g.unit_weights
         walkable = np.flatnonzero(np.diff(g.indptr) > 0)
         assert walkable.size < g.n
         nodes = np.random.default_rng(seed + 100).choice(walkable, size=5000)
+        assert g._alias is None
         got = step_many(g, nodes, RandomStream(seed, 1))
-        want = step_many_by_search(g, nodes, RandomStream(seed, 1))
+        assert (g._alias is None) == g.unit_weights
+        reference = step_many_by_search if g.unit_weights else step_many_by_alias_loop
+        want = reference(g, nodes, RandomStream(seed, 1))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["unit", "weighted"])
@@ -267,9 +345,14 @@ class TestStepMatchesSearch:
             edges = [(u, v, 0.1 + 0.7 * ((u + 2 * v) % 5)) for u, v in edges]
         g = Graph.from_edges(edges, n=n, weighted=kind == "weighted")
         assert g.unit_weights == (kind == "unit")
-        nodes, u = boundary_draws(g, [0, 1, 2, n // 2, n - 2, n - 1])
+        rows = [0, 1, 2, n // 2, n - 2, n - 1]
+        if g.unit_weights:
+            nodes, u = boundary_draws(g, rows)
+            want = step_many_by_search(g, nodes, PresetDraws(u))
+        else:
+            nodes, u = alias_boundary_draws(g, rows)
+            want = step_many_by_alias_loop(g, nodes, PresetDraws(u))
         got = step_many(g, nodes, PresetDraws(u))
-        want = step_many_by_search(g, nodes, PresetDraws(u))
         assert np.array_equal(got, want)
 
     def test_unweighted_repeated_pair_is_not_unit_weight(self):
@@ -277,6 +360,107 @@ class TestStepMatchesSearch:
         assert not g.weighted
         assert not g.unit_weights
         assert g.degrees.tolist() == [2.0, 3.0, 1.0]
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small non-unit graphs: self-loops, trailing isolated nodes, repeated
+    unweighted pairs (weight 2.0), one-entry rows and rows of equal weights."""
+    ids = draw(st.integers(1, 8))
+    node = st.integers(0, ids - 1)
+    kind = draw(st.sampled_from(["weighted", "equal", "repeated"]))
+    if kind == "repeated":
+        edges = draw(st.lists(st.tuples(node, node), min_size=2, max_size=30))
+        edges.append(edges[0])
+    else:
+        w = st.just(draw(WEIGHTS)) if kind == "equal" else WEIGHTS
+        edges = draw(st.lists(st.tuples(node, node, w), min_size=1, max_size=30))
+    top = max(max(e[0], e[1]) for e in edges) + 1
+    g = Graph.from_edges(edges, n=top + draw(st.integers(0, 3)),
+                         weighted=kind != "repeated")
+    assume(not g.unit_weights)
+    return g
+
+
+def implied_probabilities(g, prob, alias_node):
+    """Per slot, the chance an alias draw on its row picks its neighbour:
+    (prob + sum of 1-prob over the row's slots aliased to it) / cnt."""
+    out = np.empty_like(prob)
+    for v in range(g.n):
+        a, b = g.indptr[v], g.indptr[v + 1]
+        for s in range(a, b):
+            gave = [1.0 - prob[t] for t in range(a, b) if alias_node[t] == g.indices[s]]
+            out[s] = (prob[s] + sum(gave)) / (b - a)
+    return out
+
+
+class TestAliasTables:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_tables_give_each_neighbour_its_weight(self, g):
+        prob, alias_node = g._alias_tables()
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        want = g.weights / g.degrees[rows]
+        assert np.abs(implied_probabilities(g, prob, alias_node) - want).max() <= 1e-12
+        assert ((prob >= 0.0) & (prob <= 1.0)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_aliases_stay_in_their_row(self, g):
+        _, alias_node = g._alias_tables()
+        for v in range(g.n):
+            a, b = g.indptr[v], g.indptr[v + 1]
+            assert set(alias_node[a:b].tolist()) <= set(g.indices[a:b].tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_tables_match_loop_reference(self, g):
+        prob, alias_node = g._alias_tables()
+        for v in np.flatnonzero(np.diff(g.indptr)):
+            a, b = g.indptr[v], g.indptr[v + 1]
+            want_prob, want_alias = alias_row_reference(g, v)
+            assert prob[a:b].tobytes() == np.array(want_prob).tobytes()
+            assert alias_node[a:b].tolist() == want_alias
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_step_matches_loop_reference_at_boundaries(self, g):
+        nodes, u = alias_boundary_draws(g, np.flatnonzero(np.diff(g.indptr)))
+        assert u.max() == np.nextafter(1.0, 0.0)
+        got = step_many(g, nodes, PresetDraws(u))
+        assert np.array_equal(got, step_many_by_alias_loop(g, nodes, PresetDraws(u)))
+
+    def test_equal_weights_rounding_below_one(self):
+        # 6 * w / (((w + w) + w) ...) rounds to 1 - 2**-53: no slot is heavy,
+        # so each slot aliases itself and is always kept
+        w = 0.9308141418622209
+        g = Graph.from_edges([(0, i, w) for i in range(1, 7)], weighted=True)
+        p = w * 6 / g.degrees[0]
+        assert p < 1.0
+        prob, alias_node = g._alias_tables()
+        assert prob[:6].tolist() == [p] * 6
+        assert alias_node[:6].tolist() == g.indices[:6].tolist()
+        u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
+        got = step_many(g, np.zeros(7, dtype=np.int64), PresetDraws(u))
+        assert got.tolist() == g.indices[:6].tolist() + [g.indices[5]]
+
+    def test_rounding_past_the_rows_last_heavy(self):
+        # row 0 scales to p = [3/7, 11/7, 1 - 2**-52]: the last light's
+        # deficit starts at 4/7 + 1 ulp, past the one heavy's excess 4/7, so
+        # its alias must be clamped to that heavy, not the next row's
+        g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)],
+                             weighted=True)
+        prob, alias_node = g._alias_tables()
+        assert alias_node[:3].tolist() == [2, 2, 2]
+        assert prob[1] == 1.0
+
+    def test_built_once_on_first_weighted_step(self):
+        g = load("a b 3.0\na c 1.0", weighted=True)
+        assert g._alias is None
+        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(0))
+        tables = g._alias
+        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(1))
+        assert g._alias is tables
 
 
 def reference_arrays(n, merged, labels=None):
@@ -307,7 +491,7 @@ def reference_arrays(n, merged, labels=None):
         "weights": weights, "degrees": degrees, "labels": labels,
         "label_ids": {lab: i for i, lab in enumerate(labels)},
         "total_weight": float(sum(merged.values())), "unit_weights": unit,
-        "_cum": None if unit else np.concatenate([[0.0], np.cumsum(weights)]),
+        "_alias": None,
     }
 
 

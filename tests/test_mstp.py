@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    choose_ell_max, estimate_diffusion, exact_diffusion,
@@ -187,6 +188,16 @@ class TestDiffusionWeights:
         assert w.alphas[0] == pytest.approx(1.0, abs=1e-11)
         assert w.tail <= 1e-11
 
+    @pytest.mark.parametrize("gamma", [1.0, 50.0, 800.0])
+    def test_heat_kernel_matches_poisson_pmf(self, gamma):
+        # past gamma ~745 exp(-gamma) underflows, so the weights must not be
+        # built from it; the head terms below the normal range may round
+        ell_max = int(gamma + 10 * math.sqrt(gamma) + 20)
+        w = heat_kernel_weights(gamma, ell_max)
+        pmf = stats.poisson.pmf(np.arange(ell_max + 1), gamma)
+        np.testing.assert_allclose(w.alphas, pmf, rtol=1e-12, atol=1e-300)
+        assert w.tail == pytest.approx(stats.poisson.sf(ell_max, gamma), abs=1e-12)
+
     def test_normalization_random_parameters(self):
         rng = np.random.Generator(np.random.Philox(key=99))
         for _ in range(50):
@@ -217,6 +228,19 @@ class TestChooseEllMax:
             assert pagerank_weights(0.2, ell).tail <= tol + 1e-15
             ell = choose_ell_max("heat-kernel", tol, gamma=2.0)
             assert heat_kernel_weights(2.0, ell).tail <= tol + 1e-15
+
+    def test_heat_kernel_large_gamma(self):
+        ell = choose_ell_max("heat-kernel", 1e-6, gamma=800.0)
+        assert heat_kernel_weights(800.0, ell).tail <= 1e-6
+        assert heat_kernel_weights(800.0, ell - 1).tail > 1e-6
+        assert stats.poisson.sf(ell, 800.0) <= 1e-6 < stats.poisson.sf(ell - 1, 800.0)
+
+    def test_max_levels_reached_raises(self):
+        with pytest.raises(ValueError, match="max_levels"):
+            choose_ell_max("heat-kernel", 1e-6, gamma=50.0, max_levels=20)
+        with pytest.raises(ValueError, match="max_levels"):
+            choose_ell_max("heat-kernel", 1e-6, gamma=20_000.0)
+        assert choose_ell_max("heat-kernel", 0.081, gamma=1.0, max_levels=2) == 2
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,24 @@ from bippr.walk import _CHUNK
 from conftest import random_connected
 
 
+def weighted_loop_graph() -> Graph:
+    """Ten nodes, non-dyadic weights, self-loops; node 8 has three equal weights."""
+    edges = [(0, 0, 0.7), (0, 1, 0.3), (0, 3, 0.2), (1, 2, 1.1), (1, 3, 0.6),
+             (2, 2, 0.4), (2, 3, 0.9), (3, 4, 2.3), (4, 5, 0.1), (4, 6, 3.7),
+             (5, 5, 1.9), (5, 6, 0.35), (6, 7, 0.45), (7, 7, 0.05), (7, 8, 0.7),
+             (8, 9, 0.7), (9, 9, 2.2), (9, 0, 0.15), (6, 9, 0.7), (8, 2, 0.7)]
+    return Graph.from_edges(edges, weighted=True)
+
+
+def chi_square_pvalue(observed, expected_probs):
+    """Goodness-of-fit p-value over the cells expecting more than 5 counts."""
+    expected = expected_probs * observed.sum()
+    keep = expected > 5
+    _, pvalue = stats.chisquare(observed[keep], expected[keep] *
+                                observed[keep].sum() / expected[keep].sum())
+    return pvalue
+
+
 class TestRandomStream:
     def test_same_key_same_sequence(self):
         a = RandomStream(123, 4).random(64)
@@ -62,11 +80,16 @@ class TestGeometricWalk:
         n = 100_000
         terminals, _ = geometric_terminals(g, 0, alpha, n, RandomStream(4))
         observed = np.bincount(terminals, minlength=g.n)
-        expected = exact_ppr(g, alpha, 0, tol=1e-13) * n
-        keep = expected > 5
-        _, pvalue = stats.chisquare(observed[keep], expected[keep] *
-                                    observed[keep].sum() / expected[keep].sum())
-        assert pvalue > 1e-3
+        assert chi_square_pvalue(observed, exact_ppr(g, alpha, 0, tol=1e-13)) > 1e-3
+
+    def test_weighted_terminal_law_chi_square(self):
+        g = weighted_loop_graph()
+        assert not g.unit_weights
+        alpha = 0.25
+        for s, seed in [(0, 13), (4, 14), (9, 15)]:
+            terminals, _ = geometric_terminals(g, s, alpha, 100_000, RandomStream(seed))
+            observed = np.bincount(terminals, minlength=g.n)
+            assert chi_square_pvalue(observed, exact_ppr(g, alpha, s, tol=1e-13)) > 1e-3
 
     def test_chunk_boundary(self, k2):
         # walks run in chunks of _CHUNK; the first chunk's draws must not
@@ -123,6 +146,16 @@ class TestFixedWalk:
         for k in range(ell + 1):
             observed = np.bincount(pos[:, k], minlength=g.n) / 100_000
             assert np.abs(observed - levels[k]).max() < 0.01
+
+    def test_weighted_k_step_law_chi_square(self):
+        g = weighted_loop_graph()
+        ell = 5
+        for s, seed in [(0, 16), (7, 17)]:
+            pos = fixed_walk_positions(g, s, ell, 100_000, RandomStream(seed))
+            levels = exact_mstp(g, s, ell)
+            for k in range(1, ell + 1):
+                observed = np.bincount(pos[:, k], minlength=g.n)
+                assert chi_square_pvalue(observed, levels[k]) > 1e-3, (s, k)
 
     def test_reproducible(self, k3):
         a = sample_fixed_walk(k3, 0, 10, RandomStream(42, 7))
