@@ -234,11 +234,12 @@ def degree(g: Graph, v: int) -> float:
     return g.degree(v)
 
 
-def step_many(g: Graph, nodes: np.ndarray, rng) -> np.ndarray:
+def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> np.ndarray:
     """Advance each walk position one transition, w_{vu}/d_v per neighbor.
 
-    Vectorized over ``nodes`` with one uniform draw ``u`` per node; all nodes
-    must be non-isolated.
+    Vectorized over ``nodes`` with one uniform ``u`` per node, drawn as
+    ``rng.random(len(nodes))`` unless drawn ahead and passed in (``rng`` is
+    then not read); all nodes must be non-isolated.
 
     - On unit-weight graphs the slot is ``floor(indptr[v] + u*d_v)``, clamped
       to v's row: O(1) per step, no table.
@@ -248,7 +249,10 @@ def step_many(g: Graph, nodes: np.ndarray, rng) -> np.ndarray:
       and swapped for ``alias_node[j]`` otherwise. Also O(1) per step.
     """
     starts = g.indptr[nodes]
-    u = rng.random(len(nodes))
+    if u is None:
+        u = rng.random(len(nodes))
+    elif u.shape != nodes.shape:
+        raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
     if g.unit_weights:
         j = (starts + u * g.degrees[nodes]).astype(np.int64)
         # float roundoff near the row boundary can land one slot past the row

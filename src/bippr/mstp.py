@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .graph import Graph
 from .push import _push, _scatter
-from .walk import RandomStream, _check_alpha, fixed_walk_positions
+from .walk import RandomStream, _check_alpha, fixed_walk_levels, fixed_walk_positions
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
            "approximate_mstp", "bidir_mstp", "pagerank_weights",
@@ -82,19 +83,104 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     if w <= 0:
         raise ValueError("w must be positive")
     pos = fixed_walk_positions(g, t, ell, w, rng)
-    return _level_estimate(g, state, state.residual_dense(g.n), pos,
-                           g.degree(t) / g.degrees[pos], t)
+    res = _Residuals(state, g, t)
+    return state.q[ell].get(t, 0.0) + float(_own_level(res, res.slot[pos[:, ::-1].T]).mean())
 
 
-def _level_estimate(g: Graph, state: MstpState, rd: np.ndarray, pos: np.ndarray,
-                    scale: np.ndarray, t: int) -> float:
-    """q[ell][t] + mean over walks of sum_k rd[k, pos[ell-k]] * scale[ell-k], for
-    ell = pos.shape[1] - 1, scale = d_t / d_pos: one gather, then a cumsum that adds
-    each walk's terms in increasing k (``sum`` would pair them, moving the last bits)."""
-    ell = pos.shape[1] - 1
-    idx = pos[:, ::-1].T + (np.arange(ell + 1) * g.n)[:, None]
-    x = np.cumsum(rd.ravel()[idx] * scale[:, ::-1].T, axis=0)[-1]
-    return state.q[ell].get(t, 0.0) + float(x.mean())
+_TERMS = 1 << 20  # entries per combine temporary (walk chunk, level group): bounds its memory
+
+
+class _Residuals:
+    """The terms r[l][v] * d_t / d_v of an MstpState's residuals for target t,
+    over their support only, never dense in n.
+
+    ``slot`` maps every node to a column: the support, the nodes with a
+    residual entry on some level, to 1..k, and every other node to the empty
+    column 0. ``R`` is the levels x columns table of the terms; the same
+    terms are also listed column by column, ``nnz[c]`` entries from ``ptr[c]``
+    on, in increasing ``level``, with values ``term``.
+    """
+
+    def __init__(self, state: MstpState, g: Graph, t: int):
+        lens = [len(rv) for rv in state.r]
+        nodes = np.fromiter(chain.from_iterable(state.r), np.int64, sum(lens))
+        values = np.fromiter(chain.from_iterable(rv.values() for rv in state.r),
+                             float, sum(lens))
+        levels = np.repeat(np.arange(len(lens)), lens)
+        # sparse-set slot map (Briggs and Torczon 1993): one entry of each node
+        # claims its slot, whichever write lands, then the claimants number
+        # the support 1..k
+        self.slot = np.zeros(g.n, dtype=np.intp)
+        entry = np.arange(1, nodes.size + 1)
+        self.slot[nodes] = entry
+        support = nodes[self.slot[nodes] == entry]
+        self.slot[support] = np.arange(1, support.size + 1)
+        cols = self.slot[nodes]
+        terms = values * (g.degree(t) / g.degrees[nodes])
+        self.R = np.zeros((len(lens), support.size + 1))
+        self.R[levels, cols] = terms
+        order = np.argsort(cols, kind="stable")  # entries come level by level
+        self.level, self.term = levels[order], terms[order]
+        self.nnz = np.bincount(cols, minlength=support.size + 1)
+        self.ptr = np.cumsum(self.nnz) - self.nnz
+
+
+# Both combines read walks backward: cols[i, j] is the slot of walk j's i-th
+# last position, and each walk adds its terms in increasing k (i ascending)
+# from 0.0, as the estimator's sum is written; the terms a combine skips are
+# +0.0 and change no bit. The gather reads one term per position, the
+# binning every listed entry of it, so the gather is the cheaper one for a
+# walk's own level and the binning for all levels at once.
+
+def _own_level(res: _Residuals, cols: np.ndarray) -> np.ndarray:
+    """Sums sum_k r[k][pos[j, L-k]] * d_t / d_pos of w walks of length L: one
+    gather of R[i, cols[i, j]] and a cumsum down the rows (``sum`` over the
+    rows of a column is not promised to add them in order)."""
+    idx = cols + (np.arange(cols.shape[0]) * res.R.shape[1])[:, None]
+    return np.cumsum(res.R.ravel()[idx], axis=0)[-1]
+
+
+def _all_levels(res: _Residuals, cols: np.ndarray) -> np.ndarray:
+    """(L+1, w) sums x[l, j] = sum_k r[k][pos[j, l-k]] * d_t / d_pos for every
+    level l <= L of w walks of length L, from the listed entries only.
+
+    The entry of level k at the position i back adds to bin (L - i + k, j),
+    all in one ``np.bincount``, which adds in input order from 0.0. A
+    gather per level would touch (L+1)^2 / 2 positions per walk; this touches
+    each position once. Walks are binned in chunks of about ``_TERMS`` entries.
+    """
+    top, w = cols.shape[0] - 1, cols.shape[1]
+    cnt = res.nnz[cols]
+    per_walk = np.cumsum(cnt.sum(axis=0))
+    out = np.empty((top + 1, w))
+    j0 = 0
+    while j0 < w:
+        base = per_walk[j0 - 1] if j0 else 0
+        j1 = max(j0 + 1, int(np.searchsorted(per_walk, base + _TERMS, side="right")))
+        wc = j1 - j0
+        c = cnt[:, j0:j1].ravel()
+        at = np.repeat(np.arange(c.size), c)
+        e = np.repeat(res.ptr[cols[:, j0:j1].ravel()] - (np.cumsum(c) - c), c)
+        e += np.arange(at.size)
+        level = top - at // wc + res.level[e]
+        keep = level <= top
+        out[:, j0:j1] = np.bincount(level[keep] * wc + at[keep] % wc,
+                                    weights=res.term[e[keep]],
+                                    minlength=(top + 1) * wc).reshape(top + 1, wc)
+        j0 = j1
+    return out
+
+
+def _level_groups(ell_max: int, w: int):
+    """Levels ell_max down to 0, in runs whose lockstep position table of
+    (first level + 1) x w x len(run) entries stays within ``_TERMS``."""
+    group: list[int] = []
+    for ell in range(ell_max, -1, -1):
+        if group and (group[0] + 1) * w * (len(group) + 1) > _TERMS:
+            yield group
+            group = []
+        group.append(ell)
+    yield group
 
 
 @dataclass
@@ -191,7 +277,9 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
     of cross-level correlation); disable it for independent per-level batches,
     level ell drawing from ``rng.child(ell)`` exactly as :func:`bidir_mstp`
-    would. Either way the dense residual is built once; each level is one gather.
+    would. The residual terms are tabled once, over their support; shared
+    walks are binned into every level in one pass over their entries, and
+    independent levels walk in lockstep, each batch one gather at its own level.
     """
     g.require_walkable(s)
     g.require_walkable(t)
@@ -199,19 +287,19 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
         raise ValueError("w_per_level must be positive")
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
-    rdense = state.residual_dense(g.n)
-    d_t = g.degree(t)
+    res = _Residuals(state, g, t)
     if shared_walks:
         pos = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
-        scale = d_t / g.degrees[pos]
-
-    per_level: list[float] = []
-    for ell in range(ell_max + 1):
-        if not shared_walks:
-            pos = fixed_walk_positions(g, t, ell, w_per_level, rng.child(ell))
-            scale = d_t / g.degrees[pos]
-        per_level.append(_level_estimate(g, state, rdense, pos[:, :ell + 1],
-                                         scale[:, :ell + 1], t))
+        means = _all_levels(res, res.slot[pos[:, ::-1].T]).mean(axis=1).tolist()
+        per_level = [state.q[ell].get(t, 0.0) + means[ell] for ell in range(ell_max + 1)]
+    else:
+        per_level = [0.0] * (ell_max + 1)
+        w = w_per_level
+        for group in _level_groups(ell_max, w):
+            table = fixed_walk_levels(g, t, group, w, [rng.child(ell) for ell in group])
+            for b, ell in enumerate(group):
+                cols = res.slot[table[ell::-1, b * w:(b + 1) * w]]
+                per_level[ell] = state.q[ell].get(t, 0.0) + float(_own_level(res, cols).mean())
 
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail,

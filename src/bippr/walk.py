@@ -8,7 +8,8 @@ import numpy as np
 from .graph import Graph, step_many
 
 __all__ = ["RandomStream", "WalkRecord", "sample_geometric_walk",
-           "sample_fixed_walk", "geometric_terminals", "fixed_walk_positions"]
+           "sample_fixed_walk", "geometric_terminals", "fixed_walk_positions",
+           "fixed_walk_levels"]
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
@@ -113,16 +114,42 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
 
 def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
                          rng: RandomStream) -> np.ndarray:
-    """(num, ell+1) array of trajectories of exactly ``ell`` steps from start."""
+    """(num, ell+1) array of trajectories of exactly ``ell`` steps from start.
+
+    One block of :func:`fixed_walk_levels`, returned transposed (a view).
+    """
+    return fixed_walk_levels(g, start, [ell], num, [rng]).T
+
+
+def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
+    """Position table of ``num`` walks from start of each length in ``ells``
+    (nonincreasing), all advanced in lockstep: one ``step_many`` call per round.
+
+    Column block b (``num`` columns from ``b*num``) holds the walks of length
+    ``ells[b]``, row k their step k; rows past a block's length are left unset.
+    Block b takes its uniforms as one ``rngs[b].random((ells[b], num))`` draw,
+    the numbers ``ells[b]`` calls of ``random(num)`` would give, so it equals
+    ``fixed_walk_positions(g, start, ells[b], num, rngs[b])`` transposed.
+    """
     g.require_walkable(start)
-    if ell < 0:
+    if len(ells) == 0 or len(rngs) != len(ells):
+        raise ValueError(f"need one stream per length, got {len(rngs)} for {len(ells)} lengths")
+    if any(a < b for a, b in zip(ells, ells[1:])):
+        raise ValueError(f"walk lengths must be nonincreasing, got {list(ells)}")
+    if ells[-1] < 0:
         raise ValueError("walk length must be nonnegative")
     if num <= 0:
         raise ValueError("number of walks must be positive")
-    pos = np.empty((num, ell + 1), dtype=np.int64)
-    pos[:, 0] = start
-    for k in range(ell):
-        pos[:, k + 1] = step_many(g, pos[:, k], rng)
+    top = ells[0]
+    pos = np.empty((top + 1, num * len(ells)), dtype=np.int64)
+    pos[0] = start
+    u = np.empty((top, pos.shape[1]))
+    for b, (ell, rng) in enumerate(zip(ells, rngs)):
+        u[:ell, b * num:(b + 1) * num] = rng.random((ell, num))
+    # the walks still going at round k (length > k) are a prefix of the columns
+    live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
+    for k, a in enumerate(live.tolist()):
+        pos[k + 1, :a] = step_many(g, pos[k, :a], None, u[k, :a])
     return pos
 
 

@@ -354,6 +354,11 @@ class TestStepMatchesSearch:
             want = step_many_by_alias_loop(g, nodes, PresetDraws(u))
         got = step_many(g, nodes, PresetDraws(u))
         assert np.array_equal(got, want)
+        assert np.array_equal(step_many(g, nodes, None, u), want)  # drawn ahead
+
+    def test_uniforms_drawn_ahead_need_one_per_node(self, k3):
+        with pytest.raises(ValueError, match="one uniform per node"):
+            step_many(k3, np.zeros(4, dtype=np.int64), None, np.full(1, 0.5))
 
     def test_unweighted_repeated_pair_is_not_unit_weight(self):
         g = load("a b\nb c\nb a")

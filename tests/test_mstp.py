@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    choose_ell_max, estimate_diffusion, exact_diffusion,
                    exact_mstp, exact_ppr, fixed_walk_positions,
                    heat_kernel_weights, pagerank_weights)
-from bippr.mstp import _level_estimate
+from bippr import mstp
+from bippr.mstp import _all_levels, _own_level, _Residuals
+from bippr.walk import fixed_walk_levels
 
 from conftest import random_connected
 from test_push import push_graphs
@@ -322,40 +326,141 @@ def same_bits(a, b):
 
 
 class TestLevelEstimateMatchesLoop:
-    """The one-gather combine returns the reference loop's bits at every
-    level, for shared prefixes and for independent per-level batches."""
+    """The residual table's combines return the reference loop's bits on the
+    dense residual at every level: the one-gather combine at a walk's own
+    length (also through ``bidir_mstp``), the all-levels binning of shared
+    prefixes, and ``estimate_diffusion`` in both modes, whose lockstep batches
+    equal per-level ``fixed_walk_positions``."""
 
     def check_levels(self, g, s, t, ell_max, r_max, w, seed):
         state = approximate_mstp(g, s, ell_max, r_max)
         rd = state.residual_dense(g.n)
-        d_t = g.degree(t)
+        res = _Residuals(state, g, t)
         shared = fixed_walk_positions(g, t, ell_max, w, RandomStream(seed))
-        scale = d_t / g.degrees[shared]
+        binned = _all_levels(res, res.slot[shared[:, ::-1].T])
+        weights = pagerank_weights(0.2, ell_max)
+        est = {mode: estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
+                                        shared_walks=mode) for mode in (True, False)}
+        levels = list(range(ell_max, -1, -1))
+        table = fixed_walk_levels(g, t, levels, w,
+                                  [RandomStream(seed).child(ell) for ell in levels])
         for ell in range(ell_max + 1):
             pos = shared[:, :ell + 1]
-            got = _level_estimate(g, state, rd, pos, scale[:, :ell + 1], t)
-            assert same_bits(got, loop_level_estimate(g, state, rd, pos, t))
+            want = loop_level_estimate(g, state, rd, pos, t)
+            got = state.q[ell].get(t, 0.0) + float(_own_level(res, res.slot[pos[:, ::-1].T]).mean())
+            assert same_bits(got, want)
+            assert same_bits(state.q[ell].get(t, 0.0) + float(binned[ell].mean()), want)
+            assert same_bits(est[True].per_level[ell], want)
             pos = fixed_walk_positions(g, t, ell, w, RandomStream(seed).child(ell))
-            got = _level_estimate(g, state, rd, pos, d_t / g.degrees[pos], t)
-            assert same_bits(got, loop_level_estimate(g, state, rd, pos, t))
+            b = ell_max - ell
+            assert np.array_equal(table[:ell + 1, b * w:(b + 1) * w].T, pos)
+            want = loop_level_estimate(g, state, rd, pos, t)
+            got = bidir_mstp(g, state, t, ell, w, RandomStream(seed).child(ell))
+            assert same_bits(got, want)
+            assert same_bits(est[False].per_level[ell], want)
 
     @settings(max_examples=150, deadline=None)
     @given(push_graphs(), st.integers(0, 6),
-           st.sampled_from([0.3, 0.05, 1e-2, 1e-3]), st.integers(1, 12), st.data())
-    def test_random_small_graphs(self, case, ell_max, r_max, w, data):
+           st.sampled_from([0.3, 0.05, 1e-2, 1e-3]), st.integers(1, 12),
+           st.sampled_from([1, 5, 64, mstp._TERMS]), st.data())
+    def test_random_small_graphs(self, case, ell_max, r_max, w, terms, data):
         g, walkable = case
         s = data.draw(st.sampled_from(walkable))
         t = data.draw(st.sampled_from(walkable))
-        self.check_levels(g, s, t, ell_max, r_max, w, data.draw(st.integers(0, 2**32)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mstp, "_TERMS", terms)  # small budgets split walks and levels
+            self.check_levels(g, s, t, ell_max, r_max, w,
+                              data.draw(st.integers(0, 2**32)))
+
+    @staticmethod
+    def long_walk_graph():
+        """A weighted 30-node graph with self-loops."""
+        rng = np.random.default_rng(8)
+        ends = rng.integers(0, 30, (90, 2)).tolist()  # self-loops included
+        edges = [(i, (i + 1) % 30) for i in range(30)] + ends
+        return Graph.from_edges([(u, v, w) for (u, v), w in
+                                 zip(edges, rng.uniform(0.1, 5.0, len(edges)))],
+                                weighted=True)
 
     @pytest.mark.parametrize("ell_max", [17, 40])
     def test_long_walks(self, ell_max):
         # more than eight terms per walk, where numpy's pairwise sum differs
         # from a sequential one
-        rng = np.random.default_rng(8)
-        ends = rng.integers(0, 30, (90, 2)).tolist()  # self-loops included
-        edges = [(i, (i + 1) % 30) for i in range(30)] + ends
-        g = Graph.from_edges([(u, v, w) for (u, v), w in
-                              zip(edges, rng.uniform(0.1, 5.0, len(edges)))],
-                             weighted=True)
-        self.check_levels(g, 0, 4, ell_max, 1e-3, 64, 11)
+        self.check_levels(self.long_walk_graph(), 0, 4, ell_max, 1e-3, 64, 11)
+
+    @pytest.mark.parametrize("ell_max", [17, 40])
+    def test_long_walks_small_budget(self, ell_max, monkeypatch):
+        # a budget of 100 terms bins the walks in several chunks (the shared
+        # walks are binned twice, once here and once in estimate_diffusion)
+        # and walks every level in its own lockstep run
+        monkeypatch.setattr(mstp, "_TERMS", 100)
+        bins, groups = [], []
+        monkeypatch.setattr(np, "bincount", lambda *a, _f=np.bincount, **k:
+                            bins.append("weights" in k) or _f(*a, **k))
+        monkeypatch.setattr(mstp, "fixed_walk_levels", lambda *a, _f=fixed_walk_levels:
+                            groups.append(a[2]) or _f(*a))
+        self.check_levels(self.long_walk_graph(), 0, 4, ell_max, 1e-3, 64, 11)
+        assert sorted(ell for group in groups for ell in group) == list(range(ell_max + 1))
+        assert sum(bins) > 2 and len(groups) == ell_max + 1
+
+
+class TestDiffusionMemory:
+    def test_peak_does_not_grow_with_n(self):
+        # a 30-node component in a graph of a million nodes: the dense
+        # (ell_max+1) x n residual alone would take 62 * 8 MB = 496 MB
+        g = Graph.from_edges(list(nx.barabasi_albert_graph(30, 2, seed=3).edges()),
+                             n=1_000_000)
+        w = pagerank_weights(0.2, choose_ell_max("pagerank", 1e-6, alpha=0.2))
+        tracemalloc.start()
+        try:
+            for shared in (True, False):
+                estimate_diffusion(g, 0, 5, w, 1e-4, 250, RandomStream(0),
+                                   shared_walks=shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+def hoeffding_tolerance(weights, d_t, r_max, w, p_fail):
+    """Truncation tail plus a Hoeffding bound on the mean of w walk samples.
+
+    A walk's sample sum_l alpha_l * x_l, x_l = sum_{k<=l} r_k[v_{l-k}] * d_t /
+    d_{v_{l-k}}, lies in [0, R]: levels below ell_max keep r_k[v]/d_v <= r_max,
+    and the top level's one term sits at v_0 = t, where it is r_L[t] <= 1.
+    Independent per-level batches sum independent terms of the same ranges,
+    so the same bound covers them.
+    """
+    a = np.asarray(weights.alphas)
+    big_l = len(a) - 1
+    sample_range = (d_t * r_max * float(np.dot(a[:big_l], np.arange(1, big_l + 1)))
+                    + a[big_l] * (big_l * d_t * r_max + 1.0))
+    return weights.tail + sample_range * math.sqrt(math.log(2.0 / p_fail) / (2.0 * w))
+
+
+class TestDiffusionContract:
+    """estimate_diffusion against the exact oracles on random small graphs,
+    both modes, within tail plus Hoeffding at p_fail = 1e-9 per example."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(push_graphs(), st.sampled_from(["pagerank", "heat-kernel"]),
+           st.sampled_from([0.3, 0.5]), st.sampled_from([0.5, 3.0]),
+           st.sampled_from([0.3, 0.05, 1e-2]), st.sampled_from([4000, 16000]),
+           st.booleans(), st.data())
+    def test_within_tolerance_of_exact(self, case, family, alpha, gamma, r_max, w,
+                                       shared, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        t = data.draw(st.sampled_from(walkable))
+        if family == "pagerank":
+            weights = pagerank_weights(alpha, choose_ell_max("pagerank", 1e-3, alpha=alpha))
+            true = float(exact_ppr(g, alpha, s, tol=1e-14)[t])  # untruncated
+        else:
+            weights = heat_kernel_weights(
+                gamma, choose_ell_max("heat-kernel", 1e-3, gamma=gamma))
+            true = float(exact_diffusion(g, weights, s)[t])
+        est = estimate_diffusion(g, s, t, weights, r_max, w,
+                                 RandomStream(data.draw(st.integers(0, 2**32))),
+                                 shared_walks=shared)
+        tol = hoeffding_tolerance(weights, g.degree(t), r_max, w, 1e-9)
+        assert abs(est.value - true) <= tol + 1e-12

@@ -5,7 +5,9 @@ from scipy import stats
 from bippr import (Graph, RandomStream, exact_mstp, exact_ppr,
                    fixed_walk_positions, geometric_terminals,
                    sample_fixed_walk, sample_geometric_walk)
-from bippr.walk import _CHUNK
+from bippr import walk
+from bippr.graph import step_many
+from bippr.walk import _CHUNK, fixed_walk_levels
 
 from conftest import random_connected
 
@@ -165,3 +167,54 @@ class TestFixedWalk:
     def test_negative_length_rejected(self, k3):
         with pytest.raises(ValueError):
             sample_fixed_walk(k3, 0, -1, RandomStream(0))
+        with pytest.raises(ValueError):
+            fixed_walk_levels(k3, 0, [3, -1], 5, [RandomStream(0), RandomStream(1)])
+
+    @pytest.mark.parametrize("ells, streams, match", [
+        ([], 0, "one stream per length"),
+        ([3, 1], 1, "one stream per length"),
+        ([3], 2, "one stream per length"),
+        ([3, 1, 2], 3, "nonincreasing"),
+        ([0, 1], 2, "nonincreasing"),
+    ])
+    def test_levels_and_streams_checked(self, k3, ells, streams, match):
+        with pytest.raises(ValueError, match=match):
+            fixed_walk_levels(k3, 0, ells, 5, [RandomStream(0, b) for b in range(streams)])
+
+
+def per_step_positions(g, start, ell, num, rng):
+    """The per-step loop fixed_walk_positions used before, as reference: one
+    ``random(num)`` draw per step."""
+    pos = np.empty((num, ell + 1), dtype=np.int64)
+    pos[:, 0] = start
+    for k in range(ell):
+        pos[:, k + 1] = step_many(g, pos[:, k], rng)
+    return pos
+
+
+class TestFixedWalkLevels:
+    """Lockstep batches of several lengths equal separate per-step batches."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_block_matches_per_step_draws(self, weighted):
+        g = weighted_loop_graph() if weighted else random_connected(40, "ba", seed=5)
+        for seed in range(50):
+            for ell, num in [(0, 3), (1, 1), (9, 17)]:
+                got = fixed_walk_positions(g, 2, ell, num, RandomStream(seed, 4))
+                want = per_step_positions(g, 2, ell, num, RandomStream(seed, 4))
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_blocks_match_separate_batches(self, weighted, monkeypatch):
+        g = weighted_loop_graph() if weighted else random_connected(40, "ba", seed=5)
+        ells, num = [12, 12, 7, 1, 0], 9
+        rounds = []
+        monkeypatch.setattr(walk, "step_many",
+                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        table = fixed_walk_levels(g, 3, ells, num,
+                                  [RandomStream(8).child(b) for b in range(len(ells))])
+        # one round per step of the longest walks, each over the walks still going
+        assert rounds == [num * sum(ell > k for ell in ells) for k in range(12)]
+        for b, ell in enumerate(ells):
+            want = per_step_positions(g, 3, ell, num, RandomStream(8).child(b))
+            assert np.array_equal(table[:ell + 1, b * num:(b + 1) * num].T, want)
