@@ -161,7 +161,7 @@ def cmd_bench(args) -> int:
                 value = est.value
                 degree_work, walk_steps = 0.0, est.walk_steps
             else:
-                value = prepared.push.p.get(t, 0.0)
+                value = prepared.push.p_at(t)
                 work = prepared.push.degree_work
                 degree_work, walk_steps = prepared.push.degree_work, 0
             elapsed = time.perf_counter() - t0

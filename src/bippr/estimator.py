@@ -87,8 +87,8 @@ class BipprParams:
             raise ValueError(f"r_max must be in (0, 1], got {r_max}")
         if w is None:
             w = num_walks(c, d_t, r_max, eps, delta)
-        elif w < 1:
-            raise ValueError("w must be a positive integer")
+        elif isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ValueError(f"w must be a positive integer, got {w!r}")
         return cls(alpha=alpha, delta=delta, eps=eps, p_fail=p_fail,
                    c=c, r_max=r_max, w=int(w))
 
@@ -126,7 +126,7 @@ class PreparedSource:
                       trials: int) -> np.ndarray:
         """Estimates from ``trials`` independent walk batches over the shared push."""
         values, _ = self._walk_samples(t, params, rng, trials)
-        return self.push.p.get(t, 0.0) + values
+        return self.push.p_at(t) + values
 
     def _walk_samples(self, t: int, params: BipprParams, rng: RandomStream,
                       trials: int) -> tuple[np.ndarray, int]:
@@ -145,7 +145,7 @@ class PreparedSource:
 
     def _wrap(self, t: int, params: BipprParams, walk_term: float,
               walk_steps: int) -> PprEstimate:
-        push_term = self.push.p.get(t, 0.0)
+        push_term = self.push.p_at(t)
         return PprEstimate(value=push_term + walk_term, push_term=push_term,
                            walk_term=walk_term, params=params,
                            push_count=self.push.push_count,

@@ -38,11 +38,17 @@ class Graph:
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
     push starting from one fails fast.
+
+    ``_slots`` holds the graph's idle length-n int slot array, every entry
+    -1, which push state borrows as its sparse-set slot map (see
+    ``push._SlotMap``); it is created on the first push, like ``_alias`` on
+    the first weighted step. It is a list so that taking the array off the
+    graph is one atomic ``pop``.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "weights", "degrees",
                  "labels", "label_ids", "weighted", "unit_weights", "total_weight",
-                 "_alias")
+                 "_alias", "_slots")
 
     def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None,
                  weighted: bool = False):
@@ -117,6 +123,7 @@ class Graph:
         self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
         self.unit_weights = bool((weights == 1.0).all())
         self._alias = None
+        self._slots: list[np.ndarray] = []
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], n: int | None = None,
@@ -154,14 +161,16 @@ class Graph:
         return float(self.degrees[self._node(v)])
 
     def is_isolated(self, v: int) -> bool:
-        return self.indptr[v] == self.indptr[v + 1]
+        v = self._node(v)
+        return bool(self.indptr[v] == self.indptr[v + 1])
 
     def require_walkable(self, v: int) -> None:
         """Reject non-integer, out-of-range or isolated nodes as walk/push endpoints."""
-        if self.is_isolated(self._node(v)):
+        if self.is_isolated(v):
             raise ValueError(f"node {self.labels[v]!r} is isolated")
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        v = self._node(v)
         a, b = self.indptr[v], self.indptr[v + 1]
         return self.indices[a:b], self.weights[a:b]
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .graph import Graph
-from .push import _push, _scatter
+from .push import _add_work, _first_touch, _push_round, _SlotMap
 from .walk import RandomStream, _check_alpha, fixed_walk_levels, fixed_walk_positions
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
@@ -20,27 +19,88 @@ __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
 
 
 @dataclass
+class _Levels:
+    """Sparse vectors over a push's slots, one per level: level l holds the
+    values ``val[ptr[l]:ptr[l+1]]`` at the slots ``slot[ptr[l]:ptr[l+1]]``,
+    in the order the push first wrote them."""
+
+    ptr: np.ndarray
+    slot: np.ndarray
+    val: np.ndarray
+
+    @classmethod
+    def of(cls, slots: list[np.ndarray], vals: list[np.ndarray],
+           levels: int) -> "_Levels":
+        """``levels`` levels, the first ``len(slots)`` given, the rest empty."""
+        ptr = np.zeros(levels + 1, np.intp)
+        np.cumsum([s.size for s in slots], out=ptr[1:len(slots) + 1])
+        ptr[len(slots) + 1:] = ptr[len(slots)]
+        return cls(ptr, np.concatenate([np.zeros(0, np.intp), *slots]),
+                   np.concatenate([np.zeros(0), *vals]))
+
+    def level(self) -> np.ndarray:
+        """The level of each entry."""
+        return np.repeat(np.arange(self.ptr.size - 1), np.diff(self.ptr))
+
+    def dicts(self, node: np.ndarray) -> list[dict[int, float]]:
+        cut = self.ptr[1:-1]
+        return _level_dicts(node, np.split(self.slot, cut), np.split(self.val, cut))
+
+    def at(self, slot: int) -> np.ndarray:
+        """Every level's value at ``slot`` (0.0 where it has none)."""
+        out = np.zeros(self.ptr.size - 1)
+        hit = self.slot == slot
+        out[self.level()[hit]] = self.val[hit]
+        return out
+
+
+def _level_dicts(node: np.ndarray, slots: list[np.ndarray],
+                 vals: list[np.ndarray]) -> list[dict[int, float]]:
+    return [dict(zip(node[s].tolist(), v.tolist())) for s, v in zip(slots, vals)]
+
+
+@dataclass
 class MstpState:
     """Per-level estimate vectors q[l] and residual vectors r[l], l = 0..ell_max.
 
     Levels below ell_max are pushed until every ratio r[l][v]/d_v <= r_max;
     the top level is never pushed (there is no level to receive its mass) and
-    holds pure residual. Every value in ``q`` and ``r`` is a Python ``float``.
+    holds pure residual.
+
+    The state is compact: slot i stands for node ``node[i]``, over every node
+    the push touched, and ``q_levels``/``r_levels`` hold each level's entries
+    by slot, in the order the push first wrote them. The lists of dicts ``q``
+    and ``r`` are built on demand from these arrays, each dict in that order
+    (a FIFO push's insertion order) with Python ``float`` values; the query
+    paths read the arrays instead.
     """
 
     source: int
-    q: list[dict[int, float]]
-    r: list[dict[int, float]]
+    node: np.ndarray
+    q_levels: _Levels
+    r_levels: _Levels
     ell_max: int
     r_max: float
     push_count: int
     degree_work: float
 
+    @property
+    def q(self) -> list[dict[int, float]]:
+        return self.q_levels.dicts(self.node)
+
+    @property
+    def r(self) -> list[dict[int, float]]:
+        return self.r_levels.dicts(self.node)
+
     def residual_dense(self, n: int) -> np.ndarray:
         out = np.zeros((self.ell_max + 1, n))
-        for level, rv in enumerate(self.r):
-            _scatter(rv, out[level])
+        lv = self.r_levels
+        out[lv.level(), self.node[lv.slot]] = lv.val
         return out
+
+
+def _padded(levels: list[dict[int, float]], ell_max: int) -> list[dict[int, float]]:
+    return levels + [{} for _ in range(ell_max + 1 - len(levels))]
 
 
 def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
@@ -50,7 +110,10 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     Level i pushes move the full residual at a node into its level-i estimate
     while spreading the same mass (edge-weight proportional) into level i+1;
     mass is indexed by walk length, so each level separately sums to <= 1.
-    ``on_push(q, r)``, if given, is called after every push with the live state.
+    Level i is one round of the push kernel: every node whose level-i ratio
+    exceeds r_max is pushed, and nothing spread lands on level i itself.
+    ``on_push(q, r)``, if given, is called after every level that pushed,
+    with the state as lists of dicts (built for the call).
     """
     g.require_walkable(s)
     if ell_max < 0:
@@ -58,20 +121,38 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     if not (r_max > 0):
         raise ValueError(f"r_max must be positive, got {r_max}")
 
-    q: list[dict[int, float]] = [dict() for _ in range(ell_max + 1)]
-    r: list[dict[int, float]] = [dict() for _ in range(ell_max + 1)]
-    r[0][s] = 1.0
+    q_slots: list[np.ndarray] = []
+    q_vals: list[np.ndarray] = []
+    r_slots = [np.zeros(1, np.intp)]
+    r_vals = [np.ones(1)]
     push_count = 0
     degree_work = 0.0
-    for i in range(ell_max):
-        for du in _push(g, r[i], r[i + 1], q[i], 1.0, 1.0, r_max):
-            push_count += 1
-            degree_work += du
+    with _SlotMap(g, np.array([s], np.intp)) as sm:
+        for i in range(ell_max):
+            slots, vals = r_slots[i], r_vals[i]
+            hot = vals / sm.deg[slots] > r_max
+            f = slots[hot]
+            # settle 1: q[i][u] = 0.0 + 1.0 * r_u is r_u itself
+            q_slots.append(f)
+            q_vals.append(vals[hot])
+            r_slots[i], r_vals[i] = slots[~hot], vals[~hot]
+            if not f.size:
+                break  # nothing reaches level i+1, so every later level is empty
+            push_count += f.size
+            degree_work = _add_work(degree_work, sm.deg[f])
+            to, received = _push_round(g, sm, f, q_vals[i], 1.0)
+            nxt = _first_touch(to, sm.k)
+            r_slots.append(nxt)
+            r_vals.append(received[nxt])
             if on_push is not None:
-                on_push(q, r)
-
-    return MstpState(source=s, q=q, r=r, ell_max=ell_max, r_max=r_max,
-                     push_count=push_count, degree_work=degree_work)
+                node = sm.node[:sm.k]
+                on_push(_padded(_level_dicts(node, q_slots, q_vals), ell_max),
+                        _padded(_level_dicts(node, r_slots, r_vals), ell_max))
+        node = sm.node[:sm.k].copy()
+    return MstpState(source=s, node=node,
+                     q_levels=_Levels.of(q_slots, q_vals, ell_max + 1),
+                     r_levels=_Levels.of(r_slots, r_vals, ell_max + 1), ell_max=ell_max,
+                     r_max=r_max, push_count=push_count, degree_work=degree_work)
 
 
 def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
@@ -84,7 +165,10 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
         raise ValueError("w must be positive")
     pos = fixed_walk_positions(g, t, ell, w, rng)
     res = _Residuals(state, g, t)
-    return state.q[ell].get(t, 0.0) + float(_own_level(res, res.slot[pos[:, ::-1].T]).mean())
+    with _SlotMap(g, state.node) as sm:
+        q_t = state.q_levels.at(sm.slot[t]).tolist()
+        cols = sm.slot[pos[:, ::-1].T] + 1
+    return q_t[ell] + float(_own_level(res, cols).mean())
 
 
 _TERMS = 1 << 20  # entries per combine temporary (walk chunk, level group): bounds its memory
@@ -92,36 +176,27 @@ _TERMS = 1 << 20  # entries per combine temporary (walk chunk, level group): bou
 
 class _Residuals:
     """The terms r[l][v] * d_t / d_v of an MstpState's residuals for target t,
-    over their support only, never dense in n.
+    over the push's slots only, never dense in n.
 
-    ``slot`` maps every node to a column: the support, the nodes with a
-    residual entry on some level, to 1..k, and every other node to the empty
-    column 0. ``R`` is the levels x columns table of the terms; the same
-    terms are also listed column by column, ``nnz[c]`` entries from ``ptr[c]``
-    on, in increasing ``level``, with values ``term``.
+    Column c+1 stands for slot c of the state, column 0 for every node the
+    push never touched: a walk position v reads column ``slot[v] + 1``
+    through the graph's slot map holding the state's nodes (``-1 + 1`` is the
+    empty column). ``R`` is the levels x columns table of the terms; the same
+    terms are also listed column by column, ``nnz[c]`` entries from
+    ``ptr[c]`` on, in increasing ``level``, with values ``term``.
     """
 
     def __init__(self, state: MstpState, g: Graph, t: int):
-        lens = [len(rv) for rv in state.r]
-        nodes = np.fromiter(chain.from_iterable(state.r), np.int64, sum(lens))
-        values = np.fromiter(chain.from_iterable(rv.values() for rv in state.r),
-                             float, sum(lens))
-        levels = np.repeat(np.arange(len(lens)), lens)
-        # sparse-set slot map (Briggs and Torczon 1993): one entry of each node
-        # claims its slot, whichever write lands, then the claimants number
-        # the support 1..k
-        self.slot = np.zeros(g.n, dtype=np.intp)
-        entry = np.arange(1, nodes.size + 1)
-        self.slot[nodes] = entry
-        support = nodes[self.slot[nodes] == entry]
-        self.slot[support] = np.arange(1, support.size + 1)
-        cols = self.slot[nodes]
-        terms = values * (g.degree(t) / g.degrees[nodes])
-        self.R = np.zeros((len(lens), support.size + 1))
+        lv = state.r_levels
+        levels = lv.level()
+        cols = lv.slot + 1
+        k = state.node.size
+        terms = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
+        self.R = np.zeros((state.ell_max + 1, k + 1))
         self.R[levels, cols] = terms
         order = np.argsort(cols, kind="stable")  # entries come level by level
         self.level, self.term = levels[order], terms[order]
-        self.nnz = np.bincount(cols, minlength=support.size + 1)
+        self.nnz = np.bincount(cols, minlength=k + 1)
         self.ptr = np.cumsum(self.nnz) - self.nnz
 
 
@@ -288,18 +363,20 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
     res = _Residuals(state, g, t)
-    if shared_walks:
-        pos = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
-        means = _all_levels(res, res.slot[pos[:, ::-1].T]).mean(axis=1).tolist()
-        per_level = [state.q[ell].get(t, 0.0) + means[ell] for ell in range(ell_max + 1)]
-    else:
-        per_level = [0.0] * (ell_max + 1)
-        w = w_per_level
-        for group in _level_groups(ell_max, w):
-            table = fixed_walk_levels(g, t, group, w, [rng.child(ell) for ell in group])
-            for b, ell in enumerate(group):
-                cols = res.slot[table[ell::-1, b * w:(b + 1) * w]]
-                per_level[ell] = state.q[ell].get(t, 0.0) + float(_own_level(res, cols).mean())
+    with _SlotMap(g, state.node) as sm:
+        q_t = state.q_levels.at(sm.slot[t]).tolist()
+        if shared_walks:
+            pos = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
+            means = _all_levels(res, sm.slot[pos[:, ::-1].T] + 1).mean(axis=1).tolist()
+            per_level = [q_t[ell] + means[ell] for ell in range(ell_max + 1)]
+        else:
+            per_level = [0.0] * (ell_max + 1)
+            w = w_per_level
+            for group in _level_groups(ell_max, w):
+                table = fixed_walk_levels(g, t, group, w, [rng.child(ell) for ell in group])
+                for b, ell in enumerate(group):
+                    cols = sm.slot[table[ell::-1, b * w:(b + 1) * w]] + 1
+                    per_level[ell] = q_t[ell] + float(_own_level(res, cols).mean())
 
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail,

@@ -3,7 +3,6 @@ residuals, with degree-weighted work accounting."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,36 +19,165 @@ class PushResult:
 
     On return every residual ratio r[v]/d_v is <= r_max, each sample drawn
     against r is bounded by d_t*r_max, and degree_work <= 1/(alpha*r_max).
-    Every value in ``p`` and ``r``, and ``degree_work``, is a Python
-    ``float``, not a numpy scalar.
+
+    The state is compact: slot i holds node ``node[i]``, its estimate
+    ``p_val[i]`` and its residual ``r_val[i]``, over every node the push
+    touched. The dicts ``p`` and ``r`` are built on demand from these arrays,
+    with the nonzero entries in slot order and Python ``float`` values; the
+    query paths read the arrays instead (:meth:`p_at`, :meth:`residual_dense`).
     """
 
-    p: dict[int, float]
-    r: dict[int, float]
+    node: np.ndarray
+    p_val: np.ndarray
+    r_val: np.ndarray
     push_count: int
     degree_work: float
     alpha: float
     r_max: float
 
+    @property
+    def p(self) -> dict[int, float]:
+        return _as_dict(self.node, self.p_val)
+
+    @property
+    def r(self) -> dict[int, float]:
+        return _as_dict(self.node, self.r_val)
+
+    def p_at(self, v: int) -> float:
+        """p[v], 0.0 for a node the push never settled."""
+        hit = np.flatnonzero(self.node == v)
+        return float(self.p_val[hit[0]]) if hit.size else 0.0
+
     def residual_dense(self, n: int) -> np.ndarray:
-        return _scatter(self.r, np.zeros(n))
+        out = np.zeros(n)
+        out[self.node] = self.r_val
+        return out
 
 
-def _scatter(vec: dict[int, float], out: np.ndarray) -> np.ndarray:
-    """Write the sparse vector ``vec`` into the zeroed 1-d array ``out``."""
-    k = len(vec)
-    out[np.fromiter(vec.keys(), np.int64, k)] = np.fromiter(vec.values(), np.float64, k)
-    return out
+def _as_dict(node: np.ndarray, val: np.ndarray) -> dict[int, float]:
+    nz = np.flatnonzero(val)
+    return dict(zip(node[nz].tolist(), val[nz].tolist()))
+
+
+class _SlotMap:
+    """A sparse set of nodes over the graph's reusable slot array (Briggs and
+    Torczon 1993): ``slot[v]`` is node v's slot in 0..k-1, or -1, and
+    ``node[:k]``/``deg[:k]`` list the members and their degrees by slot.
+
+    The array is taken off the graph while the map lives, so a map opened
+    inside another on the same graph, or in another thread, gets a fresh one;
+    on exit only the members' entries are reset to -1 and the array goes
+    back to the graph, unless the graph already holds one again.
+    ``nodes``, if given, are distinct and claim slots 0..len(nodes)-1.
+    """
+
+    def __init__(self, g: Graph, nodes: np.ndarray | None = None):
+        self.g = g
+        try:
+            self.slot = g._slots.pop()
+        except IndexError:
+            self.slot = np.full(g.n, -1, np.intp)
+        self.node = np.empty(16, np.intp)
+        self.deg = np.empty(16)
+        self.k = 0
+        if nodes is not None:
+            self._claim(nodes)
+
+    def __enter__(self) -> "_SlotMap":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.slot[self.node[:self.k]] = -1
+        if not self.g._slots:
+            self.g._slots.append(self.slot)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Slots of the nodes ``v``; each new node first claims the next slot."""
+        s = self.slot[v]
+        miss = s < 0
+        if miss.any():
+            new = v[miss]
+            self._reserve(new.size)
+            # one entry of each new node claims its slot, whichever write lands
+            entry = np.arange(new.size)
+            self.slot[new] = entry
+            self._claim(new[self.slot[new] == entry])
+            s[miss] = self.slot[new]
+        return s
+
+    def _claim(self, nodes: np.ndarray) -> None:
+        self._reserve(nodes.size)
+        k, c = self.k, nodes.size
+        self.node[k:k + c] = nodes
+        self.deg[k:k + c] = self.g.degrees[nodes]
+        self.slot[nodes] = np.arange(k, k + c)
+        self.k = k + c
+
+    def _reserve(self, extra: int) -> None:
+        if self.k + extra > self.node.size:
+            cap = max(self.k + extra, 2 * self.node.size)
+            self.node = np.concatenate([self.node[:self.k], np.empty(cap - self.k, np.intp)])
+            self.deg = np.concatenate([self.deg[:self.k], np.empty(cap - self.k)])
+
+    def fit(self, a: np.ndarray) -> np.ndarray:
+        """``a``, zero-padded to the map's capacity if it is shorter."""
+        if a.size >= self.node.size:
+            return a
+        out = np.zeros(self.node.size)
+        out[:a.size] = a
+        return out
+
+
+def _push_round(g: Graph, sm: _SlotMap, f: np.ndarray, ru: np.ndarray,
+                keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pushes every frontier slot u in ``f``, whose residuals ``ru`` the caller
+    has read and zeroed: spreads keep*r_u/d_u*w over u's CSR row.
+
+    Returns the receiving slot of each spread amount, in push order (``f``'s
+    order, then row order), and the amounts summed per slot, an array of
+    length ``sm.k``. The rows are gathered in one pass (row u's entries
+    indptr[u]..indptr[u+1]-1, rows back to back) and scattered with one
+    ``np.bincount``, which adds the amounts a slot receives in push order,
+    starting from 0.0, as pushing the frontier one node at a time would. A
+    push reads its residual before any of the round's spreads lands, so a
+    self-loop, like any edge between two frontier nodes, feeds the next round.
+    """
+    u = sm.node[f]
+    spread = keep * ru / sm.deg[f]
+    start = g.indptr[u]
+    cnt = g.indptr[u + 1] - start
+    ends = np.cumsum(cnt)
+    edge = np.arange(int(ends[-1])) + np.repeat(start - (ends - cnt), cnt)
+    amount = np.repeat(spread, cnt)
+    if not g.unit_weights:
+        amount *= g.weights[edge]
+    to = sm(g.indices[edge])
+    return to, np.bincount(to, weights=amount, minlength=sm.k)
+
+
+def _first_touch(to: np.ndarray, k: int) -> np.ndarray:
+    """The distinct slots of ``to`` (all below ``k``) in order of first appearance."""
+    at = np.full(k, to.size)
+    entry = np.arange(to.size)
+    np.minimum.at(at, to, entry)
+    return to[at[to] == entry]
+
+
+def _add_work(total: float, deg: np.ndarray) -> float:
+    """total + deg[0] + deg[1] + ..., added left to right (``cumsum`` is a
+    sequential fold), so the float sum follows push order."""
+    return float(np.cumsum(np.concatenate(([total], deg)))[-1])
 
 
 def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
                          on_push=None) -> PushResult:
     """Push from a unit of residual mass at s until all ratios r[v]/d_v <= r_max.
 
-    Each push converts an alpha-fraction of the residual at the popped node
-    into settled estimate and spreads the rest to its neighbors in proportion
-    to edge weight. ``on_push(p, r)``, if given, is called after every push
-    with the live dicts (read-only; used by invariant tests).
+    Each push converts an alpha-fraction of the residual at a node into
+    settled estimate and spreads the rest to its neighbors in proportion to
+    edge weight. ``on_push(p, r)``, if given, is called after every round of
+    pushes with the state as dicts (built for the call; used by invariant
+    tests).
     """
     g.require_walkable(s)
     return push_from_distribution(g, alpha, {s: 1.0}, r_max, on_push=on_push)
@@ -57,7 +185,16 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
 
 def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
                            r_max: float, on_push=None) -> PushResult:
-    """Identical push loop with the residual initialized to a distribution sigma."""
+    """The same push with the residual initialized to a distribution sigma.
+
+    The push runs in synchronous rounds (parallel push, Shun et al. VLDB
+    2016): each round pushes every node whose ratio r[v]/d_v exceeds r_max,
+    all reading their residuals before any of the round's mass lands, until
+    no ratio exceeds it. Each push settles alpha*r_u > alpha*r_max*d_u, so
+    degree_work <= 1/(alpha*r_max) holds as for one node at a time, and each
+    round is a composition of valid pushes, so the invariant
+    pi_sigma = p + sum_v r[v]*pi_v holds after every round.
+    """
     _check_alpha(alpha)
     if not (r_max > 0):
         raise ValueError(f"r_max must be positive, got {r_max}")
@@ -73,72 +210,28 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"sigma must sum to 1, got {total}")
 
-    p: dict[int, float] = {}
-    r: dict[int, float] = {v: float(m) for v, m in sigma.items() if m > 0}
+    start = [(int(v), float(m)) for v, m in sigma.items() if m > 0]
     push_count = 0
     degree_work = 0.0
-    for du in _push(g, r, r, p, alpha, 1.0 - alpha, r_max):
-        push_count += 1
-        degree_work += du
-        if on_push is not None:
-            on_push(p, r)
-
-    return PushResult(p=p, r=r, push_count=push_count, degree_work=degree_work,
-                      alpha=alpha, r_max=r_max)
-
-
-def _push(g: Graph, r: dict[int, float], out: dict[int, float],
-          est: dict[int, float], settle: float, keep: float, r_max: float):
-    """The push loop shared by PPR and every MSTP level; yields d_u per push.
-
-    Pops, in FIFO order, every node of ``r`` whose ratio r[v]/d_v exceeds
-    r_max: adds settle*r_u to est[u] and spreads keep*r_u/d_u*w over u's
-    edges into ``out``. Only when ``out is r`` can a spread push a node over
-    the threshold again, so only then are neighbours queued. A queued node's
-    residual only grows until it is popped, so every pop is a valid push.
-    Callers count pushes and sum d_u in push order, across calls, so the
-    floating-point ``degree_work`` does not depend on how levels split it.
-
-    The CSR arrays are read through memoryviews, which index to Python
-    ``int``/``float`` without copying, so no numpy scalar is made per edge;
-    the arithmetic is the same IEEE double operations in the same order.
-    """
-    degrees = memoryview(g.degrees)
-    indptr = memoryview(g.indptr)
-    indices = memoryview(g.indices)
-    weights = memoryview(g.weights)
-    pop_r, get_est, get_out = r.pop, est.get, out.get
-    todo = [v for v, rv in r.items() if rv / degrees[v] > r_max]
-    if out is not r:
-        # nothing spread here can lift a node of r over the threshold
-        for u in todo:
-            ru = pop_r(u)
-            du = degrees[u]
-            est[u] = get_est(u, 0.0) + settle * ru
-            spread = keep * ru / du
-            a, b = indptr[u], indptr[u + 1]
-            for v, w in zip(indices[a:b], weights[a:b]):
-                out[v] = get_out(v, 0.0) + spread * w
-            yield du
-        return
-    queue = deque(todo)
-    queued = set(todo)
-    popleft, append = queue.popleft, queue.append
-    add, discard = queued.add, queued.discard
-    while queue:
-        u = popleft()
-        discard(u)
-        # residual is read once and zeroed before spreading, so a self-loop
-        # routes its share back into r[u] like any other neighbor
-        ru = pop_r(u)
-        du = degrees[u]
-        est[u] = get_est(u, 0.0) + settle * ru
-        spread = keep * ru / du
-        a, b = indptr[u], indptr[u + 1]
-        for v, w in zip(indices[a:b], weights[a:b]):
-            x = get_out(v, 0.0) + spread * w
-            out[v] = x
-            if v not in queued and x / degrees[v] > r_max:
-                append(v)
-                add(v)
-        yield du
+    with _SlotMap(g, np.array([v for v, _ in start], np.intp)) as sm:
+        r = sm.fit(np.array([m for _, m in start]))
+        p = np.zeros_like(r)
+        while True:
+            k = sm.k
+            f = np.flatnonzero(r[:k] / sm.deg[:k] > r_max)
+            if not f.size:
+                break
+            ru = r[f]
+            r[f] = 0.0
+            p[f] += alpha * ru
+            push_count += f.size
+            degree_work = _add_work(degree_work, sm.deg[f])
+            _, received = _push_round(g, sm, f, ru, 1.0 - alpha)
+            r, p = sm.fit(r), sm.fit(p)
+            r[:received.size] += received
+            if on_push is not None:
+                on_push(_as_dict(sm.node[:sm.k], p), _as_dict(sm.node[:sm.k], r))
+        k = sm.k
+        return PushResult(node=sm.node[:k].copy(), p_val=p[:k].copy(),
+                          r_val=r[:k].copy(), push_count=push_count,
+                          degree_work=degree_work, alpha=alpha, r_max=r_max)

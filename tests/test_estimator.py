@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bippr import (BipprParams, Graph, PreparedSource, chernoff_c,
                    choose_r_max, estimate_ppr, estimate_ppr_batch, exact_ppr,
@@ -9,6 +11,7 @@ from bippr import (BipprParams, Graph, PreparedSource, chernoff_c,
                    significance_delta, RandomStream)
 
 from conftest import random_connected
+from test_push import push_graphs
 
 
 class TestParameterRules:
@@ -53,6 +56,17 @@ class TestParameterRules:
     def test_num_walks_domain(self):
         with pytest.raises(ValueError):
             num_walks(1, 1, 0, 1, 1)
+
+    @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
+    def test_walk_count_must_be_a_positive_integer(self, w):
+        # 2.7 became 2 and True became 1
+        with pytest.raises(ValueError, match="w must be a positive integer"):
+            BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=w)
+
+    @pytest.mark.parametrize("w", [3, np.int64(3), np.int32(3), np.uint16(3)])
+    def test_integer_walk_counts_accepted(self, w):
+        params = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=w)
+        assert params.w == 3 and type(params.w) is int
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
     def test_alpha_rejected_alike_everywhere(self, k2, alpha):
@@ -178,3 +192,30 @@ class TestEstimatePpr:
             estimate_ppr(g, 2, 0, params, RandomStream(0))
         with pytest.raises(ValueError, match="isolated"):
             estimate_ppr(g, 0, 2, params, RandomStream(0))
+
+
+class TestEstimatePprContract:
+    """estimate_ppr against exact_ppr on random small graphs (self-loops,
+    real weights, repeated pairs, isolated nodes).
+
+    The estimate is p[t] plus the mean of w walk samples, each in
+    [0, d_t*r_max] by the push postcondition, and it is unbiased, so by
+    Hoeffding it is within d_t*r_max*sqrt(ln(2/p_fail)/(2w)) of pi_s(t) with
+    probability at least 1 - p_fail; p_fail = 1e-9 per example."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(push_graphs(), st.sampled_from([0.1, 0.2, 0.5]),
+           st.sampled_from([0.3, 0.05, 1e-2, 1e-3]), st.sampled_from([500, 4000]),
+           st.data())
+    def test_within_hoeffding_of_exact(self, case, alpha, r_max, w, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        t = data.draw(st.sampled_from(walkable))
+        params = BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=g.degree(t),
+                                    r_max=r_max, w=w)
+        est = estimate_ppr(g, s, t, params, RandomStream(data.draw(st.integers(0, 2**32))))
+        true = float(exact_ppr(g, alpha, s, tol=1e-14)[t])
+        sample_range = g.degree(t) * r_max
+        assert 0.0 <= est.walk_term <= sample_range * (1 + 1e-9)
+        tol = sample_range * math.sqrt(math.log(2.0 / 1e-9) / (2.0 * w))
+        assert abs(est.value - true) <= tol + 1e-12

@@ -132,6 +132,22 @@ class TestDegree:
         assert path3.degree(v) == 2.0
         path3.require_walkable(v)
 
+    @pytest.mark.parametrize("v,message", [
+        (-1, "out of range"), (4, "out of range"), (10, "out of range"),
+        (1.0, "node id must be an integer"), (True, "node id must be an integer"),
+    ])
+    def test_is_isolated_and_neighbors_check_ids(self, v, message):
+        # -1 read indptr[-1] (False, an empty row) and 4 raised IndexError
+        g = Graph.from_edges([(0, 1), (1, 2)], n=4)
+        for check in (g.is_isolated, g.neighbors):
+            with pytest.raises(ValueError, match=message):
+                check(v)
+        assert g.is_isolated(3) is True
+        assert g.neighbors(3)[0].size == 0
+        for u in (1, np.int64(1), np.uint8(1)):
+            assert g.is_isolated(u) is False
+            assert g.neighbors(u)[0].tolist() == [0, 2]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])

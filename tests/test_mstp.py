@@ -87,12 +87,20 @@ class TestApproximateMstp:
                           (2, 3, 0.9)], weighted=True),
         random_connected(30, "ba", seed=17),
     ])
-    def test_on_push_called_once_per_push(self, g):
-        calls = []
+    def test_on_push_called_once_per_level(self, g):
+        # one call after each level that pushed, with that level's estimate
+        # complete and nothing on the levels above the next one
+        seen = []
         state = approximate_mstp(g, 0, 5, 0.02,
-                                 on_push=lambda q, r: calls.append(1))
+                                 on_push=lambda q, r: seen.append((q, r)))
         assert state.push_count > 0
-        assert len(calls) == state.push_count
+        pushed = [ell for ell in range(5) if state.q[ell]]
+        assert len(seen) == len(pushed)
+        for ell, (q, r) in zip(pushed, seen):
+            assert len(q) == len(r) == 6
+            assert q[ell] == state.q[ell]
+            assert not any(q[ell + 1:]) and not any(r[ell + 2:])
+        assert seen[-1][0] == state.q
 
     def test_residual_ratios_below_threshold(self):
         g = random_connected(30, "ba", seed=17)
@@ -321,6 +329,13 @@ def loop_level_estimate(g, state, rd, pos, t):
     return state.q[ell].get(t, 0.0) + float(x.mean())
 
 
+def columns(state, pos):
+    """The table column of every walk position: slot + 1 for the state's
+    nodes, 0 for any other node."""
+    col = {v: c + 1 for c, v in enumerate(state.node.tolist())}
+    return np.vectorize(lambda v: col.get(v, 0), otypes=[np.intp])(pos)
+
+
 def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
@@ -337,7 +352,7 @@ class TestLevelEstimateMatchesLoop:
         rd = state.residual_dense(g.n)
         res = _Residuals(state, g, t)
         shared = fixed_walk_positions(g, t, ell_max, w, RandomStream(seed))
-        binned = _all_levels(res, res.slot[shared[:, ::-1].T])
+        binned = _all_levels(res, columns(state, shared[:, ::-1].T))
         weights = pagerank_weights(0.2, ell_max)
         est = {mode: estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
                                         shared_walks=mode) for mode in (True, False)}
@@ -347,7 +362,7 @@ class TestLevelEstimateMatchesLoop:
         for ell in range(ell_max + 1):
             pos = shared[:, :ell + 1]
             want = loop_level_estimate(g, state, rd, pos, t)
-            got = state.q[ell].get(t, 0.0) + float(_own_level(res, res.slot[pos[:, ::-1].T]).mean())
+            got = state.q[ell].get(t, 0.0) + float(_own_level(res, columns(state, pos[:, ::-1].T)).mean())
             assert same_bits(got, want)
             assert same_bits(state.q[ell].get(t, 0.0) + float(binned[ell].mean()), want)
             assert same_bits(est[True].per_level[ell], want)

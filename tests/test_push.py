@@ -1,14 +1,17 @@
 import math
+import sys
+import threading
+import tracemalloc
 from collections import deque
-from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bippr.push
-from bippr import (Graph, approximate_mstp, approximate_pagerank, exact_ppr_matrix,
+from bippr import (Graph, RandomStream, approximate_mstp, approximate_pagerank,
+                   estimate_diffusion, exact_ppr_matrix, pagerank_weights,
                    push_from_distribution)
 
 from conftest import random_connected
@@ -101,7 +104,7 @@ class TestApproximatePagerank:
         Pi = exact_ppr_matrix(g, 0.2, tol=1e-14)
         assert invariant_gap(g, res, 0, Pi) <= 1e-10
 
-    def test_on_push_called_once_per_push(self):
+    def test_on_push_called_once_per_round(self):
         g = Graph.from_edges([(0, 0, 0.7), (0, 1, 0.3), (1, 2, 1.1), (2, 2, 0.4),
                               (2, 3, 0.9)], weighted=True)
         settled = []
@@ -110,11 +113,12 @@ class TestApproximatePagerank:
             settled.append(dict(p))
 
         res = approximate_pagerank(g, 0.2, 0, 1e-3, on_push=on_push)
-        assert len(settled) == res.push_count
+        assert 0 < len(settled) < res.push_count
         assert settled[-1] == res.p
-        # the self-loop sends node 0 back over the threshold after its own
-        # push, so the second push settles at 0 again
-        assert settled[0].keys() == settled[1].keys() == {0}
+        # the first round pushes the source alone; its self-loop sends it back
+        # over the threshold, so the second round settles at 0 again
+        assert settled[0].keys() == {0}
+        assert settled[1][0] > settled[0][0]
 
     def test_bad_arguments(self, k2):
         with pytest.raises(ValueError):
@@ -149,8 +153,7 @@ class TestPushFromDistribution:
         assert np.abs(recon - sigma @ Pi).max() <= 1e-12
 
     def test_uniform_k3_invariant(self, k3):
-        # FIFO processing breaks exact per-node uniformity mid-run, but the
-        # push invariant against the uniform source distribution always holds
+        # the push invariant holds against the uniform source distribution
         sigma = {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
         res = push_from_distribution(k3, 0.2, sigma, 0.1)
         assert res.push_count > 0
@@ -207,43 +210,88 @@ class TestPushFromDistribution:
             call(path3)
 
 
-def reference_push(g, r, out, est, settle, keep, r_max):
-    """The numpy-scalar push kernel that preceded the memoryview one, kept
-    verbatim as the reference for push order and arithmetic."""
-    degrees = g.degrees
-    indptr, indices, weights = g.indptr, g.indices, g.weights
-    requeue = out is r
-    queue = deque(v for v, rv in r.items() if rv / degrees[v] > r_max)
-    queued = set(queue)
+def fifo_push(g: Graph, r: dict[int, float], out: dict[int, float],
+              est: dict[int, float], settle: float, keep: float, r_max: float):
+    """The push loop shared by PPR and every MSTP level; yields d_u per push.
+
+    Pops, in FIFO order, every node of ``r`` whose ratio r[v]/d_v exceeds
+    r_max: adds settle*r_u to est[u] and spreads keep*r_u/d_u*w over u's
+    edges into ``out``. Only when ``out is r`` can a spread push a node over
+    the threshold again, so only then are neighbours queued. A queued node's
+    residual only grows until it is popped, so every pop is a valid push.
+    Callers count pushes and sum d_u in push order, across calls, so the
+    floating-point ``degree_work`` does not depend on how levels split it.
+
+    The CSR arrays are read through memoryviews, which index to Python
+    ``int``/``float`` without copying, so no numpy scalar is made per edge;
+    the arithmetic is the same IEEE double operations in the same order.
+    """
+    degrees = memoryview(g.degrees)
+    indptr = memoryview(g.indptr)
+    indices = memoryview(g.indices)
+    weights = memoryview(g.weights)
+    pop_r, get_est, get_out = r.pop, est.get, out.get
+    todo = [v for v, rv in r.items() if rv / degrees[v] > r_max]
+    if out is not r:
+        # nothing spread here can lift a node of r over the threshold
+        for u in todo:
+            ru = pop_r(u)
+            du = degrees[u]
+            est[u] = get_est(u, 0.0) + settle * ru
+            spread = keep * ru / du
+            a, b = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[a:b], weights[a:b]):
+                out[v] = get_out(v, 0.0) + spread * w
+            yield du
+        return
+    queue = deque(todo)
+    queued = set(todo)
+    popleft, append = queue.popleft, queue.append
+    add, discard = queued.add, queued.discard
     while queue:
-        u = queue.popleft()
-        queued.discard(u)
+        u = popleft()
+        discard(u)
         # residual is read once and zeroed before spreading, so a self-loop
         # routes its share back into r[u] like any other neighbor
-        ru = r.pop(u)
+        ru = pop_r(u)
         du = degrees[u]
-        est[u] = est.get(u, 0.0) + settle * ru
+        est[u] = get_est(u, 0.0) + settle * ru
         spread = keep * ru / du
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(indices[k])
-            x = out.get(v, 0.0) + spread * weights[k]
+        a, b = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[a:b], weights[a:b]):
+            x = get_out(v, 0.0) + spread * w
             out[v] = x
-            if requeue and v not in queued and x / degrees[v] > r_max:
-                queue.append(v)
-                queued.add(v)
+            if v not in queued and x / degrees[v] > r_max:
+                append(v)
+                add(v)
         yield du
 
 
-def with_reference_kernel(fn, *args):
-    """Run ``fn(*args, on_push=...)`` once with the library kernel and once
-    with ``reference_push``; return both results and on_push call counts."""
-    runs = []
-    for kernel in (bippr.push._push, reference_push):
-        calls = []
-        with mock.patch("bippr.push._push", kernel), mock.patch("bippr.mstp._push", kernel):
-            res = fn(*args, on_push=lambda *_: calls.append(1))
-        runs.append((res, len(calls)))
-    return runs
+def fifo_pagerank(g, alpha, sigma, r_max):
+    """``push_from_distribution`` as it ran on ``fifo_push``, the reference:
+    (p, r, push_count, degree_work)."""
+    p = {}
+    r = {v: float(m) for v, m in sigma.items() if m > 0}
+    push_count, degree_work = 0, 0.0
+    for du in fifo_push(g, r, r, p, alpha, 1.0 - alpha, r_max):
+        push_count += 1
+        degree_work += du
+    return p, r, push_count, degree_work
+
+
+def fifo_mstp(g, s, ell_max, r_max):
+    """``approximate_mstp`` as it ran on ``fifo_push``, the reference:
+    (q, r, pushes per level, degree_work)."""
+    q = [{} for _ in range(ell_max + 1)]
+    r = [{} for _ in range(ell_max + 1)]
+    r[0][s] = 1.0
+    pushes = [0] * (ell_max + 1)
+    degree_work = 0.0
+    for i in range(ell_max):
+        for du in fifo_push(g, r[i], r[i + 1], q[i], 1.0, 1.0, r_max):
+            pushes[i] += 1
+            degree_work += du
+    return q, r, pushes, degree_work
 
 
 def ordered(vec):
@@ -254,6 +302,32 @@ def ordered(vec):
 def assert_python_floats(*vecs):
     for vec in vecs:
         assert all(type(x) is float for x in vec.values())
+
+
+def assert_slots_released(g):
+    """The graph's slot array is back on the graph, every entry -1."""
+    assert len(g._slots) == 1
+    assert g._slots[0].shape == (g.n,)
+    assert (g._slots[0] == -1).all()
+
+
+def assert_ppr_near_reference(g, new, ref, alpha, r_max):
+    """Both states satisfy pi_sigma = p + sum_v r[v]*pi_v with 0 <= r[v] <=
+    r_max*d_v. By reversibility, sum_v r[v]*pi_v(t) = d_t * sum_v
+    (r[v]/d_v)*pi_t(v) lies in [0, d_t*r_max], so each p[t] is within
+    d_t*r_max below pi_sigma(t), and the two estimates within d_t*r_max of
+    each other."""
+    p_ref, r_ref, _, _ = ref
+    for v in range(g.n):
+        if not g.is_isolated(v):
+            assert abs(new.p.get(v, 0.0) - p_ref.get(v, 0.0)) <= g.degree(v) * r_max + 1e-12
+    assert math.fsum(new.p.values()) + math.fsum(new.r.values()) == pytest.approx(
+        math.fsum(p_ref.values()) + math.fsum(r_ref.values()), abs=1e-12)
+    for v, x in new.r.items():
+        assert 0.0 < x and x / g.degree(v) <= r_max
+    assert new.degree_work <= 1.0 / (alpha * r_max)
+    assert type(new.degree_work) is float
+    assert_python_floats(new.p, new.r)
 
 
 # Non-dyadic weights put rounding into every spread; the float draws add
@@ -281,22 +355,27 @@ ALPHA = st.sampled_from([0.05, 0.15, 0.2, 0.5, 0.85])
 
 
 class TestKernelMatchesReference:
-    """Push states, counts and on_push calls equal the reference kernel's
-    exactly: same dicts in the same insertion order, same float bits."""
+    """The round kernel against the FIFO dict push (``fifo_push``).
+
+    PPR pushes in synchronous rounds, so its states differ from FIFO's, but
+    both are valid push states: the estimates agree within d_t*r_max. An
+    MSTP level was already one pass over the nodes above the threshold at
+    its start, so MSTP states equal FIFO's to the bit, in FIFO's order."""
 
     @settings(max_examples=200, deadline=None)
     @given(push_graphs(), ALPHA, R_MAX, st.data())
     def test_approximate_pagerank(self, case, alpha, r_max, data):
         g, walkable = case
         s = data.draw(st.sampled_from(walkable))
-        (new, n_new), (ref, n_ref) = with_reference_kernel(
-            approximate_pagerank, g, alpha, s, r_max)
-        assert ordered(new.p) == ordered(ref.p)
-        assert ordered(new.r) == ordered(ref.r)
-        assert new.push_count == ref.push_count == n_new == n_ref
-        assert repr(new.degree_work) == repr(float(ref.degree_work))
-        assert type(new.degree_work) is float
-        assert_python_floats(new.p, new.r)
+        rounds = []
+        new = approximate_pagerank(g, alpha, s, r_max,
+                                   on_push=lambda p, r: rounds.append(len(p)))
+        assert_slots_released(g)
+        ref = fifo_pagerank(g, alpha, {s: 1.0}, r_max)
+        assert_ppr_near_reference(g, new, ref, alpha, r_max)
+        assert len(rounds) <= new.push_count
+        assert (new.push_count == 0) == (ref[2] == 0)
+        assert ordered(approximate_pagerank(g, alpha, s, r_max).p) == ordered(new.p)
 
     @settings(max_examples=200, deadline=None)
     @given(push_graphs(), ALPHA, R_MAX, st.data())
@@ -308,13 +387,10 @@ class TestKernelMatchesReference:
                                     max_size=len(nodes)))
         total = math.fsum(masses)
         sigma = {v: m / total for v, m in zip(nodes, masses)}
-        (new, n_new), (ref, n_ref) = with_reference_kernel(
-            push_from_distribution, g, alpha, sigma, r_max)
-        assert ordered(new.p) == ordered(ref.p)
-        assert ordered(new.r) == ordered(ref.r)
-        assert new.push_count == ref.push_count == n_new == n_ref
-        assert repr(new.degree_work) == repr(float(ref.degree_work))
-        assert_python_floats(new.p, new.r)
+        new = push_from_distribution(g, alpha, sigma, r_max)
+        assert_slots_released(g)
+        assert_ppr_near_reference(g, new, fifo_pagerank(g, alpha, sigma, r_max),
+                                  alpha, r_max)
         # numpy keys and masses give the same push
         np_sigma = {np.int64(v): np.float64(m) for v, m in sigma.items()}
         same = push_from_distribution(g, alpha, np_sigma, r_max)
@@ -328,18 +404,23 @@ class TestKernelMatchesReference:
     def test_approximate_mstp(self, case, ell_max, r_max, data):
         g, walkable = case
         s = data.draw(st.sampled_from(walkable))
-        (new, n_new), (ref, n_ref) = with_reference_kernel(
-            approximate_mstp, g, s, ell_max, r_max)
-        assert [ordered(q) for q in new.q] == [ordered(q) for q in ref.q]
-        assert [ordered(r) for r in new.r] == [ordered(r) for r in ref.r]
-        assert new.push_count == ref.push_count == n_new == n_ref
-        assert repr(new.degree_work) == repr(float(ref.degree_work))
+        calls = []
+        new = approximate_mstp(g, s, ell_max, r_max, on_push=lambda q, r: calls.append(1))
+        assert_slots_released(g)
+        q, r, pushes, degree_work = fifo_mstp(g, s, ell_max, r_max)
+        assert [ordered(x) for x in new.q] == [ordered(x) for x in q]
+        assert [ordered(x) for x in new.r] == [ordered(x) for x in r]
+        # the pushed nodes of a level are the keys of its estimate
+        assert [len(x) for x in new.q] == pushes
+        assert new.push_count == sum(pushes)
+        assert len(calls) == sum(1 for k in pushes if k)
+        assert repr(new.degree_work) == repr(degree_work)
         assert type(new.degree_work) is float
         assert_python_floats(*new.q, *new.r)
 
     @settings(max_examples=200, deadline=None)
-    @given(push_graphs(), ALPHA, R_MAX, st.data())
-    def test_threshold_on_a_reached_ratio(self, case, alpha, r_max, data):
+    @given(push_graphs(), ALPHA, R_MAX, st.integers(0, 4), st.data())
+    def test_threshold_on_a_reached_ratio(self, case, alpha, r_max, ell_max, data):
         # r_max equal to, or one ulp below, a ratio r[v]/d_v that a push
         # reaches puts the threshold test on its rounding boundary
         g, walkable = case
@@ -349,11 +430,13 @@ class TestKernelMatchesReference:
         r_max = data.draw(st.sampled_from(ratios))
         if data.draw(st.booleans()):
             r_max = math.nextafter(r_max, 0.0)
-        (new, _), (ref, _) = with_reference_kernel(approximate_pagerank, g, alpha,
-                                                   s, r_max)
-        assert ordered(new.p) == ordered(ref.p)
-        assert ordered(new.r) == ordered(ref.r)
-        assert new.push_count == ref.push_count
+        new = approximate_pagerank(g, alpha, s, r_max)
+        assert_ppr_near_reference(g, new, fifo_pagerank(g, alpha, {s: 1.0}, r_max),
+                                  alpha, r_max)
+        state = approximate_mstp(g, s, ell_max, r_max)
+        q, r, pushes, _ = fifo_mstp(g, s, ell_max, r_max)
+        assert [ordered(x) for x in state.q] == [ordered(x) for x in q]
+        assert [ordered(x) for x in state.r] == [ordered(x) for x in r]
 
     def test_requeue_threshold_is_the_rounded_ratio(self):
         # push 0 -> 1 leaves x = 0.8 at node 1; with r_max = x/d_1 the ratio
@@ -365,11 +448,11 @@ class TestKernelMatchesReference:
                 break
         else:
             pytest.fail("no weight puts the ratio on a rounding boundary")
-        (new, _), (ref, _) = with_reference_kernel(approximate_pagerank, g, 0.2,
-                                                   0, x / d)
-        assert ref.push_count == 1
+        new = approximate_pagerank(g, 0.2, 0, x / d)
+        p, r, push_count, _ = fifo_pagerank(g, 0.2, {0: 1.0}, x / d)
+        assert push_count == 1
         assert new.push_count == 1
-        assert ordered(new.r) == ordered(ref.r)
+        assert ordered(new.r) == ordered(r)
 
     def test_numpy_int_source(self):
         g = random_connected(30, "ba", seed=3)
@@ -380,6 +463,126 @@ class TestKernelMatchesReference:
         m = approximate_mstp(g, np.int64(4), 5, 1e-3)
         assert [ordered(q) for q in m.q] == [ordered(q) for q in
                                             approximate_mstp(g, 4, 5, 1e-3).q]
+
+
+class TestPushCounters:
+    """Synchronous rounds against FIFO on 2,000-node graphs. A round pushes a
+    node with the residual it held when the round began, where FIFO would
+    also push what reached it earlier in the same pass, so rounds can cost
+    more pushes. At r_max = 1/m, as in the benchmark's deep push, most nodes
+    are pushed at most once and the two agree within 2%; far below it,
+    where every node is pushed many times, rounds cost up to about 40% more
+    work, still within the bound 1/(alpha*r_max)."""
+
+    @pytest.mark.parametrize("kind", ["ba", "er"])
+    def test_work_close_to_fifo(self, kind):
+        g = random_connected(2000, kind, seed=12)
+        sources = (0, 17, 500, 1234, 1999)
+        for r_max, per_source, total in ((1.0 / g.m, 1.1, 1.03), (1e-5, 1.5, 1.3)):
+            count = work = fifo_count = fifo_work = 0.0
+            for s in sources:
+                new = approximate_pagerank(g, 0.2, s, r_max)
+                _, _, push_count, degree_work = fifo_pagerank(g, 0.2, {s: 1.0}, r_max)
+                assert new.degree_work <= 1.0 / (0.2 * r_max)
+                assert new.degree_work <= per_source * degree_work
+                count, work = count + new.push_count, work + new.degree_work
+                fifo_count, fifo_work = fifo_count + push_count, fifo_work + degree_work
+            assert count <= total * fifo_count
+            assert work <= total * fifo_work
+
+
+class TestSlotArray:
+    """The graph's slot array: created on the first push, all -1 between
+    pushes, and never shared by two pushes running at once."""
+
+    def test_all_minus_one_after_every_call(self):
+        g = random_connected(40, "er", seed=5)
+        assert g._slots == []
+        approximate_pagerank(g, 0.2, 0, 1e-3)
+        assert_slots_released(g)
+        slots = g._slots[0]
+        push_from_distribution(g, 0.2, {1: 0.5, 2: 0.5}, 1e-3)
+        approximate_mstp(g, 3, 6, 1e-3)
+        estimate_diffusion(g, 3, 7, pagerank_weights(0.2, 6), 1e-3, 20, RandomStream(0))
+        assert g._slots[0] is slots  # reused, not reallocated
+        assert_slots_released(g)
+
+    @pytest.mark.parametrize("push", [
+        lambda g, cb: approximate_pagerank(g, 0.2, 0, 1e-3, on_push=cb),
+        lambda g, cb: approximate_mstp(g, 0, 5, 1e-3, on_push=cb),
+    ])
+    def test_released_when_on_push_raises(self, push):
+        g = random_connected(40, "er", seed=5)
+
+        def boom(*_):
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            push(g, boom)
+        assert_slots_released(g)
+
+    def test_nested_push_on_the_same_graph(self):
+        g = random_connected(40, "er", seed=5)
+        inner = []
+
+        def on_push(p, r):
+            inner.append(approximate_mstp(g, 9, 4, 1e-3))
+
+        outer = approximate_pagerank(g, 0.2, 0, 1e-3, on_push=on_push)
+        assert_slots_released(g)
+        assert inner
+        alone = approximate_mstp(g, 9, 4, 1e-3)
+        assert all([ordered(x) for x in m.r] == [ordered(x) for x in alone.r]
+                   for m in inner)
+        assert ordered(approximate_pagerank(g, 0.2, 0, 1e-3).p) == ordered(outer.p)
+
+
+    def test_concurrent_pushes_on_the_same_graph(self):
+        # pushes sharing one slot array would claim each other's slots
+        g = random_connected(300, "ba", seed=6)
+        want = {s: ordered(approximate_pagerank(g, 0.2, s, 1e-4).r) for s in range(4)}
+        got, errors = {}, []
+
+        def work(s):
+            try:
+                for _ in range(20):
+                    got.setdefault(s, set()).add(
+                        tuple(ordered(approximate_pagerank(g, 0.2, s, 1e-4).r)))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == {s: {tuple(x)} for s, x in want.items()}
+        assert all((slots == -1).all() for slots in g._slots)
+
+
+class TestPushMemory:
+    def test_peak_does_not_grow_with_n(self):
+        # a 30-node component in a graph of a million nodes: after the first
+        # push has made the graph's slot array, a push allocates in
+        # proportion to its support, not to n
+        g = Graph.from_edges(list(nx.barabasi_albert_graph(30, 2, seed=3).edges()),
+                             n=1_000_000)
+        approximate_pagerank(g, 0.2, 0, 1e-4)
+        tracemalloc.start()
+        try:
+            approximate_pagerank(g, 0.2, 0, 1e-4)
+            approximate_mstp(g, 0, 61, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def loop_dense(vec, out):
