@@ -18,7 +18,7 @@ from . import exact, mstp
 from .estimator import BipprParams, PreparedSource, significance_delta
 from .graph import EdgeListParseError, Graph, load_edge_list
 from .mc import mc_estimate, mc_num_walks
-from .walk import RandomStream
+from .walk import RandomStream, _check_count
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -124,8 +124,7 @@ def cmd_bench(args) -> int:
     s, t = _node(g, args.source), _node(g, args.target)
     g.require_walkable(s)
     g.require_walkable(t)
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", args.trials)
     estimators = ["bippr", "mc", "push"] if args.estimator == "all" else [args.estimator]
     seed = _resolve_seed(args)
     params = _derive_params(args, g, t)
@@ -210,11 +209,9 @@ def cmd_diffusion(args) -> int:
     if args.family == "pagerank":
         ell_max = mstp.choose_ell_max("pagerank", args.trunc_tol, alpha=args.alpha)
         weights = mstp.pagerank_weights(args.alpha, ell_max)
-    elif args.family == "heat-kernel":
+    else:
         ell_max = mstp.choose_ell_max("heat-kernel", args.trunc_tol, gamma=args.gamma)
         weights = mstp.heat_kernel_weights(args.gamma, ell_max)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     est = mstp.estimate_diffusion(
         g, s, t, weights, r_max=args.rmax, w_per_level=args.walks_per_level,
         rng=RandomStream(seed), shared_walks=not args.independent_walks)
@@ -345,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_count("--threads", args.threads)
         return args.func(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .graph import Graph
 from .push import PushResult, approximate_pagerank
-from .walk import RandomStream, _check_alpha, geometric_terminals
+from .walk import (RandomStream, _check_alpha, _check_count, _check_fraction,
+                   _check_positive, geometric_terminals)
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
            "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
@@ -19,8 +20,7 @@ __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
 
 def chernoff_c(p_fail: float) -> float:
     """Concentration constant 3*ln(2/p_fail) for the two-sided Chernoff bound."""
-    if not (0.0 < p_fail < 1.0):
-        raise ValueError(f"p_fail must be in (0, 1), got {p_fail}")
+    _check_fraction("p_fail", p_fail)
     return 3.0 * math.log(2.0 / p_fail)
 
 
@@ -30,22 +30,19 @@ def choose_r_max(eps: float, delta: float, d_t: float, p_fail: float) -> float:
     Returns eps*sqrt(delta/d_t)/sqrt(ln(1/p_fail)), clamped to at most 1
     (residual ratios start at <= 1, so larger values make the push a no-op).
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not (d_t > 0):
-        raise ValueError(f"d_t must be positive, got {d_t}")
-    if not (0.0 < p_fail < 1.0):
-        raise ValueError(f"p_fail must be in (0, 1), got {p_fail}")
+    _check_fraction("eps", eps, closed=True)
+    _check_positive("delta", delta)
+    _check_positive("d_t", d_t)
+    _check_fraction("p_fail", p_fail)
     value = eps * math.sqrt(delta / d_t) / math.sqrt(math.log(1.0 / p_fail))
     return min(value, 1.0)
 
 
 def num_walks(c: float, d_t: float, r_max: float, eps: float, delta: float) -> int:
     """Walk count ceil(c*d_t*r_max/(eps^2*delta)), with a floor of one walk."""
-    if min(c, d_t, r_max, eps, delta) <= 0:
-        raise ValueError("all walk-count arguments must be positive")
+    for name, value in [("c", c), ("d_t", d_t), ("r_max", r_max), ("eps", eps),
+                        ("delta", delta)]:
+        _check_positive(name, value)
     return max(1, math.ceil(c * d_t * r_max / (eps * eps * delta)))
 
 
@@ -79,16 +76,19 @@ class BipprParams:
                d_t: float, r_max: float | None = None, c: float | None = None,
                w: int | None = None) -> "BipprParams":
         _check_alpha(alpha)
+        _check_fraction("eps", eps, closed=True)
+        _check_positive("delta", delta)
+        _check_fraction("p_fail", p_fail)
         if c is None:
             c = chernoff_c(p_fail)
         if r_max is None:
             r_max = choose_r_max(eps, delta, d_t, p_fail)
-        elif not (0.0 < r_max <= 1.0):
-            raise ValueError(f"r_max must be in (0, 1], got {r_max}")
+        else:
+            _check_fraction("r_max", r_max, closed=True)
         if w is None:
             w = num_walks(c, d_t, r_max, eps, delta)
-        elif isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
-            raise ValueError(f"w must be a positive integer, got {w!r}")
+        else:
+            _check_count("w", w)
         return cls(alpha=alpha, delta=delta, eps=eps, p_fail=p_fail,
                    c=c, r_max=r_max, w=int(w))
 
@@ -125,6 +125,7 @@ class PreparedSource:
     def estimate_many(self, t: int, params: BipprParams, rng: RandomStream,
                       trials: int) -> np.ndarray:
         """Estimates from ``trials`` independent walk batches over the shared push."""
+        _check_count("trials", trials)
         values, _ = self._walk_samples(t, params, rng, trials)
         return self.push.p_at(t) + values
 

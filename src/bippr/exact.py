@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
-from .walk import _check_alpha
+from .walk import _check_alpha, _check_count, _check_positive
 
 __all__ = ["transition_matrix", "exact_ppr", "exact_ppr_from", "exact_ppr_matrix",
            "exact_mstp", "exact_diffusion"]
@@ -37,23 +37,12 @@ def exact_ppr(g: Graph, alpha: float, s: int, tol: float = 1e-12) -> np.ndarray:
 
 def exact_ppr_from(g: Graph, alpha: float, sigma: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """PPR vector for an arbitrary source distribution sigma (dense, sums to 1)."""
-    _check_alpha(alpha)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (g.n,) or (sigma < 0).any() or abs(sigma.sum() - 1.0) > 1e-12:
         raise ValueError("sigma must be a length-n probability distribution")
     if g.n and (sigma[np.diff(g.indptr) == 0] > 0).any():
         raise ValueError("sigma puts mass on an isolated node")
-    W = transition_matrix(g)
-    pi = sigma.copy()
-    max_iter = _iterations_for(alpha, tol)
-    for _ in range(max_iter):
-        nxt = alpha * sigma + (1.0 - alpha) * (pi @ W)
-        if np.abs(nxt - pi).max() <= tol * alpha:
-            return nxt
-        pi = nxt
-    return pi
+    return _power_iteration(g, alpha, sigma, tol)
 
 
 def exact_ppr_matrix(g: Graph, alpha: float, tol: float = 1e-12) -> np.ndarray:
@@ -62,29 +51,32 @@ def exact_ppr_matrix(g: Graph, alpha: float, tol: float = 1e-12) -> np.ndarray:
     Same iteration and stopping rule as exact_ppr, run on all rows at once.
     Isolated sources yield zero rows.
     """
-    _check_alpha(alpha)
-    W = transition_matrix(g)
     I = np.eye(g.n)
     I[np.diff(g.indptr) == 0] = 0.0
-    Pi = I.copy()
-    for _ in range(_iterations_for(alpha, tol)):
-        nxt = alpha * I + (1.0 - alpha) * (Pi @ W)
-        if np.abs(nxt - Pi).max() <= tol * alpha:
+    return _power_iteration(g, alpha, I, tol)
+
+
+def _power_iteration(g: Graph, alpha: float, start: np.ndarray, tol: float) -> np.ndarray:
+    """Iterates pi <- alpha*start + (1-alpha)*(pi @ W) from pi = start, a
+    vector or one row per source, until no entry moves by more than tol*alpha.
+    (1-alpha)^k <= tol*alpha after the iteration cap, so the rule fires by then."""
+    _check_alpha(alpha)
+    _check_positive("tol", tol)
+    W = transition_matrix(g)
+    pi = start.copy()
+    max_iter = max(8, int(math.ceil(math.log(tol * alpha) / math.log1p(-alpha))) + 2)
+    for _ in range(max_iter):
+        nxt = alpha * start + (1.0 - alpha) * (pi @ W)
+        if np.abs(nxt - pi).max() <= tol * alpha:
             return nxt
-        Pi = nxt
-    return Pi
-
-
-def _iterations_for(alpha: float, tol: float) -> int:
-    # (1-alpha)^k <= tol*alpha guarantees the stopping rule fires
-    return max(8, int(math.ceil(math.log(tol * alpha) / math.log1p(-alpha))) + 2)
+        pi = nxt
+    return pi
 
 
 def exact_mstp(g: Graph, s: int, ell_max: int) -> list[np.ndarray]:
     """[e_s W^0, ..., e_s W^ell_max] by repeated sparse matrix-vector products."""
     g.require_walkable(s)
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
+    _check_count("ell_max", ell_max, low=0)
     W = transition_matrix(g)
     p = np.zeros(g.n)
     p[s] = 1.0

@@ -6,7 +6,8 @@ import math
 
 from .estimator import PprEstimate, chernoff_c
 from .graph import Graph
-from .walk import RandomStream, geometric_terminals
+from .walk import (RandomStream, _check_count, _check_fraction, _check_positive,
+                   geometric_terminals)
 
 __all__ = ["mc_num_walks", "mc_estimate"]
 
@@ -14,18 +15,15 @@ __all__ = ["mc_num_walks", "mc_estimate"]
 def mc_num_walks(delta: float, eps: float, p_fail: float) -> int:
     """Walk count c/(eps^2*delta) matching the bidirectional estimator's
     Chernoff constant, for apples-to-apples benchmarks."""
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    _check_positive("delta", delta)
+    _check_fraction("eps", eps, closed=True)
     return max(1, math.ceil(chernoff_c(p_fail) / (eps * eps * delta)))
 
 
 def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
                 rng: RandomStream) -> PprEstimate:
     """Estimate the source-to-target PPR as a terminal-node hit frequency."""
-    if num_walks <= 0:
-        raise ValueError("num_walks must be positive")
+    _check_count("num_walks", num_walks)
     d_t = g.degree(t)  # checks t before any walk runs
     terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
     value = float((terminals == t).sum()) / num_walks

@@ -11,7 +11,8 @@ import numpy as np
 
 from .graph import Graph
 from .push import _add_work, _first_touch, _push_round, _SlotMap
-from .walk import RandomStream, _check_alpha, fixed_walk_levels, fixed_walk_positions
+from .walk import (RandomStream, _check_alpha, _check_count, _check_fraction,
+                   _check_positive, fixed_walk_levels, fixed_walk_positions)
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
            "approximate_mstp", "bidir_mstp", "pagerank_weights",
@@ -116,10 +117,8 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     with the state as lists of dicts (built for the call).
     """
     g.require_walkable(s)
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
-    if not (r_max > 0):
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    _check_count("ell_max", ell_max, low=0)
+    _check_positive("r_max", r_max)
 
     q_slots: list[np.ndarray] = []
     q_vals: list[np.ndarray] = []
@@ -159,10 +158,8 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
                rng: RandomStream) -> float:
     """Unbiased bidirectional estimate of the length-ell transition probability
     from the state's source to t, using w fixed-length walks from t."""
-    if ell < 0 or ell > state.ell_max:
-        raise ValueError(f"ell must be in [0, {state.ell_max}], got {ell}")
-    if w <= 0:
-        raise ValueError("w must be positive")
+    _check_count("ell", ell, low=0, high=state.ell_max)
+    _check_count("w", w)
     pos = fixed_walk_positions(g, t, ell, w, rng)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:
@@ -278,8 +275,7 @@ class DiffusionWeights:
 def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
     """Geometric weights alpha*(1-alpha)^i with tail (1-alpha)^(ell_max+1)."""
     _check_alpha(alpha)
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
+    _check_count("ell_max", ell_max, low=0)
     i = np.arange(ell_max + 1)
     alphas = alpha * (1.0 - alpha) ** i
     return DiffusionWeights(alphas=alphas, tail=(1.0 - alpha) ** (ell_max + 1))
@@ -287,8 +283,7 @@ def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
 
 def heat_kernel_weights(gamma: float, ell_max: int) -> DiffusionWeights:
     """Poisson weights e^{-gamma} gamma^i / i!, each taken from its logarithm."""
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
+    _check_count("ell_max", ell_max, low=0)
     alphas = _poisson_pmf(gamma, ell_max)
     tail = max(0.0, 1.0 - float(alphas.sum()))
     return DiffusionWeights(alphas=alphas, tail=tail)
@@ -298,8 +293,7 @@ def _poisson_pmf(gamma: float, ell_max: int) -> np.ndarray:
     # exp(-gamma) underflows past gamma ~745, so no term is built from it;
     # imported here, as scipy.special adds 0.2 s to every CLI start
     from scipy.special import gammaln
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_positive("gamma", gamma)
     i = np.arange(ell_max + 1)
     return np.exp(i * math.log(gamma) - gammaln(i + 1) - gamma)
 
@@ -311,11 +305,12 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
     A heat-kernel tail still above ``trunc_tol`` at ``max_levels`` raises
     ``ValueError`` rather than truncating silently.
     """
-    if not (0.0 < trunc_tol <= 1.0):
-        raise ValueError(f"trunc_tol must be in (0, 1], got {trunc_tol}")
+    _check_fraction("trunc_tol", trunc_tol, closed=True)
+    _check_count("max_levels", max_levels, low=0)
     if family == "pagerank":
         if alpha is None:
             raise ValueError("pagerank family requires alpha")
+        _check_alpha(alpha)
         if trunc_tol >= 1.0 - alpha:
             return 0
         return max(0, math.ceil(math.log(trunc_tol) / math.log1p(-alpha)) - 1)
@@ -358,8 +353,7 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     """
     g.require_walkable(s)
     g.require_walkable(t)
-    if w_per_level <= 0:
-        raise ValueError("w_per_level must be positive")
+    _check_count("w_per_level", w_per_level)
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
     res = _Residuals(state, g, t)

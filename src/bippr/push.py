@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .walk import _check_alpha
+from .walk import _check_alpha, _check_positive
 
 __all__ = ["PushResult", "approximate_pagerank", "push_from_distribution"]
 
@@ -196,8 +196,7 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
     pi_sigma = p + sum_v r[v]*pi_v holds after every round.
     """
     _check_alpha(alpha)
-    if not (r_max > 0):
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    _check_positive("r_max", r_max)
     for v, mass in sigma.items():
         if not math.isfinite(mass):
             raise ValueError(f"sigma entries must be finite, got {mass}")

@@ -1,6 +1,7 @@
 """Random-walk samplers with a reproducible, splittable random-stream contract."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,6 @@ class RandomStream:
 
     def random(self, size=None):
         return self._gen.random(size)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
 
 @dataclass
@@ -86,8 +83,7 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     """
     g.require_walkable(start)
     _check_alpha(alpha)
-    if num <= 0:
-        raise ValueError("number of walks must be positive")
+    _check_count("num", num)
     out = np.empty(num, dtype=np.int64)
     lengths = np.zeros(num, dtype=np.int64) if return_lengths else None
     total_steps = 0
@@ -134,12 +130,11 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     g.require_walkable(start)
     if len(ells) == 0 or len(rngs) != len(ells):
         raise ValueError(f"need one stream per length, got {len(rngs)} for {len(ells)} lengths")
+    for ell in ells:
+        _check_count("ell", ell, low=0)
     if any(a < b for a, b in zip(ells, ells[1:])):
         raise ValueError(f"walk lengths must be nonincreasing, got {list(ells)}")
-    if ells[-1] < 0:
-        raise ValueError("walk length must be nonnegative")
-    if num <= 0:
-        raise ValueError("number of walks must be positive")
+    _check_count("num", num)
     top = ells[0]
     pos = np.empty((top + 1, num * len(ells)), dtype=np.int64)
     pos[0] = start
@@ -153,7 +148,31 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     return pos
 
 
+# Every public entry point checks its arguments with these, one rule per kind
+# of parameter; each raises ValueError naming it. Bools are never numbers here.
+
+def _check_fraction(name: str, value: float, closed: bool = False) -> None:
+    """Rule: a real in (0, 1), or in (0, 1] with ``closed``; NaN fails."""
+    if isinstance(value, (bool, np.bool_)) or not (0.0 < value < 1.0 or closed and value == 1.0):
+        raise ValueError(f"{name} must be in (0, 1{']' if closed else ')'}, got {value}")
+
+
 def _check_alpha(alpha: float) -> None:
-    # open interval: alpha = 0 and alpha = 1 are rejected everywhere
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    """Rule: alpha in the open interval (0, 1), the same in every entry point."""
+    _check_fraction("alpha", alpha)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Rule: a finite real > 0; NaN and inf fail."""
+    if isinstance(value, (bool, np.bool_)) or not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
+def _check_count(name: str, value: int, low: int = 1, high: int | None = None) -> None:
+    """Rule: an ``int`` or ``np.integer`` in [low, high] (no float, even if
+    integral): low=1 for a count of walks or trials, low=0 for a length."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or high is not None and value > high):
+        what = (f"an integer in [{low}, {high}]" if high is not None
+                else "a positive integer" if low == 1 else "a nonnegative integer")
+        raise ValueError(f"{name} must be {what}, got {value!r}")

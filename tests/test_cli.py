@@ -200,6 +200,30 @@ class TestDiffusionCommand:
         assert proc.returncode == 2
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize("name, args", [
+        ("tol", ["exact", "--tol", "inf"]),
+        ("tol", ["exact", "--tol", "nan"]),
+        ("delta", ["estimate", "--target", "b", "--delta", "nan", "--rmax", "1e-3",
+                   "--walks", "10"]),
+        ("delta", ["estimate", "--target", "b", "--delta", "inf", "--rmax", "1e-3",
+                   "--walks", "10"]),
+        ("eps", ["estimate", "--target", "b", "--eps", "5", "--rmax", "1e-3", "--walks", "10"]),
+        ("gamma", ["diffusion", "--target", "b", "--family", "heat-kernel", "--gamma", "inf"]),
+        ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "0"]),
+        ("trials", ["bench", "--target", "b", "--trials", "0"]),
+        ("--threads", ["validate", "--threads", "0"]),
+    ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+    def test_one_error_line_exit_2(self, k3_file, name, args):
+        source = [] if args[0] == "validate" else ["--source", "a"]
+        proc = run_cli(args[0], "--graph", k3_file, *source, *args[1:])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 class TestValidateCommand:
     def test_valid_graph(self, k3_file):
         proc = run_cli("validate", "--graph", k3_file)

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bippr import (BipprParams, Graph, PreparedSource, chernoff_c,
-                   choose_r_max, estimate_ppr, estimate_ppr_batch, exact_ppr,
-                   num_walks, pagerank_weights, push_from_distribution,
-                   significance_delta, RandomStream)
+from bippr import (BipprParams, Graph, PreparedSource, approximate_mstp,
+                   approximate_pagerank, bidir_mstp, chernoff_c, choose_ell_max,
+                   choose_r_max, estimate_diffusion, estimate_ppr,
+                   estimate_ppr_batch, exact_mstp, exact_ppr, exact_ppr_from,
+                   exact_ppr_matrix, fixed_walk_positions, geometric_terminals,
+                   heat_kernel_weights, mc_estimate, mc_num_walks, num_walks,
+                   pagerank_weights, push_from_distribution, sample_fixed_walk,
+                   sample_geometric_walk, significance_delta, RandomStream)
+from bippr.walk import fixed_walk_levels
 
 from conftest import random_connected
 from test_push import push_graphs
@@ -68,18 +73,138 @@ class TestParameterRules:
         params = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=w)
         assert params.w == 3 and type(params.w) is int
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan"), float("inf"), True])
     def test_alpha_rejected_alike_everywhere(self, k2, alpha):
         calls = [
             lambda: BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=1.0),
             lambda: push_from_distribution(k2, alpha, {0: 1.0}, 0.1),
             lambda: pagerank_weights(alpha, 3),
             lambda: exact_ppr(k2, alpha, 0),
+            lambda: choose_ell_max("pagerank", 1e-6, alpha=alpha),
         ]
         for call in calls:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
+
+
+# Bad values per kind of parameter: every one must raise ValueError naming it.
+FRACTION = [True, 2.5, math.nan, math.inf, 0, -1]  # (0, 1) and (0, 1] alike
+POSITIVE = [True, math.nan, math.inf, 0, -1]
+COUNT = [True, 2.5, math.nan, math.inf, 0, -1]
+LENGTH = [True, 2.5, math.nan, math.inf, -1]
+K3 = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+MSTP = approximate_mstp(K3, 0, 3, 1e-3)
+PARAMS = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=2.0, r_max=1e-3, w=10)
+
+
+def _derive(alpha=0.2, delta=0.1, eps=0.1, p_fail=0.01, **kw):
+    return BipprParams.derive(alpha, delta, eps, p_fail, d_t=2.0, **kw)
+
+
+def _levels(ells=(2,), num=3):
+    return fixed_walk_levels(K3, 0, list(ells), num, [RandomStream(0, b) for b in range(len(ells))])
+
+
+# (entry point, parameter, bad values, call with the parameter set to v)
+ARGUMENTS = [
+    ("chernoff_c", "p_fail", FRACTION, lambda v: chernoff_c(v)),
+    ("choose_r_max", "eps", FRACTION, lambda v: choose_r_max(v, 0.1, 2.0, 0.01)),
+    ("choose_r_max", "delta", POSITIVE, lambda v: choose_r_max(0.1, v, 2.0, 0.01)),
+    ("choose_r_max", "d_t", POSITIVE, lambda v: choose_r_max(0.1, 0.1, v, 0.01)),
+    ("choose_r_max", "p_fail", FRACTION, lambda v: choose_r_max(0.1, 0.1, 2.0, v)),
+    ("num_walks", "c", POSITIVE, lambda v: num_walks(v, 2.0, 1e-3, 0.1, 0.1)),
+    ("num_walks", "d_t", POSITIVE, lambda v: num_walks(9.0, v, 1e-3, 0.1, 0.1)),
+    ("num_walks", "r_max", POSITIVE, lambda v: num_walks(9.0, 2.0, v, 0.1, 0.1)),
+    ("num_walks", "eps", POSITIVE, lambda v: num_walks(9.0, 2.0, 1e-3, v, 0.1)),
+    ("num_walks", "delta", POSITIVE, lambda v: num_walks(9.0, 2.0, 1e-3, 0.1, v)),
+    ("derive", "alpha", FRACTION, lambda v: _derive(alpha=v)),
+    # eps, delta and p_fail are checked even when r_max and w are given
+    ("derive", "eps", FRACTION, lambda v: _derive(eps=v, r_max=1e-3, w=10)),
+    ("derive", "delta", POSITIVE, lambda v: _derive(delta=v, r_max=1e-3, w=10)),
+    ("derive", "p_fail", FRACTION, lambda v: _derive(p_fail=v, r_max=1e-3, w=10)),
+    ("derive", "r_max", FRACTION, lambda v: _derive(r_max=v)),
+    ("derive", "w", COUNT, lambda v: _derive(w=v)),
+    ("PreparedSource", "alpha", FRACTION, lambda v: PreparedSource(K3, v, 0, 1e-3)),
+    ("PreparedSource", "r_max", POSITIVE, lambda v: PreparedSource(K3, 0.2, 0, v)),
+    ("estimate_ppr_batch", "trials", COUNT,
+     lambda v: estimate_ppr_batch(K3, 0, 1, PARAMS, RandomStream(0), v)),
+    ("mc_num_walks", "delta", POSITIVE, lambda v: mc_num_walks(v, 0.1, 0.01)),
+    ("mc_num_walks", "eps", FRACTION, lambda v: mc_num_walks(0.1, v, 0.01)),
+    ("mc_num_walks", "p_fail", FRACTION, lambda v: mc_num_walks(0.1, 0.1, v)),
+    ("mc_estimate", "alpha", FRACTION, lambda v: mc_estimate(K3, 0, 1, v, 3, RandomStream(0))),
+    ("mc_estimate", "num_walks", COUNT,
+     lambda v: mc_estimate(K3, 0, 1, 0.2, v, RandomStream(0))),
+    ("geometric_terminals", "alpha", FRACTION,
+     lambda v: geometric_terminals(K3, 0, v, 3, RandomStream(0))),
+    ("geometric_terminals", "num", COUNT,
+     lambda v: geometric_terminals(K3, 0, 0.2, v, RandomStream(0))),
+    ("sample_geometric_walk", "alpha", FRACTION,
+     lambda v: sample_geometric_walk(K3, 0, v, RandomStream(0))),
+    ("fixed_walk_positions", "ell", LENGTH,
+     lambda v: fixed_walk_positions(K3, 0, v, 3, RandomStream(0))),
+    ("fixed_walk_positions", "num", COUNT,
+     lambda v: fixed_walk_positions(K3, 0, 2, v, RandomStream(0))),
+    ("sample_fixed_walk", "ell", LENGTH, lambda v: sample_fixed_walk(K3, 0, v, RandomStream(0))),
+    ("fixed_walk_levels", "ell", LENGTH, lambda v: _levels(ells=(v,))),
+    ("fixed_walk_levels", "num", COUNT, lambda v: _levels(num=v)),
+    ("exact_ppr", "alpha", FRACTION, lambda v: exact_ppr(K3, v, 0)),
+    ("exact_ppr", "tol", POSITIVE, lambda v: exact_ppr(K3, 0.2, 0, tol=v)),
+    ("exact_ppr_from", "alpha", FRACTION, lambda v: exact_ppr_from(K3, v, np.ones(3) / 3)),
+    ("exact_ppr_from", "tol", POSITIVE, lambda v: exact_ppr_from(K3, 0.2, np.ones(3) / 3, v)),
+    ("exact_ppr_matrix", "alpha", FRACTION, lambda v: exact_ppr_matrix(K3, v)),
+    ("exact_ppr_matrix", "tol", POSITIVE, lambda v: exact_ppr_matrix(K3, 0.2, tol=v)),
+    ("exact_mstp", "ell_max", LENGTH, lambda v: exact_mstp(K3, 0, v)),
+    ("approximate_pagerank", "alpha", FRACTION, lambda v: approximate_pagerank(K3, v, 0, 1e-3)),
+    ("approximate_pagerank", "r_max", POSITIVE, lambda v: approximate_pagerank(K3, 0.2, 0, v)),
+    ("push_from_distribution", "alpha", FRACTION,
+     lambda v: push_from_distribution(K3, v, {0: 1.0}, 1e-3)),
+    ("push_from_distribution", "r_max", POSITIVE,
+     lambda v: push_from_distribution(K3, 0.2, {0: 1.0}, v)),
+    ("approximate_mstp", "ell_max", LENGTH, lambda v: approximate_mstp(K3, 0, v, 1e-3)),
+    ("approximate_mstp", "r_max", POSITIVE, lambda v: approximate_mstp(K3, 0, 3, v)),
+    ("bidir_mstp", "ell", LENGTH, lambda v: bidir_mstp(K3, MSTP, 1, v, 3, RandomStream(0))),
+    ("bidir_mstp", "w", COUNT, lambda v: bidir_mstp(K3, MSTP, 1, 2, v, RandomStream(0))),
+    ("pagerank_weights", "alpha", FRACTION, lambda v: pagerank_weights(v, 3)),
+    ("pagerank_weights", "ell_max", LENGTH, lambda v: pagerank_weights(0.2, v)),
+    ("heat_kernel_weights", "gamma", POSITIVE, lambda v: heat_kernel_weights(v, 3)),
+    ("heat_kernel_weights", "ell_max", LENGTH, lambda v: heat_kernel_weights(1.0, v)),
+    ("choose_ell_max", "trunc_tol", FRACTION,
+     lambda v: choose_ell_max("pagerank", v, alpha=0.2)),
+    ("choose_ell_max", "alpha", FRACTION, lambda v: choose_ell_max("pagerank", 0.5, alpha=v)),
+    ("choose_ell_max", "gamma", POSITIVE, lambda v: choose_ell_max("heat-kernel", 0.5, gamma=v)),
+    ("choose_ell_max", "max_levels", LENGTH,
+     lambda v: choose_ell_max("heat-kernel", 0.5, gamma=1.0, max_levels=v)),
+    ("estimate_diffusion", "r_max", POSITIVE,
+     lambda v: estimate_diffusion(K3, 0, 1, pagerank_weights(0.2, 3), v, 3, RandomStream(0))),
+    ("estimate_diffusion", "w_per_level", COUNT,
+     lambda v: estimate_diffusion(K3, 0, 1, pagerank_weights(0.2, 3), 1e-3, v,
+                                  RandomStream(0))),
+]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, name, bad", [
+        pytest.param(call, name, v, id=f"{entry}-{name}-{v}")
+        for entry, name, values, call in ARGUMENTS for v in values])
+    def test_bad_value_rejected(self, call, name, bad):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value).startswith(f"{name} must be "), str(err.value)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(call, id=f"{entry}-{name}")
+        for entry, name, values, call in ARGUMENTS if values is COUNT or values is LENGTH])
+    def test_numpy_integers_accepted(self, call):
+        call(np.int64(2))
+
+    def test_range_ends_still_accepted(self):
+        assert _derive(eps=1.0, r_max=1.0, w=1).r_max == 1.0
+        assert choose_ell_max("pagerank", 1.0, alpha=0.2) == 0
+        assert num_walks(9.0, 2.0, 5.0, 3.0, 0.1) == 100
+        assert approximate_pagerank(K3, 0.2, 0, 5.0).push_count == 0
+        assert approximate_mstp(K3, 0, 0, 5.0).push_count == 0
+        assert exact_ppr(K3, 0.2, 0, tol=2.5).shape == (3,)
 
 
 class TestSignificanceDelta:
