@@ -6,8 +6,8 @@ from .estimator import (BipprParams, PprEstimate, PreparedSource, chernoff_c,
                         choose_r_max, estimate_ppr, estimate_ppr_batch,
                         num_walks, significance_delta)
 from .exact import (exact_diffusion, exact_mstp, exact_ppr, exact_ppr_from,
-                    exact_ppr_matrix, transition_matrix)
-from .graph import EdgeListParseError, Graph, degree, load_edge_list, step
+                    exact_ppr_matrix)
+from .graph import EdgeListParseError, Graph, load_edge_list
 from .mc import mc_estimate, mc_num_walks
 from .mstp import (DiffusionEstimate, DiffusionWeights, MstpState,
                    approximate_mstp, bidir_mstp, choose_ell_max,
@@ -18,11 +18,11 @@ from .walk import (RandomStream, WalkRecord, fixed_walk_positions,
                    sample_geometric_walk)
 
 __all__ = [
-    "Graph", "EdgeListParseError", "load_edge_list", "degree", "step",
+    "Graph", "EdgeListParseError", "load_edge_list",
     "RandomStream", "WalkRecord", "sample_geometric_walk", "sample_fixed_walk",
     "geometric_terminals", "fixed_walk_positions",
     "exact_ppr", "exact_ppr_from", "exact_ppr_matrix", "exact_mstp",
-    "exact_diffusion", "transition_matrix",
+    "exact_diffusion",
     "PushResult", "approximate_pagerank", "push_from_distribution",
     "BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
     "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",

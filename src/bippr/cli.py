@@ -102,16 +102,12 @@ def cmd_exact(args) -> int:
     g = _load_graph(args.graph, args.weighted)
     s = _node(g, args.source)
     g.require_walkable(s)
-    if args.ell is not None:
-        cap = args.cap if args.cap is not None else 10_000
-        if g.n > cap:
-            raise GuardError(f"graph has {g.n} nodes, over the cap of {cap}")
-        vec = exact.exact_mstp(g, s, args.ell)[args.ell]
-    else:
-        cap = args.cap if args.cap is not None else 100_000
-        if g.n > cap:
-            raise GuardError(f"graph has {g.n} nodes, over the cap of {cap}")
-        vec = exact.exact_ppr(g, args.alpha, s, tol=args.tol)
+    cap = args.cap if args.cap is not None else 100_000 if args.ell is None else 10_000
+    _check_count("cap", cap, low=0)
+    if g.n > cap:
+        raise GuardError(f"graph has {g.n} nodes, over the cap of {cap}")
+    vec = (exact.exact_ppr(g, args.alpha, s, tol=args.tol) if args.ell is None
+           else exact.exact_mstp(g, s, args.ell)[args.ell])
     order = sorted(range(g.n), key=lambda v: (-vec[v], g.labels[v]))
     print("node,value")
     for v in order:
@@ -129,6 +125,7 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     params = _derive_params(args, g, t)
     cap = args.cap if args.cap is not None else 100_000
+    _check_count("cap", cap, low=0)
     true_value = None
     if g.n <= cap:
         true_value = float(exact.exact_ppr(g, args.alpha, s, tol=1e-12)[t])

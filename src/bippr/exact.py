@@ -6,20 +6,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph
 from .walk import _check_alpha, _check_count, _check_positive
 
-__all__ = ["transition_matrix", "exact_ppr", "exact_ppr_from", "exact_ppr_matrix",
-           "exact_mstp", "exact_diffusion"]
+__all__ = ["exact_ppr", "exact_ppr_from", "exact_ppr_matrix", "exact_mstp",
+           "exact_diffusion"]
 
 
-def transition_matrix(g: Graph) -> sp.csr_matrix:
-    """Row-stochastic random-walk matrix W = D^{-1} A (rows of isolated nodes are zero)."""
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    data = g.weights / g.degrees[rows]
-    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
+def _walk_step(g: Graph, shape: tuple[int, ...]):
+    """``x -> x @ W``, W = D^{-1} A, for ``x`` of ``shape``: a length-n vector
+    or a stack of them. ``(x @ W)[v]`` sums ``x[u] * w_uv / d_u`` over v's CSR
+    row: one gather and one ``np.bincount`` by row (stacked rows offset by n),
+    which adds in CSR order from 0.0 as a sparse CSR ``x @ W`` does, so the
+    sums match scipy's bit for bit. Bins and coefficients are built once."""
+    k = shape[0] if len(shape) == 2 else 1
+    coef = g.weights / g.degrees[g.indices]
+    bins = (np.arange(k)[:, None] * g.n + np.repeat(np.arange(g.n), np.diff(g.indptr))).ravel()
+    return lambda x: np.bincount(bins, weights=(x[..., g.indices] * coef).ravel(),
+                                 minlength=k * g.n).reshape(shape)
 
 
 def exact_ppr(g: Graph, alpha: float, s: int, tol: float = 1e-12) -> np.ndarray:
@@ -62,11 +67,11 @@ def _power_iteration(g: Graph, alpha: float, start: np.ndarray, tol: float) -> n
     (1-alpha)^k <= tol*alpha after the iteration cap, so the rule fires by then."""
     _check_alpha(alpha)
     _check_positive("tol", tol)
-    W = transition_matrix(g)
+    step = _walk_step(g, start.shape)
     pi = start.copy()
     max_iter = max(8, int(math.ceil(math.log(tol * alpha) / math.log1p(-alpha))) + 2)
     for _ in range(max_iter):
-        nxt = alpha * start + (1.0 - alpha) * (pi @ W)
+        nxt = alpha * start + (1.0 - alpha) * step(pi)
         if np.abs(nxt - pi).max() <= tol * alpha:
             return nxt
         pi = nxt
@@ -74,16 +79,14 @@ def _power_iteration(g: Graph, alpha: float, start: np.ndarray, tol: float) -> n
 
 
 def exact_mstp(g: Graph, s: int, ell_max: int) -> list[np.ndarray]:
-    """[e_s W^0, ..., e_s W^ell_max] by repeated sparse matrix-vector products."""
+    """[e_s W^0, ..., e_s W^ell_max] by repeated sparse vector-matrix products."""
     g.require_walkable(s)
     _check_count("ell_max", ell_max, low=0)
-    W = transition_matrix(g)
-    p = np.zeros(g.n)
-    p[s] = 1.0
-    out = [p]
+    step = _walk_step(g, (g.n,))
+    out = [np.zeros(g.n)]
+    out[0][s] = 1.0
     for _ in range(ell_max):
-        p = p @ W
-        out.append(p)
+        out.append(step(out[-1]))
     return out
 
 

@@ -6,7 +6,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-__all__ = ["Graph", "EdgeListParseError", "load_edge_list", "degree", "step"]
+__all__ = ["Graph", "EdgeListParseError", "load_edge_list"]
 
 # largest n for which every pair key lo*n + hi fits in int64
 _MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
@@ -238,11 +238,6 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
     return Graph(len(ids), src, dst, wts, labels=list(ids), weighted=weighted)
 
 
-def degree(g: Graph, v: int) -> float:
-    """Weighted degree d_v (neighbor count on unweighted graphs)."""
-    return g.degree(v)
-
-
 def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> np.ndarray:
     """Advance each walk position one transition, w_{vu}/d_v per neighbor.
 
@@ -355,9 +350,3 @@ def _row_cumsum(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
         pad[mask] = x[idx]
         out[idx] = np.cumsum(pad, axis=1)[mask]
     return out
-
-
-def step(g: Graph, v: int, rng) -> int:
-    """Sample one neighbor of v with probability w_{vu}/d_v."""
-    g.require_walkable(v)
-    return int(step_many(g, np.array([v], dtype=np.int64), rng)[0])

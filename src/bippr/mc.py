@@ -26,7 +26,7 @@ def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
     _check_count("num_walks", num_walks)
     d_t = g.degree(t)  # checks t before any walk runs
     terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
-    value = float((terminals == t).sum()) / num_walks
+    value = float((terminals == t).sum()) / int(num_walks)
     return PprEstimate(value=value, push_term=0.0, walk_term=value,
                        params=None, push_count=0, push_work=0.0,
                        walk_steps=steps, d_t=d_t)

@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 
 from bippr import Graph
@@ -6,6 +7,14 @@ from bippr import Graph
 
 def to_graph(nxg: nx.Graph) -> Graph:
     return Graph.from_edges(list(nxg.edges()), n=nxg.number_of_nodes())
+
+
+def dense_walk_matrix(g: Graph) -> np.ndarray:
+    """Dense random-walk matrix W = D^{-1} A; rows of isolated nodes are zero."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    W = np.zeros((g.n, g.n))
+    W[rows, g.indices] = g.weights / g.degrees[rows]
+    return W
 
 
 def random_connected(n: int, kind: str, seed: int) -> Graph:

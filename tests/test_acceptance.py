@@ -13,11 +13,11 @@ from bippr import (BipprParams, Graph, RandomStream, approximate_mstp,
                    approximate_pagerank, estimate_diffusion, estimate_ppr_batch,
                    exact_ppr, exact_ppr_matrix, choose_ell_max,
                    heat_kernel_weights, mc_num_walks, pagerank_weights,
-                   significance_delta, transition_matrix)
+                   significance_delta)
 from bippr.cli import main as cli_main
 from bippr.walk import geometric_terminals
 
-from conftest import random_connected
+from conftest import dense_walk_matrix, random_connected
 
 
 def report(number, name, started, detail=""):
@@ -191,7 +191,7 @@ def test_criterion_7_mstp_invariant():
     worst = 0.0
     pushes = 0
     for g in graphs:
-        W = transition_matrix(g).toarray()
+        W = dense_walk_matrix(g)
         for ell_max in (4, 6):
             Wpows = [np.eye(g.n)]
             for _ in range(ell_max):

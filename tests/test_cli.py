@@ -212,6 +212,8 @@ class TestBadArguments:
         ("gamma", ["diffusion", "--target", "b", "--family", "heat-kernel", "--gamma", "inf"]),
         ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "0"]),
         ("trials", ["bench", "--target", "b", "--trials", "0"]),
+        ("cap", ["exact", "--cap", "-1"]),
+        ("cap", ["bench", "--target", "b", "--cap", "-1"]),
         ("--threads", ["validate", "--threads", "0"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
     def test_one_error_line_exit_2(self, k3_file, name, args):
@@ -251,6 +253,15 @@ class TestDeterminism:
             b = run_cli(*cmd)
             assert a.returncode == 0, a.stderr
             assert a.stdout == b.stdout
+
+
+class TestImports:
+    def test_library_and_cli_load_no_scipy(self):
+        code = ("import sys, bippr, bippr.cli; "
+                "print(sorted({k for k in sys.modules if k.split('.')[0] == 'scipy'}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestInProcessEntryPoint:

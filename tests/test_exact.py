@@ -4,8 +4,9 @@ import pytest
 from bippr import (Graph, exact_diffusion, exact_mstp, exact_ppr,
                    exact_ppr_from, exact_ppr_matrix, heat_kernel_weights,
                    pagerank_weights)
+from bippr.exact import _walk_step
 
-from conftest import random_connected
+from conftest import dense_walk_matrix, random_connected
 
 
 class TestExactPpr:
@@ -60,6 +61,20 @@ class TestReversibilitySymmetry:
         pi_leaf = exact_ppr(s3, 0.2, 1, tol=1e-13)
         assert 3 * pi_c[1] == pytest.approx(4 / 9, abs=1e-9)
         assert 1 * pi_leaf[0] == pytest.approx(4 / 9, abs=1e-9)
+
+
+class TestWalkStep:
+    # weighted, with a self-loop on 2 and node 5 isolated
+    g = Graph.from_edges([(0, 1, 1.5), (1, 2, 0.25), (2, 2, 2.0), (2, 3, 3.0),
+                          (3, 0, 0.7), (0, 2, 1.0), (4, 3, 0.5)], n=6, weighted=True)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)], ids=["vector", "stacked"])
+    def test_matches_dense_matrix(self, shape):
+        x = np.random.default_rng(3).random(shape)
+        got = _walk_step(self.g, shape)(x)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, x @ dense_walk_matrix(self.g), rtol=1e-13, atol=0)
+        assert np.all(got[..., 5] == 0.0)
 
 
 class TestExactMstp:

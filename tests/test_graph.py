@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bippr import EdgeListParseError, Graph, RandomStream, degree, load_edge_list, step
+from bippr import EdgeListParseError, Graph, RandomStream, load_edge_list
 from bippr.graph import step_many
 
 from conftest import random_connected
@@ -102,21 +102,21 @@ class TestFromEdges:
 
 class TestDegree:
     def test_star_center(self, s3):
-        assert degree(s3, 0) == 3.0
+        assert s3.degree(0) == 3.0
 
     def test_k2(self, k2):
-        assert degree(k2, 0) == 1.0
-        assert degree(k2, 1) == 1.0
+        assert k2.degree(0) == 1.0
+        assert k2.degree(1) == 1.0
 
     def test_weighted_single_edge(self):
         g = load("a b 2.5", weighted=True)
-        assert degree(g, 0) == 2.5
+        assert g.degree(0) == 2.5
 
     def test_out_of_range(self, k2):
         with pytest.raises(ValueError):
-            degree(k2, 2)
+            k2.degree(2)
         with pytest.raises(ValueError):
-            degree(k2, -1)
+            k2.degree(-1)
 
     @pytest.mark.parametrize("v", [1.0, np.float64(1.0), 0.5, True, np.True_, "1", None],
                              ids=["float", "np.float64", "half", "bool", "np.bool_",
@@ -164,16 +164,11 @@ class TestInvariants:
 
 class TestStep:
     def test_sole_neighbor(self, k2):
-        assert step(k2, 0, RandomStream(0)) == 1
+        assert step_many(k2, np.array([0]), RandomStream(0)).tolist() == [1]
 
     def test_self_loop_only(self):
         g = load("a a")
-        assert step(g, 0, RandomStream(0)) == 0
-
-    def test_isolated_node_rejected(self):
-        g = Graph.from_edges([(0, 1)], n=3)
-        with pytest.raises(ValueError, match="isolated"):
-            step(g, 2, RandomStream(0))
+        assert step_many(g, np.array([0]), RandomStream(0)).tolist() == [0]
 
     def test_triangle_uniform_frequency(self, k3):
         rng = RandomStream(11)

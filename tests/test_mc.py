@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from bippr import Graph, RandomStream, chernoff_c, mc_estimate, mc_num_walks
@@ -26,6 +27,12 @@ class TestMcEstimate:
         assert est.push_work == 0.0
         assert est.walk_steps > 0
         assert est.value == est.walk_term
+
+    def test_numpy_walk_count_gives_the_same_float(self, k3):
+        a = mc_estimate(k3, 0, 1, 0.2, 1000, RandomStream(4))
+        b = mc_estimate(k3, 0, 1, 0.2, np.int64(1000), RandomStream(4))
+        assert type(b.value) is float
+        assert repr(b.value) == repr(a.value)
 
     def test_zero_walks_rejected(self, k2):
         with pytest.raises(ValueError):

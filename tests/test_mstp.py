@@ -16,7 +16,7 @@ from bippr import mstp
 from bippr.mstp import _all_levels, _own_level, _Residuals
 from bippr.walk import fixed_walk_levels
 
-from conftest import random_connected
+from conftest import dense_walk_matrix, random_connected
 from test_push import push_graphs
 
 
@@ -35,8 +35,7 @@ def level_gap(g, state, s, Wpows, ell):
 
 
 def dense_powers(g, ell_max):
-    from bippr import transition_matrix
-    W = transition_matrix(g).toarray()
+    W = dense_walk_matrix(g)
     out = [np.eye(g.n)]
     for _ in range(ell_max):
         out.append(out[-1] @ W)
@@ -240,6 +239,17 @@ class TestChooseEllMax:
             assert pagerank_weights(0.2, ell).tail <= tol + 1e-15
             ell = choose_ell_max("heat-kernel", tol, gamma=2.0)
             assert heat_kernel_weights(2.0, ell).tail <= tol + 1e-15
+
+    @pytest.mark.parametrize("gamma, expected", [
+        (0.05, [2, 3, 5, 6]), (0.5, [4, 7, 9, 11]), (1.0, [5, 9, 11, 14]),
+        (3.0, [10, 14, 18, 22]), (8.0, [18, 25, 30, 35]), (50.0, [73, 87, 98, 107]),
+        (800.0, [889, 938, 975, 1008]),
+    ])
+    def test_heat_kernel_grid_pinned(self, gamma, expected):
+        # 1008 at (800, 1e-12) moves to 1007 if log(i!) is off by a few ulp
+        got = [choose_ell_max("heat-kernel", tol, gamma=gamma)
+               for tol in (1e-3, 1e-6, 1e-9, 1e-12)]
+        assert got == expected
 
     def test_heat_kernel_large_gamma(self):
         ell = choose_ell_max("heat-kernel", 1e-6, gamma=800.0)
