@@ -13,14 +13,11 @@ from .mstp import (DiffusionEstimate, DiffusionWeights, MstpState,
                    approximate_mstp, bidir_mstp, choose_ell_max,
                    estimate_diffusion, heat_kernel_weights, pagerank_weights)
 from .push import PushResult, approximate_pagerank, push_from_distribution
-from .walk import (RandomStream, WalkRecord, fixed_walk_positions,
-                   geometric_terminals, sample_fixed_walk,
-                   sample_geometric_walk)
+from .walk import RandomStream, fixed_walk_positions, geometric_terminals
 
 __all__ = [
     "Graph", "EdgeListParseError", "load_edge_list",
-    "RandomStream", "WalkRecord", "sample_geometric_walk", "sample_fixed_walk",
-    "geometric_terminals", "fixed_walk_positions",
+    "RandomStream", "geometric_terminals", "fixed_walk_positions",
     "exact_ppr", "exact_ppr_from", "exact_ppr_matrix", "exact_mstp",
     "exact_diffusion",
     "PushResult", "approximate_pagerank", "push_from_distribution",

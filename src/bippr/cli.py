@@ -126,76 +126,46 @@ def cmd_bench(args) -> int:
     params = _derive_params(args, g, t)
     cap = args.cap if args.cap is not None else 100_000
     _check_count("cap", cap, low=0)
-    true_value = None
-    if g.n <= cap:
-        true_value = float(exact.exact_ppr(g, args.alpha, s, tol=1e-12)[t])
-    bound = None if true_value is None else max(
-        params.eps * true_value, 2.0 * np.e * params.delta)
+    truth = float(exact.exact_ppr(g, args.alpha, s, tol=1e-12)[t]) if g.n <= cap else None
+    bound = None if truth is None else max(params.eps * truth, 2.0 * np.e * params.delta)
+    truth_col = "" if truth is None else _fmt(truth)
+    if "bippr" in estimators or "push" in estimators:
+        prepared = PreparedSource(g, params.alpha, s, params.r_max)
+    if "mc" in estimators:
+        mc_walks = mc_num_walks(params.delta, params.eps, params.p_fail)
 
-    rows = []
-    summaries = {}
-    for name in estimators:
-        prepared = None
-        if name in ("bippr", "push"):
-            prepared = PreparedSource(g, params.alpha, s, params.r_max)
-        violations = 0
-        total_work = 0.0
-        est_sum = 0.0
-        n_trials = 1 if name == "push" else args.trials
-        for trial in range(n_trials):
-            rng = RandomStream(seed, stream_id=trial)
-            t0 = time.perf_counter()
-            if name == "bippr":
-                est = prepared.estimate(t, params, rng)
-                work = est.push_work + est.walk_steps
-                value = est.value
-                degree_work, walk_steps = est.push_work, est.walk_steps
-            elif name == "mc":
-                walks = mc_num_walks(params.delta, params.eps, params.p_fail)
-                est = mc_estimate(g, s, t, params.alpha, walks, rng)
-                work = float(est.walk_steps)
-                value = est.value
-                degree_work, walk_steps = 0.0, est.walk_steps
-            else:
-                value = prepared.push.p_at(t)
-                work = prepared.push.degree_work
-                degree_work, walk_steps = prepared.push.degree_work, 0
-            elapsed = time.perf_counter() - t0
-            rel = ""
-            if true_value is not None and true_value > 0:
-                rel = _fmt(abs(value - true_value) / true_value)
-            if bound is not None and abs(value - true_value) > bound:
-                violations += 1
-            total_work += work
-            est_sum += value
-            rows.append([
-                "trial", str(trial), name, args.source, args.target,
-                "" if true_value is None else _fmt(true_value),
-                _fmt(value), rel, _fmt(degree_work), str(walk_steps),
-                _fmt(work), "", _fmt(elapsed) if args.wall_time else "",
-            ])
-        summaries[name] = {
-            "violation_rate": violations / n_trials,
-            "mean_work": total_work / n_trials,
-            "mean_estimate": est_sum / n_trials,
-        }
+    # each estimator maps a stream to (value, degree_work, walk_steps)
+    def counters(est):
+        return est.value, est.push_work, est.walk_steps
+    runs = {"bippr": lambda rng: counters(prepared.estimate(t, params, rng)),
+            "mc": lambda rng: counters(mc_estimate(g, s, t, params.alpha, mc_walks, rng)),
+            "push": lambda rng: (prepared.push.p_at(t), prepared.push.degree_work, 0)}
 
     print("row_type,trial,estimator,source,target,true_value,estimate,"
           "rel_error,degree_work,walk_steps,total_work,violation_rate,wall_time_s")
-    for row in rows:
-        print(",".join(row))
-    bippr_work = summaries.get("bippr", {}).get("mean_work")
+    summaries, bippr_work = [], None
     for name in estimators:
-        summ = summaries[name]
-        ratio = ""
-        if bippr_work and name != "bippr":
-            ratio = _fmt(summ["mean_work"] / bippr_work)
-        print(",".join([
-            "summary", "", name, args.source, args.target,
-            "" if true_value is None else _fmt(true_value),
-            _fmt(summ["mean_estimate"]), ratio, "", "",
-            _fmt(summ["mean_work"]), _fmt(summ["violation_rate"]), "",
-        ]))
+        n_trials = 1 if name == "push" else args.trials
+        violations, work_sum, est_sum = 0, 0.0, 0.0
+        for trial in range(n_trials):
+            t0 = time.perf_counter()
+            value, degree_work, walk_steps = runs[name](RandomStream(seed, stream_id=trial))
+            elapsed = time.perf_counter() - t0
+            work = degree_work + walk_steps
+            violations += bound is not None and abs(value - truth) > bound
+            work_sum += work
+            est_sum += value
+            print(",".join([
+                "trial", str(trial), name, args.source, args.target, truth_col, _fmt(value),
+                _fmt(abs(value - truth) / truth) if truth else "", _fmt(degree_work),
+                str(walk_steps), _fmt(work), "", _fmt(elapsed) if args.wall_time else ""]))
+        mean_work = work_sum / n_trials
+        bippr_work = mean_work if name == "bippr" else bippr_work
+        summaries.append(",".join([
+            "summary", "", name, args.source, args.target, truth_col, _fmt(est_sum / n_trials),
+            _fmt(mean_work / bippr_work) if bippr_work and name != "bippr" else "", "", "",
+            _fmt(mean_work), _fmt(violations / n_trials), ""]))
+    print("\n".join(summaries))
     return EXIT_OK
 
 
@@ -260,15 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bidirectional PPR and graph-diffusion estimation on undirected graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, walks=False):
+    def common(p):
         p.add_argument("--graph", required=True, help="edge-list file path")
         p.add_argument("--weighted", action="store_true",
                        help="parse an optional third column as edge weight")
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (falls back to BIPPR_SEED, then 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is serial "
-                            "and output does not depend on it")
 
     def estimator_flags(p):
         p.add_argument("--alpha", type=float, default=0.2)
@@ -340,7 +307,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_count("--threads", args.threads)
         return args.func(args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

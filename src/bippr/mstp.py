@@ -327,7 +327,13 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
     if family == "heat-kernel":
         if gamma is None:
             raise ValueError("heat-kernel family requires gamma")
-        tails = 1.0 - np.cumsum(_poisson_pmf(gamma, max_levels))
+        # the tails fall monotonically and each table is a bit-identical
+        # prefix of a longer one, so grow the table by doubling
+        levels = min(64, max_levels)
+        tails = 1.0 - np.cumsum(_poisson_pmf(gamma, levels))
+        while tails[-1] > trunc_tol and levels < max_levels:
+            levels = min(2 * levels, max_levels)
+            tails = 1.0 - np.cumsum(_poisson_pmf(gamma, levels))
         hit = np.flatnonzero(tails <= trunc_tol)
         if hit.size == 0:
             raise ValueError(f"heat-kernel tail is still {tails[-1]:.3g} > trunc_tol="

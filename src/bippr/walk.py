@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, step_many
 
-__all__ = ["RandomStream", "WalkRecord", "sample_geometric_walk",
-           "sample_fixed_walk", "geometric_terminals", "fixed_walk_positions",
+__all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions",
            "fixed_walk_levels"]
 
 _MASK64 = (1 << 64) - 1
@@ -43,43 +41,16 @@ class RandomStream:
         return self._gen.random(size)
 
 
-@dataclass
-class WalkRecord:
-    """A walk trajectory; every consecutive pair of positions is an edge."""
-
-    positions: list[int]
-
-    @property
-    def length(self) -> int:
-        return len(self.positions) - 1
-
-
-def sample_geometric_walk(g: Graph, start: int, alpha: float, rng: RandomStream) -> int:
-    """Terminal node of a walk whose length is Geometric(alpha) on {0,1,2,...}.
-
-    The stop/continue decision is drawn before each step, so the walk may stop
-    at the start with probability alpha. The terminal node is distributed as
-    the personalized PageRank vector of ``start``. A batch of one walk of
-    :func:`geometric_terminals`.
-    """
-    return int(geometric_terminals(g, start, alpha, 1, rng)[0][0])
-
-
-def sample_fixed_walk(g: Graph, start: int, ell: int, rng: RandomStream) -> WalkRecord:
-    """Walk of exactly ``ell`` steps; positions[k] is distributed as e_start W^k.
-
-    A batch of one walk of :func:`fixed_walk_positions`.
-    """
-    return WalkRecord(fixed_walk_positions(g, start, ell, 1, rng)[0].tolist())
-
-
 def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
                         rng: RandomStream, return_lengths: bool = False):
     """Terminals of ``num`` independent geometric-length walks, plus total steps.
 
-    Walks are advanced in lockstep, one ``step_many`` call per round, with
-    the still-active subset shrinking geometrically.
-    With ``return_lengths`` also returns the per-walk length array.
+    A walk's length is Geometric(alpha) on {0, 1, 2, ...}: the stop/continue
+    decision is drawn before each step, so a walk stops at the start with
+    probability alpha, and its terminal is distributed as the personalized
+    PageRank vector of ``start``. Walks are advanced in lockstep, one
+    ``step_many`` call per round, with the still-active subset shrinking
+    geometrically. With ``return_lengths`` also returns the per-walk lengths.
     """
     g.require_walkable(start)
     _check_alpha(alpha)
@@ -110,7 +81,8 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
 
 def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
                          rng: RandomStream) -> np.ndarray:
-    """(num, ell+1) array of trajectories of exactly ``ell`` steps from start.
+    """(num, ell+1) array of trajectories of exactly ``ell`` steps from start;
+    column k is distributed as e_start W^k.
 
     One block of :func:`fixed_walk_levels`, returned transposed (a view).
     """

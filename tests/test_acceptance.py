@@ -263,14 +263,13 @@ def test_criterion_9_cli_determinism(tmp_path):
     path.write_text("a b\nb c\na c\nc d\n")
     commands = [
         ["estimate", "--graph", str(path), "--source", "a", "--target", "d",
-         "--seed", "9", "--threads", "1"],
-        ["exact", "--graph", str(path), "--source", "a", "--threads", "1"],
+         "--seed", "9"],
+        ["exact", "--graph", str(path), "--source", "a"],
         ["bench", "--graph", str(path), "--source", "a", "--target", "d",
-         "--trials", "3", "--seed", "9", "--threads", "1"],
+         "--trials", "3", "--seed", "9"],
         ["diffusion", "--graph", str(path), "--source", "a", "--target", "d",
-         "--family", "heat-kernel", "--gamma", "1", "--seed", "9",
-         "--threads", "1"],
-        ["validate", "--graph", str(path), "--threads", "1"],
+         "--family", "heat-kernel", "--gamma", "1", "--seed", "9"],
+        ["validate", "--graph", str(path)],
     ]
     env = dict(os.environ)
     env.pop("BIPPR_SEED", None)

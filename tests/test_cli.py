@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -214,7 +215,6 @@ class TestBadArguments:
         ("trials", ["bench", "--target", "b", "--trials", "0"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
-        ("--threads", ["validate", "--threads", "0"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
     def test_one_error_line_exit_2(self, k3_file, name, args):
         source = [] if args[0] == "validate" else ["--source", "a"]
@@ -224,6 +224,12 @@ class TestBadArguments:
         assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    def test_threads_option_removed(self, k3_file):
+        proc = run_cli("validate", "--graph", k3_file, "--threads", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --threads 1" in proc.stderr
 
 
 class TestValidateCommand:
@@ -240,13 +246,13 @@ class TestDeterminism:
     def test_repeated_runs_byte_identical(self, k3_file):
         commands = [
             ["estimate", "--graph", k3_file, "--source", "a", "--target", "b",
-             "--seed", "5", "--threads", "1"],
-            ["exact", "--graph", k3_file, "--source", "a", "--threads", "1"],
+             "--seed", "5"],
+            ["exact", "--graph", k3_file, "--source", "a"],
             ["bench", "--graph", k3_file, "--source", "a", "--target", "c",
-             "--trials", "3", "--seed", "5", "--threads", "1"],
+             "--trials", "3", "--seed", "5"],
             ["diffusion", "--graph", k3_file, "--source", "a", "--target", "b",
-             "--family", "pagerank", "--seed", "5", "--threads", "1"],
-            ["validate", "--graph", k3_file, "--threads", "1"],
+             "--family", "pagerank", "--seed", "5"],
+            ["validate", "--graph", k3_file],
         ]
         for cmd in commands:
             a = run_cli(*cmd)
@@ -270,3 +276,44 @@ class TestInProcessEntryPoint:
         capsys.readouterr()
         assert main(["estimate", "--graph", k2_file, "--source", "a",
                      "--target", "nope"]) == 2
+
+
+UNWEIGHTED = "a b\nb c\nc d\nd e\ne a\na c\n"
+WEIGHTED = "a b 1.5\nb c 2\nc d 0.5\nd a 1\na c 3\n"
+CLI_GOLDEN_FILE = pathlib.Path(__file__).with_name("cli_golden.json")
+
+# Each case is a command line; {u} and {w} stand for the unweighted 5-node
+# and the weighted 4-node graph file.
+CLI_CASES = [
+    "estimate --graph {u} --source a --target c --seed 3",
+    "estimate --graph {u} --source a --target c --seed 3 --trace-push",
+    "exact --graph {u} --source a",
+    "exact --graph {u} --source a --ell 2",
+    *[f"bench --graph {{u}} --source a --target d --trials 3 --seed 4 --estimator {e}"
+      for e in ("all", "mc", "push", "bippr")],
+    *[f"bench --graph {{w}} --weighted --source a --target c --trials 3 --seed 5 "
+      f"--estimator {e} --cap 2" for e in ("all", "mc", "push", "bippr")],
+    "bench --graph {w} --weighted --source b --target d --trials 2 --seed 6",
+    *[f"diffusion --graph {{u}} --source a --target d --family {family} "
+      f"--trunc-tol 1e-3 --walks-per-level 50 --seed 7{extra}"
+      for family in ("pagerank", "heat-kernel") for extra in ("", " --independent-walks")],
+    "validate --graph {u}",
+    "validate --graph {w} --weighted",
+]
+
+
+class TestGoldenOutput:
+    """Every case's stdout, byte for byte, as recorded in ``cli_golden.json``."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(CLI_GOLDEN_FILE.read_text())
+
+    @pytest.mark.parametrize("case", CLI_CASES)
+    def test_stdout_matches_record(self, case, golden, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("BIPPR_SEED", raising=False)
+        (tmp_path / "u.txt").write_text(UNWEIGHTED)
+        (tmp_path / "w.txt").write_text(WEIGHTED)
+        argv = case.format(u=tmp_path / "u.txt", w=tmp_path / "w.txt").split()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden[case]

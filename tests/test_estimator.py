@@ -11,8 +11,8 @@ from bippr import (BipprParams, Graph, PreparedSource, approximate_mstp,
                    estimate_ppr_batch, exact_mstp, exact_ppr, exact_ppr_from,
                    exact_ppr_matrix, fixed_walk_positions, geometric_terminals,
                    heat_kernel_weights, mc_estimate, mc_num_walks, num_walks,
-                   pagerank_weights, push_from_distribution, sample_fixed_walk,
-                   sample_geometric_walk, significance_delta, RandomStream)
+                   pagerank_weights, push_from_distribution, significance_delta,
+                   RandomStream)
 from bippr.walk import fixed_walk_levels
 
 from conftest import random_connected
@@ -139,13 +139,10 @@ ARGUMENTS = [
      lambda v: geometric_terminals(K3, 0, v, 3, RandomStream(0))),
     ("geometric_terminals", "num", COUNT,
      lambda v: geometric_terminals(K3, 0, 0.2, v, RandomStream(0))),
-    ("sample_geometric_walk", "alpha", FRACTION,
-     lambda v: sample_geometric_walk(K3, 0, v, RandomStream(0))),
     ("fixed_walk_positions", "ell", LENGTH,
      lambda v: fixed_walk_positions(K3, 0, v, 3, RandomStream(0))),
     ("fixed_walk_positions", "num", COUNT,
      lambda v: fixed_walk_positions(K3, 0, 2, v, RandomStream(0))),
-    ("sample_fixed_walk", "ell", LENGTH, lambda v: sample_fixed_walk(K3, 0, v, RandomStream(0))),
     ("fixed_walk_levels", "ell", LENGTH, lambda v: _levels(ells=(v,))),
     ("fixed_walk_levels", "num", COUNT, lambda v: _levels(num=v)),
     ("exact_ppr", "alpha", FRACTION, lambda v: exact_ppr(K3, v, 0)),

@@ -251,6 +251,17 @@ class TestChooseEllMax:
                for tol in (1e-3, 1e-6, 1e-9, 1e-12)]
         assert got == expected
 
+    @pytest.mark.parametrize("gamma, tol, expected, tail", [
+        (50.0, 1e-3, 73, "0.00134"), (800.0, 1e-6, 938, "1.08e-06"),
+    ])
+    def test_heat_kernel_max_levels_boundary_pinned(self, gamma, tol, expected, tail):
+        # a cap at the answer still finds it; one level less reports the tail there
+        assert choose_ell_max("heat-kernel", tol, gamma=gamma, max_levels=expected) == expected
+        with pytest.raises(ValueError) as err:
+            choose_ell_max("heat-kernel", tol, gamma=gamma, max_levels=expected - 1)
+        assert str(err.value) == (f"heat-kernel tail is still {tail} > trunc_tol={tol} "
+                                  f"at max_levels={expected - 1} (gamma={gamma})")
+
     def test_heat_kernel_large_gamma(self):
         ell = choose_ell_max("heat-kernel", 1e-6, gamma=800.0)
         assert heat_kernel_weights(800.0, ell).tail <= 1e-6

@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from bippr import (Graph, RandomStream, exact_mstp, exact_ppr,
-                   fixed_walk_positions, geometric_terminals,
-                   sample_fixed_walk, sample_geometric_walk)
+                   fixed_walk_positions, geometric_terminals)
 from bippr import walk
 from bippr.graph import step_many
 from bippr.walk import _CHUNK, fixed_walk_levels
@@ -109,30 +108,31 @@ class TestGeometricWalk:
         assert np.array_equal(b == 0, len_b % 2 == 0)
 
     def test_scalar_matches_contract(self, k2):
-        assert sample_geometric_walk(k2, 0, 1 - 1e-12, RandomStream(5)) == 0
+        terminals, steps = geometric_terminals(k2, 0, 1 - 1e-12, 1, RandomStream(5))
+        assert terminals.tolist() == [0] and steps == 0
 
     def test_isolated_start_rejected(self):
         g = Graph.from_edges([(0, 1)], n=3)
         with pytest.raises(ValueError, match="isolated"):
-            sample_geometric_walk(g, 2, 0.2, RandomStream(0))
+            geometric_terminals(g, 2, 0.2, 1, RandomStream(0))
         with pytest.raises(ValueError, match="isolated"):
             geometric_terminals(g, 2, 0.2, 10, RandomStream(0))
 
 
 class TestFixedWalk:
     def test_zero_length(self, k3):
-        rec = sample_fixed_walk(k3, 1, 0, RandomStream(0))
-        assert rec.positions == [1]
-        assert rec.length == 0
+        pos = fixed_walk_positions(k3, 1, 0, 1, RandomStream(0))
+        assert pos.tolist() == [[1]]
 
     def test_k2_deterministic_alternation(self, k2):
-        rec = sample_fixed_walk(k2, 0, 3, RandomStream(0))
-        assert rec.positions == [0, 1, 0, 1]
+        pos = fixed_walk_positions(k2, 0, 3, 1, RandomStream(0))
+        assert pos.tolist() == [[0, 1, 0, 1]]
 
     def test_every_consecutive_pair_is_an_edge(self):
         g = random_connected(20, "ba", seed=3)
-        rec = sample_fixed_walk(g, 0, 30, RandomStream(7))
-        for u, v in zip(rec.positions, rec.positions[1:]):
+        positions = fixed_walk_positions(g, 0, 30, 1, RandomStream(7))[0].tolist()
+        assert len(positions) == 31
+        for u, v in zip(positions, positions[1:]):
             nbrs, _ = g.neighbors(u)
             assert v in nbrs
 
@@ -160,13 +160,13 @@ class TestFixedWalk:
                 assert chi_square_pvalue(observed, levels[k]) > 1e-3, (s, k)
 
     def test_reproducible(self, k3):
-        a = sample_fixed_walk(k3, 0, 10, RandomStream(42, 7))
-        b = sample_fixed_walk(k3, 0, 10, RandomStream(42, 7))
-        assert a == b
+        a = fixed_walk_positions(k3, 0, 10, 1, RandomStream(42, 7))
+        b = fixed_walk_positions(k3, 0, 10, 1, RandomStream(42, 7))
+        assert np.array_equal(a, b)
 
     def test_negative_length_rejected(self, k3):
         with pytest.raises(ValueError):
-            sample_fixed_walk(k3, 0, -1, RandomStream(0))
+            fixed_walk_positions(k3, 0, -1, 1, RandomStream(0))
         with pytest.raises(ValueError):
             fixed_walk_levels(k3, 0, [3, -1], 5, [RandomStream(0), RandomStream(1)])
 
