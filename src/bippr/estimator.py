@@ -11,7 +11,7 @@ import numpy as np
 from .graph import Graph
 from .push import PushResult, approximate_pagerank
 from .walk import (RandomStream, _check_alpha, _check_count, _check_fraction,
-                   _check_positive, geometric_terminals)
+                   _check_positive, _walk_count, geometric_terminals)
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
            "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
@@ -43,7 +43,7 @@ def num_walks(c: float, d_t: float, r_max: float, eps: float, delta: float) -> i
     for name, value in [("c", c), ("d_t", d_t), ("r_max", r_max), ("eps", eps),
                         ("delta", delta)]:
         _check_positive(name, value)
-    return max(1, math.ceil(c * d_t * r_max / (eps * eps * delta)))
+    return _walk_count(c * d_t * r_max, eps, delta)
 
 
 def significance_delta(g: Graph, t: int) -> float:
@@ -95,16 +95,14 @@ class BipprParams:
 
 @dataclass
 class PprEstimate:
-    """An estimate with full provenance: both terms, parameters, and work counters."""
+    """An estimate with both its terms and its work counters."""
 
     value: float
     push_term: float
     walk_term: float
-    params: BipprParams | None
     push_count: int
     push_work: float
     walk_steps: int
-    d_t: float
 
 
 class PreparedSource:
@@ -114,13 +112,15 @@ class PreparedSource:
 
     def __init__(self, g: Graph, alpha: float, s: int, r_max: float):
         self.graph = g
-        self.source = s
         self.push: PushResult = approximate_pagerank(g, alpha, s, r_max)
         self._residual = self.push.residual_dense(g.n)
 
     def estimate(self, t: int, params: BipprParams, rng: RandomStream) -> PprEstimate:
         values, steps = self._walk_samples(t, params, rng, trials=1)
-        return self._wrap(t, params, float(values[0]), steps)
+        push_term, walk_term = self.push.p_at(t), float(values[0])
+        return PprEstimate(value=push_term + walk_term, push_term=push_term,
+                           walk_term=walk_term, push_count=self.push.push_count,
+                           push_work=self.push.degree_work, walk_steps=steps)
 
     def estimate_many(self, t: int, params: BipprParams, rng: RandomStream,
                       trials: int) -> np.ndarray:
@@ -143,15 +143,6 @@ class PreparedSource:
                 f"walk sample {x.max():g} exceeds d_t*r_max={bound:g}; "
                 "push postcondition violated")
         return x.reshape(trials, params.w).mean(axis=1), steps
-
-    def _wrap(self, t: int, params: BipprParams, walk_term: float,
-              walk_steps: int) -> PprEstimate:
-        push_term = self.push.p_at(t)
-        return PprEstimate(value=push_term + walk_term, push_term=push_term,
-                           walk_term=walk_term, params=params,
-                           push_count=self.push.push_count,
-                           push_work=self.push.degree_work,
-                           walk_steps=walk_steps, d_t=self.graph.degree(t))
 
 
 def estimate_ppr(g: Graph, s: int, t: int, params: BipprParams,

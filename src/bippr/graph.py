@@ -47,11 +47,10 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "weights", "degrees",
-                 "labels", "label_ids", "weighted", "unit_weights", "total_weight",
+                 "labels", "label_ids", "unit_weights", "total_weight",
                  "_alias", "_slots")
 
-    def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None,
-                 weighted: bool = False):
+    def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None):
         """Build the graph from one entry per input edge, in input order.
 
         ``src``, ``dst`` and ``weight`` are equal-length sequences: edge ``i``
@@ -119,15 +118,13 @@ class Graph:
         if len(self.labels) != n:
             raise ValueError("label count does not match node count")
         self.label_ids = dict(zip(self.labels, range(n)))
-        self.weighted = weighted
         self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
         self.unit_weights = bool((weights == 1.0).all())
         self._alias = None
         self._slots: list[np.ndarray] = []
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple], n: int | None = None,
-                   weighted: bool = False) -> "Graph":
+    def from_edges(cls, edges: Iterable[tuple], n: int | None = None) -> "Graph":
         """Build from (u, v) or (u, v, w) integer tuples, merging duplicates.
 
         ``n`` defaults to one more than the largest id. A missing weight is
@@ -147,7 +144,7 @@ class Graph:
             wts.append(w)
         if n is None:
             n = max(max(src, default=-1), max(dst, default=-1)) + 1
-        return cls(n, src, dst, wts, weighted=weighted)
+        return cls(n, src, dst, wts)
 
     def _node(self, v) -> int:
         """v as an int id in [0, n); bools and non-integral values are rejected."""
@@ -235,7 +232,7 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
         dst.append(ids.setdefault(tokens[1], len(ids)))
         wts.append(w)
 
-    return Graph(len(ids), src, dst, wts, labels=list(ids), weighted=weighted)
+    return Graph(len(ids), src, dst, wts, labels=list(ids))
 
 
 def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> np.ndarray:

@@ -2,12 +2,10 @@
 terminals of geometric-length walks from the source."""
 from __future__ import annotations
 
-import math
-
 from .estimator import PprEstimate, chernoff_c
 from .graph import Graph
 from .walk import (RandomStream, _check_count, _check_fraction, _check_positive,
-                   geometric_terminals)
+                   _walk_count, geometric_terminals)
 
 __all__ = ["mc_num_walks", "mc_estimate"]
 
@@ -17,16 +15,15 @@ def mc_num_walks(delta: float, eps: float, p_fail: float) -> int:
     Chernoff constant, for apples-to-apples benchmarks."""
     _check_positive("delta", delta)
     _check_fraction("eps", eps, closed=True)
-    return max(1, math.ceil(chernoff_c(p_fail) / (eps * eps * delta)))
+    return _walk_count(chernoff_c(p_fail), eps, delta)
 
 
 def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
                 rng: RandomStream) -> PprEstimate:
     """Estimate the source-to-target PPR as a terminal-node hit frequency."""
     _check_count("num_walks", num_walks)
-    d_t = g.degree(t)  # checks t before any walk runs
+    g._node(t)  # checks t before any walk runs
     terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
     value = float((terminals == t).sum()) / int(num_walks)
-    return PprEstimate(value=value, push_term=0.0, walk_term=value,
-                       params=None, push_count=0, push_work=0.0,
-                       walk_steps=steps, d_t=d_t)
+    return PprEstimate(value=value, push_term=0.0, walk_term=value, push_count=0,
+                       push_work=0.0, walk_steps=steps)

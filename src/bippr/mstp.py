@@ -5,7 +5,7 @@ truncation accounting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +43,12 @@ class _Levels:
         """The level of each entry."""
         return np.repeat(np.arange(self.ptr.size - 1), np.diff(self.ptr))
 
-    def dicts(self, node: np.ndarray) -> list[dict[int, float]]:
-        cut = self.ptr[1:-1]
-        return _level_dicts(node, np.split(self.slot, cut), np.split(self.val, cut))
-
     def at(self, slot: int) -> np.ndarray:
         """Every level's value at ``slot`` (0.0 where it has none)."""
         out = np.zeros(self.ptr.size - 1)
         hit = self.slot == slot
         out[self.level()[hit]] = self.val[hit]
         return out
-
-
-def _level_dicts(node: np.ndarray, slots: list[np.ndarray],
-                 vals: list[np.ndarray]) -> list[dict[int, float]]:
-    return [dict(zip(node[s].tolist(), v.tolist())) for s, v in zip(slots, vals)]
 
 
 @dataclass
@@ -70,38 +61,21 @@ class MstpState:
 
     The state is compact: slot i stands for node ``node[i]``, over every node
     the push touched, and ``q_levels``/``r_levels`` hold each level's entries
-    by slot, in the order the push first wrote them. The lists of dicts ``q``
-    and ``r`` are built on demand from these arrays, each dict in that order
-    (a FIFO push's insertion order) with Python ``float`` values; the query
-    paths read the arrays instead.
+    by slot, in the order the push first wrote them (a FIFO push's order).
     """
 
-    source: int
     node: np.ndarray
     q_levels: _Levels
     r_levels: _Levels
     ell_max: int
-    r_max: float
     push_count: int
     degree_work: float
-
-    @property
-    def q(self) -> list[dict[int, float]]:
-        return self.q_levels.dicts(self.node)
-
-    @property
-    def r(self) -> list[dict[int, float]]:
-        return self.r_levels.dicts(self.node)
 
     def residual_dense(self, n: int) -> np.ndarray:
         out = np.zeros((self.ell_max + 1, n))
         lv = self.r_levels
         out[lv.level(), self.node[lv.slot]] = lv.val
         return out
-
-
-def _padded(levels: list[dict[int, float]], ell_max: int) -> list[dict[int, float]]:
-    return levels + [{} for _ in range(ell_max + 1 - len(levels))]
 
 
 def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
@@ -113,8 +87,8 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     mass is indexed by walk length, so each level separately sums to <= 1.
     Level i is one round of the push kernel: every node whose level-i ratio
     exceeds r_max is pushed, and nothing spread lands on level i itself.
-    ``on_push(q, r)``, if given, is called after every level that pushed,
-    with the state as lists of dicts (built for the call).
+    ``on_push(state)``, if given, is called after every level that pushed,
+    with a snapshot of the state, built as the returned one is.
     """
     g.require_walkable(s)
     _check_count("ell_max", ell_max, low=0)
@@ -127,6 +101,12 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     push_count = 0
     degree_work = 0.0
     with _SlotMap(g, np.array([s], np.intp)) as sm:
+
+        def state() -> MstpState:
+            return MstpState(node=sm.node[:sm.k].copy(),
+                             q_levels=_Levels.of(q_slots, q_vals, ell_max + 1),
+                             r_levels=_Levels.of(r_slots, r_vals, ell_max + 1),
+                             ell_max=ell_max, push_count=push_count, degree_work=degree_work)
         for i in range(ell_max):
             slots, vals = r_slots[i], r_vals[i]
             hot = vals / sm.deg[slots] > r_max
@@ -144,14 +124,8 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
             r_slots.append(nxt)
             r_vals.append(received[nxt])
             if on_push is not None:
-                node = sm.node[:sm.k]
-                on_push(_padded(_level_dicts(node, q_slots, q_vals), ell_max),
-                        _padded(_level_dicts(node, r_slots, r_vals), ell_max))
-        node = sm.node[:sm.k].copy()
-    return MstpState(source=s, node=node,
-                     q_levels=_Levels.of(q_slots, q_vals, ell_max + 1),
-                     r_levels=_Levels.of(r_slots, r_vals, ell_max + 1), ell_max=ell_max,
-                     r_max=r_max, push_count=push_count, degree_work=degree_work)
+                on_push(state())
+        return state()
 
 
 def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
@@ -346,8 +320,7 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
 class DiffusionEstimate:
     value: float
     trunc_bound: float
-    per_level: list[float] = field(default_factory=list)
-    state: MstpState | None = None
+    per_level: list[float]
 
 
 def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
@@ -367,8 +340,7 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     walks are binned into every level in one pass over their entries, and
     independent levels walk in lockstep, each batch one gather at its own level.
     """
-    g.require_walkable(s)
-    g.require_walkable(t)
+    g.require_walkable(t)  # before the push; approximate_mstp checks s
     _check_count("w_per_level", w_per_level)
     ell_max = weights.ell_max
     state = approximate_mstp(g, s, ell_max, r_max)
@@ -389,5 +361,4 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
                     per_level[ell] = q_t[ell] + float(_own_level(res, cols).mean())
 
     value = float(np.dot(weights.alphas, per_level))
-    return DiffusionEstimate(value=value, trunc_bound=weights.tail,
-                             per_level=per_level, state=state)
+    return DiffusionEstimate(value=value, trunc_bound=weights.tail, per_level=per_level)

@@ -22,9 +22,9 @@ class PushResult:
 
     The state is compact: slot i holds node ``node[i]``, its estimate
     ``p_val[i]`` and its residual ``r_val[i]``, over every node the push
-    touched. The dicts ``p`` and ``r`` are built on demand from these arrays,
-    with the nonzero entries in slot order and Python ``float`` values; the
-    query paths read the arrays instead (:meth:`p_at`, :meth:`residual_dense`).
+    touched. The dicts ``p`` and ``r`` (for ``--trace-push``) are built on
+    demand from these arrays, nonzero entries in slot order, Python floats;
+    the query paths read the arrays (:meth:`p_at`, :meth:`residual_dense`).
     """
 
     node: np.ndarray
@@ -175,9 +175,8 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
 
     Each push converts an alpha-fraction of the residual at a node into
     settled estimate and spreads the rest to its neighbors in proportion to
-    edge weight. ``on_push(p, r)``, if given, is called after every round of
-    pushes with the state as dicts (built for the call; used by invariant
-    tests).
+    edge weight. ``on_push(state)``, if given, is called after every round of
+    pushes with a snapshot of the state, built as the returned one is.
     """
     g.require_walkable(s)
     return push_from_distribution(g, alpha, {s: 1.0}, r_max, on_push=on_push)
@@ -215,6 +214,12 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
     with _SlotMap(g, np.array([v for v, _ in start], np.intp)) as sm:
         r = sm.fit(np.array([m for _, m in start]))
         p = np.zeros_like(r)
+
+        def state() -> PushResult:
+            k = sm.k
+            return PushResult(node=sm.node[:k].copy(), p_val=p[:k].copy(),
+                              r_val=r[:k].copy(), push_count=push_count,
+                              degree_work=degree_work, alpha=alpha, r_max=r_max)
         while True:
             k = sm.k
             f = np.flatnonzero(r[:k] / sm.deg[:k] > r_max)
@@ -229,8 +234,5 @@ def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
             r, p = sm.fit(r), sm.fit(p)
             r[:received.size] += received
             if on_push is not None:
-                on_push(_as_dict(sm.node[:sm.k], p), _as_dict(sm.node[:sm.k], r))
-        k = sm.k
-        return PushResult(node=sm.node[:k].copy(), p_val=p[:k].copy(),
-                          r_val=r[:k].copy(), push_count=push_count,
-                          degree_work=degree_work, alpha=alpha, r_max=r_max)
+                on_push(state())
+        return state()

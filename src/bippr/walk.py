@@ -148,3 +148,13 @@ def _check_count(name: str, value: int, low: int = 1, high: int | None = None) -
         what = (f"an integer in [{low}, {high}]" if high is not None
                 else "a positive integer" if low == 1 else "a nonnegative integer")
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _walk_count(scale: float, eps: float, delta: float) -> int:
+    """Rule: the Chernoff walk count ceil(scale/(eps^2*delta)), at least one;
+    a count that is not finite (tiny delta, or eps^2*delta underflowing to 0) fails."""
+    try:
+        return max(1, math.ceil(scale / (eps * eps * delta)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"delta must be large enough for a finite walk count "
+                         f"at eps={eps}, got {delta}") from None

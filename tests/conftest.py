@@ -17,6 +17,17 @@ def dense_walk_matrix(g: Graph) -> np.ndarray:
     return W
 
 
+def mstp_dicts(state) -> tuple[list[dict], list[dict]]:
+    """An MstpState's levels as lists of dicts ``(q, r)``, one dict per level
+    mapping node to value, each in the order the push first wrote its entries
+    and with Python float values."""
+    def dicts(levels):
+        cut = levels.ptr[1:-1]
+        return [dict(zip(state.node[s].tolist(), v.tolist()))
+                for s, v in zip(np.split(levels.slot, cut), np.split(levels.val, cut))]
+    return dicts(state.q_levels), dicts(state.r_levels)
+
+
 def random_connected(n: int, kind: str, seed: int) -> Graph:
     """Deterministic connected random graph, Erdos-Renyi or preferential-attachment."""
     if kind == "er":

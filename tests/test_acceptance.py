@@ -17,7 +17,7 @@ from bippr import (BipprParams, Graph, RandomStream, approximate_mstp,
 from bippr.cli import main as cli_main
 from bippr.walk import geometric_terminals
 
-from conftest import dense_walk_matrix, random_connected
+from conftest import dense_walk_matrix, mstp_dicts, random_connected
 
 
 def report(number, name, started, detail=""):
@@ -65,12 +65,12 @@ def test_criterion_2_push_invariant_every_step():
             for r_max in (0.5, 0.1, 0.01):
                 gaps = []
 
-                def on_push(p, r):
+                def on_push(state):
                     recon = np.zeros(g.n)
-                    for v, x in p.items():
+                    for v, x in state.p.items():
                         recon[v] += x
                     rd = np.zeros(g.n)
-                    for v, x in r.items():
+                    for v, x in state.r.items():
                         rd[v] = x
                     gaps.append(float(np.abs(recon + rd @ Pi - Pi[0]).max()))
 
@@ -199,7 +199,8 @@ def test_criterion_7_mstp_invariant():
             for r_max in (0.5, 0.1, 0.02):
                 gaps = []
 
-                def on_push(q, r):
+                def on_push(state):
+                    q, r = mstp_dicts(state)
                     worst_here = 0.0
                     for ell in range(ell_max + 1):
                         recon = np.zeros(g.n)

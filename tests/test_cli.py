@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bippr import approximate_pagerank, exact_ppr, exact_ppr_from
+from bippr import approximate_pagerank, exact_ppr, exact_ppr_from, mc_estimate
 from bippr.cli import main
 
 from conftest import random_connected
@@ -143,6 +143,32 @@ class TestBenchCommand:
         true_value = float(lines[0].split(",")[5])
         assert true_value == pytest.approx(4 / 9, abs=1e-9)
 
+    def test_wall_time_changes_only_its_column(self, tmp_path, capsys, monkeypatch):
+        # each estimator first makes one untimed call, on a stream no trial
+        # uses, so lazy setup (a weighted graph's alias tables) is not timed
+        path = tmp_path / "w.txt"
+        path.write_text("a b 1.5\nb c 2\nc d 0.5\nd a 1\na c 3\n")
+        argv = ["bench", "--graph", str(path), "--weighted", "--source", "a",
+                "--target", "c", "--trials", "3", "--seed", "5"]
+        streams = []
+
+        def recording(g, s, t, alpha, walks, rng):
+            streams.append(rng.stream_id)
+            return mc_estimate(g, s, t, alpha, walks, rng)
+
+        monkeypatch.setattr("bippr.cli.mc_estimate", recording)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--wall-time"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert streams == [0, 1, 2, 2**64 - 1, 0, 1, 2]
+        assert len(plain) == len(timed) == 11
+        for a, b in zip(plain, timed):
+            a, b = a.split(","), b.split(",")
+            assert a[:-1] == b[:-1]
+            if b[0] == "trial":
+                assert a[-1] == "" and float(b[-1]) >= 0.0
+
 
 class TestPushOnlyErrorBound:
     def test_bound_from_global_pagerank(self):
@@ -213,6 +239,7 @@ class TestBadArguments:
         ("gamma", ["diffusion", "--target", "b", "--family", "heat-kernel", "--gamma", "inf"]),
         ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "0"]),
         ("trials", ["bench", "--target", "b", "--trials", "0"]),
+        ("delta", ["bench", "--target", "b", "--delta", "1e-310", "--estimator", "mc"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)

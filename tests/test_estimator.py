@@ -62,6 +62,15 @@ class TestParameterRules:
         with pytest.raises(ValueError):
             num_walks(1, 1, 0, 1, 1)
 
+    @pytest.mark.parametrize("c, eps, delta", [(9.0, 0.1, 1e-320), (9.0, 1e-200, 0.1),
+                                               (1e300, 1.0, 1e-10)])
+    def test_num_walks_infinite_count_rejected(self, c, eps, delta):
+        # the count overflows, eps^2*delta underflows to 0, or c*d_t*r_max overflows
+        with pytest.raises(ValueError, match="delta must be large enough"):
+            num_walks(c, 2.0, 1.0, eps, delta)
+        with pytest.raises(ValueError, match="delta must be large enough"):
+            BipprParams.derive(0.2, delta, min(eps, 1.0), 0.01, d_t=2.0, r_max=1.0, c=c)
+
     @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
     def test_walk_count_must_be_a_positive_integer(self, w):
         # 2.7 became 2 and True became 1
@@ -216,7 +225,7 @@ class TestSignificanceDelta:
         assert significance_delta(path3, 0) == 0.5
 
     def test_weighted_uses_total_edge_weight(self):
-        g = Graph.from_edges([(0, 1, 3.0), (1, 2, 1.0)], weighted=True)
+        g = Graph.from_edges([(0, 1, 3.0), (1, 2, 1.0)])
         assert significance_delta(g, 0) == pytest.approx(3.0 / 4.0)
 
     def test_repeated_pair_counts_merged_weight(self):

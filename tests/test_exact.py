@@ -66,7 +66,7 @@ class TestReversibilitySymmetry:
 class TestWalkStep:
     # weighted, with a self-loop on 2 and node 5 isolated
     g = Graph.from_edges([(0, 1, 1.5), (1, 2, 0.25), (2, 2, 2.0), (2, 3, 3.0),
-                          (3, 0, 0.7), (0, 2, 1.0), (4, 3, 0.5)], n=6, weighted=True)
+                          (3, 0, 0.7), (0, 2, 1.0), (4, 3, 0.5)], n=6)
 
     @pytest.mark.parametrize("shape", [(6,), (4, 6)], ids=["vector", "stacked"])
     def test_matches_dense_matrix(self, shape):

@@ -87,7 +87,7 @@ class TestFromEdges:
     ])
     def test_bad_weight_rejected_before_merging(self, edges):
         with pytest.raises(ValueError, match="positive and finite"):
-            Graph.from_edges(edges, weighted=True)
+            Graph.from_edges(edges)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
@@ -318,7 +318,7 @@ def random_small_graph(seed, kind):
     if kind == "weighted":
         w = rng.uniform(0.01, 5.0, size=len(edges))
         return Graph.from_edges([(u, v, x) for (u, v), x in zip(edges, w)],
-                                n=n + isolated, weighted=True)
+                                n=n + isolated)
     if kind == "repeated":
         edges.append(edges[len(edges) // 2])
     return Graph.from_edges(edges, n=n + isolated)
@@ -354,7 +354,7 @@ class TestStepMatchesSearch:
         edges += [(0, i) for i in range(2, n - 1, 3)]
         if kind == "weighted":
             edges = [(u, v, 0.1 + 0.7 * ((u + 2 * v) % 5)) for u, v in edges]
-        g = Graph.from_edges(edges, n=n, weighted=kind == "weighted")
+        g = Graph.from_edges(edges, n=n)
         assert g.unit_weights == (kind == "unit")
         rows = [0, 1, 2, n // 2, n - 2, n - 1]
         if g.unit_weights:
@@ -373,7 +373,6 @@ class TestStepMatchesSearch:
 
     def test_unweighted_repeated_pair_is_not_unit_weight(self):
         g = load("a b\nb c\nb a")
-        assert not g.weighted
         assert not g.unit_weights
         assert g.degrees.tolist() == [2.0, 3.0, 1.0]
 
@@ -392,8 +391,7 @@ def weighted_graphs(draw):
         w = st.just(draw(WEIGHTS)) if kind == "equal" else WEIGHTS
         edges = draw(st.lists(st.tuples(node, node, w), min_size=1, max_size=30))
     top = max(max(e[0], e[1]) for e in edges) + 1
-    g = Graph.from_edges(edges, n=top + draw(st.integers(0, 3)),
-                         weighted=kind != "repeated")
+    g = Graph.from_edges(edges, n=top + draw(st.integers(0, 3)))
     assume(not g.unit_weights)
     return g
 
@@ -450,7 +448,7 @@ class TestAliasTables:
         # 6 * w / (((w + w) + w) ...) rounds to 1 - 2**-53: no slot is heavy,
         # so each slot aliases itself and is always kept
         w = 0.9308141418622209
-        g = Graph.from_edges([(0, i, w) for i in range(1, 7)], weighted=True)
+        g = Graph.from_edges([(0, i, w) for i in range(1, 7)])
         p = w * 6 / g.degrees[0]
         assert p < 1.0
         prob, alias_node = g._alias_tables()
@@ -464,8 +462,7 @@ class TestAliasTables:
         # row 0 scales to p = [3/7, 11/7, 1 - 2**-52]: the last light's
         # deficit starts at 4/7 + 1 ulp, past the one heavy's excess 4/7, so
         # its alias must be clamped to that heavy, not the next row's
-        g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)],
-                             weighted=True)
+        g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)])
         prob, alias_node = g._alias_tables()
         assert alias_node[:3].tolist() == [2, 2, 2]
         assert prob[1] == 1.0
@@ -622,8 +619,7 @@ class TestArrayBuildMatchesReference:
     @given(edge_lists())
     def test_from_edges(self, case):
         edges, n = case
-        weighted = any(len(e) == 3 for e in edges)
-        g = Graph.from_edges(edges, n=n, weighted=weighted)
+        g = Graph.from_edges(edges, n=n)
         assert_same_graph(g, reference_from_edges(edges, n))
         g.check()
 

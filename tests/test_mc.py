@@ -61,3 +61,9 @@ class TestMcNumWalks:
     def test_domain(self):
         with pytest.raises(ValueError):
             mc_num_walks(0.0, 0.1, 0.01)
+
+    @pytest.mark.parametrize("delta, eps", [(1e-310, 0.1), (0.1, 1e-200)])
+    def test_infinite_count_rejected(self, delta, eps):
+        # c/(eps^2*delta) overflows, or eps^2*delta underflows to 0
+        with pytest.raises(ValueError, match="delta must be large enough"):
+            mc_num_walks(delta, eps, 0.01)

@@ -16,19 +16,20 @@ from bippr import mstp
 from bippr.mstp import _all_levels, _own_level, _Residuals
 from bippr.walk import fixed_walk_levels
 
-from conftest import dense_walk_matrix, random_connected
+from conftest import dense_walk_matrix, mstp_dicts, random_connected
 from test_push import push_graphs
 
 
 def level_gap(g, state, s, Wpows, ell):
     """Max per-entry error of p_s^ell = q[ell] + sum_k r[k] W^(ell-k)."""
     n = g.n
+    q, r = mstp_dicts(state)
     recon = np.zeros(n)
-    for v, x in state.q[ell].items():
+    for v, x in q[ell].items():
         recon[v] += x
     for k in range(ell + 1):
         rk = np.zeros(n)
-        for v, x in state.r[k].items():
+        for v, x in r[k].items():
             rk[v] = x
         recon += rk @ Wpows[ell - k]
     return np.abs(recon - Wpows[ell][s]).max()
@@ -46,17 +47,18 @@ class TestApproximateMstp:
     def test_no_pushes_above_unit_threshold(self, k2):
         state = approximate_mstp(k2, 0, 3, 1.0)
         assert state.push_count == 0
-        assert all(q == {} for q in state.q)
-        assert state.r[0] == {0: 1.0}
+        q, r = mstp_dicts(state)
+        assert all(x == {} for x in q)
+        assert r[0] == {0: 1.0}
 
     def test_k2_hand_trace(self, k2):
-        state = approximate_mstp(k2, 0, 2, 0.5)
-        assert state.q[0] == {0: pytest.approx(1.0)}
-        assert state.q[1] == {1: pytest.approx(1.0)}
-        assert state.q[2] == {}
-        assert state.r[0] == {}
-        assert state.r[1] == {}
-        assert state.r[2] == {0: pytest.approx(1.0)}
+        q, r = mstp_dicts(approximate_mstp(k2, 0, 2, 0.5))
+        assert q[0] == {0: pytest.approx(1.0)}
+        assert q[1] == {1: pytest.approx(1.0)}
+        assert q[2] == {}
+        assert r[0] == {}
+        assert r[1] == {}
+        assert r[2] == {0: pytest.approx(1.0)}
 
     @pytest.mark.parametrize("r_max", [0.1, 0.3, 0.7])
     def test_invariant_vs_exact_mstp(self, k3, r_max):
@@ -72,8 +74,7 @@ class TestApproximateMstp:
         Wpows = dense_powers(g, ell_max)
         gaps = []
 
-        def on_push(q, r):
-            state = type("S", (), {"q": q, "r": r})
+        def on_push(state):
             gaps.append(max(level_gap(g, state, 0, Wpows, ell)
                             for ell in range(ell_max + 1)))
 
@@ -83,7 +84,7 @@ class TestApproximateMstp:
 
     @pytest.mark.parametrize("g", [
         Graph.from_edges([(0, 0, 0.7), (0, 1, 0.3), (1, 2, 1.1), (2, 2, 0.4),
-                          (2, 3, 0.9)], weighted=True),
+                          (2, 3, 0.9)]),
         random_connected(30, "ba", seed=17),
     ])
     def test_on_push_called_once_per_level(self, g):
@@ -91,21 +92,22 @@ class TestApproximateMstp:
         # complete and nothing on the levels above the next one
         seen = []
         state = approximate_mstp(g, 0, 5, 0.02,
-                                 on_push=lambda q, r: seen.append((q, r)))
+                                 on_push=lambda snapshot: seen.append(mstp_dicts(snapshot)))
         assert state.push_count > 0
-        pushed = [ell for ell in range(5) if state.q[ell]]
+        state_q, _ = mstp_dicts(state)
+        pushed = [ell for ell in range(5) if state_q[ell]]
         assert len(seen) == len(pushed)
         for ell, (q, r) in zip(pushed, seen):
             assert len(q) == len(r) == 6
-            assert q[ell] == state.q[ell]
+            assert q[ell] == state_q[ell]
             assert not any(q[ell + 1:]) and not any(r[ell + 2:])
-        assert seen[-1][0] == state.q
+        assert seen[-1][0] == state_q
 
     def test_residual_ratios_below_threshold(self):
         g = random_connected(30, "ba", seed=17)
-        state = approximate_mstp(g, 0, 5, 0.02)
+        _, r = mstp_dicts(approximate_mstp(g, 0, 5, 0.02))
         for ell in range(5):  # top level is pure residual, exempt
-            for v, rv in state.r[ell].items():
+            for v, rv in r[ell].items():
                 assert rv / g.degree(v) <= 0.02
 
     def test_errors(self, k2):
@@ -123,7 +125,7 @@ class TestBidirMstp:
         # tiny r_max empties every level below ell_max
         ell = 2
         state = approximate_mstp(k3, 0, 4, 1e-9)
-        assert all(not state.r[k] for k in range(3))
+        assert all(not r for r in mstp_dicts(state)[1][:3])
         a = bidir_mstp(k3, state, 1, ell, 10, RandomStream(0))
         b = bidir_mstp(k3, state, 1, ell, 10, RandomStream(99))
         assert a == b
@@ -164,10 +166,10 @@ class TestBidirMstp:
     def test_per_level_sample_boundedness(self):
         g = random_connected(20, "er", seed=22)
         t, ell = 2, 4
-        state = approximate_mstp(g, 0, ell + 1, 0.1)
+        _, r = mstp_dicts(approximate_mstp(g, 0, ell + 1, 0.1))
         d_t = g.degree(t)
         for k in range(ell + 1):  # strictly below the unpushed top level
-            for v, rv in state.r[k].items():
+            for v, rv in r[k].items():
                 assert rv * d_t / g.degree(v) <= d_t * 0.1 + 1e-12
 
     def test_ell_out_of_range(self, k2):
@@ -338,7 +340,7 @@ class TestEstimateDiffusion:
         assert abs(np.mean(values) - true) <= max(3 * se, 1e-6) + w.tail
 
 
-def loop_level_estimate(g, state, rd, pos, t):
+def loop_level_estimate(g, q, rd, pos, t):
     """The per-k loop the combine used before, as reference: each walk adds
     its terms in increasing k, starting from 0.0."""
     ell = pos.shape[1] - 1
@@ -347,7 +349,7 @@ def loop_level_estimate(g, state, rd, pos, t):
     for k in range(ell + 1):
         nodes = pos[:, ell - k]
         x += rd[k, nodes] * (d_t / g.degrees[nodes])
-    return state.q[ell].get(t, 0.0) + float(x.mean())
+    return q[ell].get(t, 0.0) + float(x.mean())
 
 
 def columns(state, pos):
@@ -370,6 +372,7 @@ class TestLevelEstimateMatchesLoop:
 
     def check_levels(self, g, s, t, ell_max, r_max, w, seed):
         state = approximate_mstp(g, s, ell_max, r_max)
+        q, _ = mstp_dicts(state)
         rd = state.residual_dense(g.n)
         res = _Residuals(state, g, t)
         shared = fixed_walk_positions(g, t, ell_max, w, RandomStream(seed))
@@ -382,15 +385,15 @@ class TestLevelEstimateMatchesLoop:
                                   [RandomStream(seed).child(ell) for ell in levels])
         for ell in range(ell_max + 1):
             pos = shared[:, :ell + 1]
-            want = loop_level_estimate(g, state, rd, pos, t)
-            got = state.q[ell].get(t, 0.0) + float(_own_level(res, columns(state, pos[:, ::-1].T)).mean())
+            want = loop_level_estimate(g, q, rd, pos, t)
+            got = q[ell].get(t, 0.0) + float(_own_level(res, columns(state, pos[:, ::-1].T)).mean())
             assert same_bits(got, want)
-            assert same_bits(state.q[ell].get(t, 0.0) + float(binned[ell].mean()), want)
+            assert same_bits(q[ell].get(t, 0.0) + float(binned[ell].mean()), want)
             assert same_bits(est[True].per_level[ell], want)
             pos = fixed_walk_positions(g, t, ell, w, RandomStream(seed).child(ell))
             b = ell_max - ell
             assert np.array_equal(table[:ell + 1, b * w:(b + 1) * w].T, pos)
-            want = loop_level_estimate(g, state, rd, pos, t)
+            want = loop_level_estimate(g, q, rd, pos, t)
             got = bidir_mstp(g, state, t, ell, w, RandomStream(seed).child(ell))
             assert same_bits(got, want)
             assert same_bits(est[False].per_level[ell], want)
@@ -415,8 +418,7 @@ class TestLevelEstimateMatchesLoop:
         ends = rng.integers(0, 30, (90, 2)).tolist()  # self-loops included
         edges = [(i, (i + 1) % 30) for i in range(30)] + ends
         return Graph.from_edges([(u, v, w) for (u, v), w in
-                                 zip(edges, rng.uniform(0.1, 5.0, len(edges)))],
-                                weighted=True)
+                                 zip(edges, rng.uniform(0.1, 5.0, len(edges)))])
 
     @pytest.mark.parametrize("ell_max", [17, 40])
     def test_long_walks(self, ell_max):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bippr import (Graph, RandomStream, approximate_mstp, approximate_pagerank,
-                   estimate_diffusion, exact_ppr_matrix, pagerank_weights,
-                   push_from_distribution)
+from bippr import (Graph, PushResult, RandomStream, approximate_mstp,
+                   approximate_pagerank, estimate_diffusion, exact_ppr_matrix,
+                   pagerank_weights, push_from_distribution)
 
-from conftest import random_connected
+from conftest import mstp_dicts, random_connected
 
 
 def dense(vec, n):
@@ -58,8 +58,8 @@ class TestApproximatePagerank:
         Pi = exact_ppr_matrix(g, alpha, tol=1e-14)
         gaps = []
 
-        def on_push(p, r):
-            recon = dense(p, g.n) + dense(r, g.n) @ Pi
+        def on_push(state):
+            recon = dense(state.p, g.n) + dense(state.r, g.n) @ Pi
             gaps.append(np.abs(recon - Pi[0]).max())
 
         approximate_pagerank(g, alpha, 0, r_max, on_push=on_push)
@@ -106,11 +106,11 @@ class TestApproximatePagerank:
 
     def test_on_push_called_once_per_round(self):
         g = Graph.from_edges([(0, 0, 0.7), (0, 1, 0.3), (1, 2, 1.1), (2, 2, 0.4),
-                              (2, 3, 0.9)], weighted=True)
+                              (2, 3, 0.9)])
         settled = []
 
-        def on_push(p, r):
-            settled.append(dict(p))
+        def on_push(state):
+            settled.append(state.p)
 
         res = approximate_pagerank(g, 0.2, 0, 1e-3, on_push=on_push)
         assert 0 < len(settled) < res.push_count
@@ -311,6 +311,17 @@ def assert_slots_released(g):
     assert (g._slots[0] == -1).all()
 
 
+def compact_arrays(state):
+    """The dtype and bytes of each compact array of a push state: ``node``
+    with ``p_val`` and ``r_val`` (PPR), or with the level tables (MSTP)."""
+    if isinstance(state, PushResult):
+        arrays = [state.node, state.p_val, state.r_val]
+    else:
+        q, r = state.q_levels, state.r_levels
+        arrays = [state.node, q.ptr, q.slot, q.val, r.ptr, r.slot, r.val]
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
 def assert_ppr_near_reference(g, new, ref, alpha, r_max):
     """Both states satisfy pi_sigma = p + sum_v r[v]*pi_v with 0 <= r[v] <=
     r_max*d_v. By reversibility, sum_v r[v]*pi_v(t) = d_t * sum_v
@@ -345,7 +356,7 @@ def push_graphs(draw):
     weighted = draw(st.booleans())
     edge = st.tuples(node, node, WEIGHTS) if weighted else st.tuples(node, node)
     edges = draw(st.lists(edge, min_size=1, max_size=30))
-    g = Graph.from_edges(edges, n=ids + draw(st.integers(0, 2)), weighted=weighted)
+    g = Graph.from_edges(edges, n=ids + draw(st.integers(0, 2)))
     walkable = [v for v in range(g.n) if not g.is_isolated(v)]
     return g, walkable
 
@@ -369,7 +380,7 @@ class TestKernelMatchesReference:
         s = data.draw(st.sampled_from(walkable))
         rounds = []
         new = approximate_pagerank(g, alpha, s, r_max,
-                                   on_push=lambda p, r: rounds.append(len(p)))
+                                   on_push=lambda state: rounds.append(len(state.p)))
         assert_slots_released(g)
         ref = fifo_pagerank(g, alpha, {s: 1.0}, r_max)
         assert_ppr_near_reference(g, new, ref, alpha, r_max)
@@ -405,18 +416,19 @@ class TestKernelMatchesReference:
         g, walkable = case
         s = data.draw(st.sampled_from(walkable))
         calls = []
-        new = approximate_mstp(g, s, ell_max, r_max, on_push=lambda q, r: calls.append(1))
+        new = approximate_mstp(g, s, ell_max, r_max, on_push=lambda state: calls.append(1))
         assert_slots_released(g)
         q, r, pushes, degree_work = fifo_mstp(g, s, ell_max, r_max)
-        assert [ordered(x) for x in new.q] == [ordered(x) for x in q]
-        assert [ordered(x) for x in new.r] == [ordered(x) for x in r]
+        new_q, new_r = mstp_dicts(new)
+        assert [ordered(x) for x in new_q] == [ordered(x) for x in q]
+        assert [ordered(x) for x in new_r] == [ordered(x) for x in r]
         # the pushed nodes of a level are the keys of its estimate
-        assert [len(x) for x in new.q] == pushes
+        assert [len(x) for x in new_q] == pushes
         assert new.push_count == sum(pushes)
         assert len(calls) == sum(1 for k in pushes if k)
         assert repr(new.degree_work) == repr(degree_work)
         assert type(new.degree_work) is float
-        assert_python_floats(*new.q, *new.r)
+        assert_python_floats(*new_q, *new_r)
 
     @settings(max_examples=200, deadline=None)
     @given(push_graphs(), ALPHA, R_MAX, st.integers(0, 4), st.data())
@@ -433,16 +445,16 @@ class TestKernelMatchesReference:
         new = approximate_pagerank(g, alpha, s, r_max)
         assert_ppr_near_reference(g, new, fifo_pagerank(g, alpha, {s: 1.0}, r_max),
                                   alpha, r_max)
-        state = approximate_mstp(g, s, ell_max, r_max)
+        state_q, state_r = mstp_dicts(approximate_mstp(g, s, ell_max, r_max))
         q, r, pushes, _ = fifo_mstp(g, s, ell_max, r_max)
-        assert [ordered(x) for x in state.q] == [ordered(x) for x in q]
-        assert [ordered(x) for x in state.r] == [ordered(x) for x in r]
+        assert [ordered(x) for x in state_q] == [ordered(x) for x in q]
+        assert [ordered(x) for x in state_r] == [ordered(x) for x in r]
 
     def test_requeue_threshold_is_the_rounded_ratio(self):
         # push 0 -> 1 leaves x = 0.8 at node 1; with r_max = x/d_1 the ratio
         # is not above r_max, although x > r_max*d_1 after rounding
         for k in range(1, 200):
-            g = Graph.from_edges([(0, 1, 1.0), (1, 2, k / 10)], weighted=True)
+            g = Graph.from_edges([(0, 1, 1.0), (1, 2, k / 10)])
             x, d = 0.8, g.degree(1)
             if x > (x / d) * d:
                 break
@@ -460,9 +472,9 @@ class TestKernelMatchesReference:
         b = approximate_pagerank(g, 0.2, 4, 1e-3)
         assert ordered(a.p) == ordered(b.p)
         assert ordered(a.r) == ordered(b.r)
-        m = approximate_mstp(g, np.int64(4), 5, 1e-3)
-        assert [ordered(q) for q in m.q] == [ordered(q) for q in
-                                            approximate_mstp(g, 4, 5, 1e-3).q]
+        q, _ = mstp_dicts(approximate_mstp(g, np.int64(4), 5, 1e-3))
+        want, _ = mstp_dicts(approximate_mstp(g, 4, 5, 1e-3))
+        assert [ordered(x) for x in q] == [ordered(x) for x in want]
 
 
 class TestPushCounters:
@@ -512,9 +524,18 @@ class TestSlotArray:
         lambda g, cb: approximate_mstp(g, 0, 5, 1e-3, on_push=cb),
     ])
     def test_released_when_on_push_raises(self, push):
+        # the hook's argument is a state of the push's return type, and its
+        # last one holds the returned arrays byte for byte
         g = random_connected(40, "er", seed=5)
+        seen = []
+        result = push(g, seen.append)
+        assert seen and all(type(state) is type(result) for state in seen)
+        assert compact_arrays(seen[-1]) == compact_arrays(result)
+        assert seen[-1].push_count == result.push_count
+        assert seen[-1].degree_work == result.degree_work
+        assert_slots_released(g)
 
-        def boom(*_):
+        def boom(_):
             raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
@@ -525,14 +546,14 @@ class TestSlotArray:
         g = random_connected(40, "er", seed=5)
         inner = []
 
-        def on_push(p, r):
+        def on_push(state):
             inner.append(approximate_mstp(g, 9, 4, 1e-3))
 
         outer = approximate_pagerank(g, 0.2, 0, 1e-3, on_push=on_push)
         assert_slots_released(g)
         assert inner
-        alone = approximate_mstp(g, 9, 4, 1e-3)
-        assert all([ordered(x) for x in m.r] == [ordered(x) for x in alone.r]
+        _, alone = mstp_dicts(approximate_mstp(g, 9, 4, 1e-3))
+        assert all([ordered(x) for x in mstp_dicts(m)[1]] == [ordered(x) for x in alone]
                    for m in inner)
         assert ordered(approximate_pagerank(g, 0.2, 0, 1e-3).p) == ordered(outer.p)
 
@@ -603,7 +624,7 @@ class TestResidualDense:
         assert res.residual_dense(g.n).tobytes() == want.tobytes()
         state = approximate_mstp(g, s, ell_max, r_max)
         want = np.zeros((ell_max + 1, g.n))
-        for level, rv in enumerate(state.r):
+        for level, rv in enumerate(mstp_dicts(state)[1]):
             loop_dense(rv, want[level])
         got = state.residual_dense(g.n)
         assert got.shape == want.shape

@@ -17,7 +17,7 @@ def weighted_loop_graph() -> Graph:
              (2, 2, 0.4), (2, 3, 0.9), (3, 4, 2.3), (4, 5, 0.1), (4, 6, 3.7),
              (5, 5, 1.9), (5, 6, 0.35), (6, 7, 0.45), (7, 7, 0.05), (7, 8, 0.7),
              (8, 9, 0.7), (9, 9, 2.2), (9, 0, 0.15), (6, 9, 0.7), (8, 2, 0.7)]
-    return Graph.from_edges(edges, weighted=True)
+    return Graph.from_edges(edges)
 
 
 def chi_square_pvalue(observed, expected_probs):
