@@ -1,6 +1,7 @@
 """Random-walk samplers with a reproducible, splittable random-stream contract."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ __all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions",
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
+_MAX_WALKS = 1 << 32  # cap on the Chernoff walk count: 2^32 terminals alone take 32 GiB
 
 
 class RandomStream:
@@ -45,38 +47,59 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
                         rng: RandomStream, return_lengths: bool = False):
     """Terminals of ``num`` independent geometric-length walks, plus total steps.
 
-    A walk's length is Geometric(alpha) on {0, 1, 2, ...}: the stop/continue
-    decision is drawn before each step, so a walk stops at the start with
-    probability alpha, and its terminal is distributed as the personalized
-    PageRank vector of ``start``. Walks are advanced in lockstep, one
-    ``step_many`` call per round, with the still-active subset shrinking
-    geometrically. With ``return_lengths`` also returns the per-walk lengths.
+    A walk's length L is Geometric(alpha) on {0, 1, 2, ...}, drawn by
+    inversion from one uniform u: ``L = floor(log1p(-u) / log1p(-alpha))``,
+    so ``P(L >= k) = (1-alpha)^k``, the law of a stop coin of probability
+    alpha flipped before each step. A walk of length 0 ends at the start; the
+    terminal is distributed as the personalized PageRank vector of ``start``.
+
+    Walks run in chunks of at most ``_CHUNK``. A chunk draws its lengths
+    first, then orders its walks by decreasing length, so the walks still
+    going at round k (length > k) are a prefix; each round is one
+    ``step_many`` call over that prefix, one uniform per step. Terminals are
+    returned in draw order, so walk i's terminal goes with its length.
+    With ``return_lengths`` also returns the per-walk lengths.
     """
     g.require_walkable(start)
     _check_alpha(alpha)
     _check_count("num", num)
     out = np.empty(num, dtype=np.int64)
-    lengths = np.zeros(num, dtype=np.int64) if return_lengths else None
+    lengths = np.empty(num, dtype=np.int64) if return_lengths else None
+    log_continue = math.log1p(-alpha)
     total_steps = 0
-    done = 0
-    while done < num:
-        size = min(_CHUNK, num - done)
+    for lo in range(0, num, _CHUNK):
+        size = min(_CHUNK, num - lo)
+        length = np.log1p(-rng.random(size))
+        length /= log_continue
+        top = int(length.max())
+        # lengths as small unsigned ints; a stable sort of them is a radix sort
+        length = length.astype(np.min_scalar_type(top))
+        order = np.argsort(top - length, kind="stable")
         pos = np.full(size, start, dtype=np.int64)
-        active = rng.random(size) >= alpha
-        while True:
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            pos[idx] = step_many(g, pos[idx], rng)
-            if lengths is not None:
-                lengths[done + idx] += 1
-            total_steps += idx.size
-            active[idx] = rng.random(idx.size) >= alpha
-        out[done:done + size] = pos
-        done += size
+        for a in _live_prefix(length[order]):
+            pos[:a] = step_many(g, pos[:a], rng)
+        out[lo:lo + size][order] = pos
+        total_steps += int(length.sum())
+        if lengths is not None:
+            lengths[lo:lo + size] = length
     if return_lengths:
         return out, total_steps, lengths
     return out, total_steps
+
+
+def _live_prefix(lengths, per: int = 1):
+    """Yield, for each round k, how many walks are still going (length > k),
+    with ``per`` walks of each entry of the nonincreasing ``lengths``: they
+    are the first ones. Memory is per distinct length, not per round."""
+    lengths = np.asarray(lengths)
+    # the walks at least as long as each distinct length, longest first
+    ends = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()
+    ends.append(lengths.size)
+    done = 0
+    for a in reversed(ends):
+        ell = int(lengths[a - 1])
+        yield from itertools.repeat(per * a, ell - done)
+        done = ell
 
 
 def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
@@ -113,9 +136,7 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     u = np.empty((top, pos.shape[1]))
     for b, (ell, rng) in enumerate(zip(ells, rngs)):
         u[:ell, b * num:(b + 1) * num] = rng.random((ell, num))
-    # the walks still going at round k (length > k) are a prefix of the columns
-    live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
-    for k, a in enumerate(live.tolist()):
+    for k, a in enumerate(_live_prefix(ells, num)):
         pos[k + 1, :a] = step_many(g, pos[k, :a], None, u[k, :a])
     return pos
 
@@ -151,10 +172,14 @@ def _check_count(name: str, value: int, low: int = 1, high: int | None = None) -
 
 
 def _walk_count(scale: float, eps: float, delta: float) -> int:
-    """Rule: the Chernoff walk count ceil(scale/(eps^2*delta)), at least one;
-    a count that is not finite (tiny delta, or eps^2*delta underflowing to 0) fails."""
+    """Rule: the Chernoff walk count ceil(scale/(eps^2*delta)), at least one
+    and at most ``_MAX_WALKS``; a larger count, or one that is not finite
+    (tiny delta, or eps^2*delta underflowing to 0), fails."""
     try:
-        return max(1, math.ceil(scale / (eps * eps * delta)))
+        count = max(1, math.ceil(scale / (eps * eps * delta)))
     except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"delta must be large enough for a finite walk count "
-                         f"at eps={eps}, got {delta}") from None
+        count = math.inf
+    if count > _MAX_WALKS:
+        raise ValueError(f"delta must be large enough for at most 2^32 walks "
+                         f"at eps={eps}, got {delta}")
+    return count

@@ -240,6 +240,9 @@ class TestBadArguments:
         ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "0"]),
         ("trials", ["bench", "--target", "b", "--trials", "0"]),
         ("delta", ["bench", "--target", "b", "--delta", "1e-310", "--estimator", "mc"]),
+        ("delta", ["bench", "--target", "b", "--delta", "1e-12", "--estimator", "mc"]),
+        ("delta", ["bench", "--target", "b", "--delta", "1e-300", "--estimator", "mc"]),
+        ("delta", ["estimate", "--target", "b", "--delta", "1e-300"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)

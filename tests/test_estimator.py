@@ -71,6 +71,12 @@ class TestParameterRules:
         with pytest.raises(ValueError, match="delta must be large enough"):
             BipprParams.derive(0.2, delta, min(eps, 1.0), 0.01, d_t=2.0, r_max=1.0, c=c)
 
+    def test_num_walks_capped_at_2_to_32(self):
+        # c*d_t*r_max/(eps^2*delta) = c: 2^32 is the largest count allowed
+        assert num_walks(2.0 ** 32, 1.0, 1.0, 1.0, 1.0) == 2 ** 32
+        with pytest.raises(ValueError, match="delta must be large enough for at most 2"):
+            num_walks(2.0 ** 32 + 1, 1.0, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
     def test_walk_count_must_be_a_positive_integer(self, w):
         # 2.7 became 2 and True became 1

@@ -25,6 +25,14 @@ and diffusion entries pass unedited; so does ``'ppr 5-30'``: on both graphs
 its push makes the same pushes as FIFO, in other rounds, and leaves other
 residuals only at nodes where none of its walks ends (one node on the unit
 graph, five on the weighted one).
+
+The geometric-walk entries (``'ppr *'``, ``'mc'``, ``'geometric'`` and
+``'scalar geometric'``) were re-recorded when walk lengths came to be drawn
+up front by inversion, one uniform per walk, in place of a stop coin before
+each step: the lengths keep their Geometric(alpha) law and each step still
+takes one uniform, but the stream is consumed in another order, so the
+walks are a new sample. The diffusion and fixed-length entries pass
+unedited.
 """
 import pytest
 
@@ -100,22 +108,22 @@ GOLDEN = {
              [3, 2, 1, 10, 9, 10, 1], [3, 24, 11, 12, 11, 10, 11],
              [3, 0, 1, 34, 35, 36, 35], [3, 4, 31, 32, 33, 32, 27]],
         'geometric':
-            [24, 0, 25, 22, 28, 13, 23, 23, 0, 3, 11, 5, 3, 3, 23, 0, 3, 0, 0,
-             3, 3, 39, 6, 11, 3, 2, 17, 17, 3, 3, 11, 3, 4, 3, 12, 3, 3, 21,
-             18, 36, 1, 24, 26, 18, 3, 31, 6, 0, 38, 16, 1, 4, 0, 36, 24, 11,
-             34, 2, 3, 2, 210],
+            [4, 4, 39, 1, 18, 11, 1, 12, 30, 3, 2, 12, 24, 3, 1, 23, 3, 1, 4, 2,
+             3, 0, 5, 0, 3, 1, 39, 24, 3, 18, 0, 3, 29, 3, 26, 3, 3, 32, 9, 24,
+             0, 25, 18, 3, 3, 24, 20, 0, 14, 12, 2, 25, 5, 5, 5, 39, 17, 18, 3,
+             2, 244],
         'mc':
-            [0.0115, 7838],
+            [0.0075, 7796],
         'ppr 0-17':
-            [0.011850572780264142, 2337],
+            [0.011743751649931272, 2466],
         'ppr 5-30':
-            [0.020085213439769163, 2538],
+            [0.019968787327320017, 2479],
         'scalar fixed':
             [3, 4, 5, 4, 3, 4, 5, 4, 31, 30, 29, 6, 5, 4, 5, 6, 5, 6, 29, 38,
              39],
         'scalar geometric':
-            [3, 8, 31, 2, 17, 23, 7, 32, 12, 39, 25, 3, 3, 11, 9, 24, 23, 17,
-             27, 1, 23, 1, 5, 24, 3, 2, 3, 3, 7, 24],
+            [3, 17, 33, 2, 18, 5, 20, 5, 17, 0, 1, 3, 15, 0, 2, 4, 24, 24, 38,
+             4, 3, 11, 31, 25, 3, 25, 3, 3, 24, 24],
     },
     'weighted': {
         'diffusion shared=False':
@@ -136,22 +144,22 @@ GOLDEN = {
              [3, 2, 1, 10, 1, 2, 1], [3, 2, 3, 4, 23, 20, 23],
              [3, 2, 1, 34, 35, 36, 35], [3, 4, 31, 32, 31, 20, 23]],
         'geometric':
-            [2, 2, 17, 28, 24, 25, 3, 23, 1, 3, 17, 3, 1, 3, 17, 0, 23, 10, 28,
-             23, 3, 39, 2, 11, 3, 10, 23, 19, 3, 3, 5, 3, 4, 3, 4, 3, 3, 15,
-             24, 28, 3, 24, 26, 38, 3, 31, 20, 1, 32, 8, 5, 4, 2, 22, 2, 11,
-             36, 2, 3, 4, 210],
+            [4, 2, 17, 9, 24, 11, 19, 35, 4, 3, 4, 12, 4, 3, 3, 11, 3, 15, 4, 4,
+             3, 2, 7, 0, 3, 17, 39, 2, 3, 16, 2, 3, 29, 3, 26, 3, 3, 38, 7, 4,
+             0, 25, 16, 23, 3, 2, 28, 12, 2, 6, 2, 17, 23, 23, 5, 17, 5, 8, 3,
+             4, 244],
         'mc':
-            [0.023, 7838],
+            [0.017, 7796],
         'ppr 0-17':
-            [0.02044748277182825, 1480],
+            [0.020468522376678643, 1591],
         'ppr 5-30':
-            [0.01204740965337587, 1675],
+            [0.011767489981564863, 1676],
         'scalar fixed':
             [3, 4, 23, 20, 19, 8, 9, 8, 35, 8, 19, 20, 19, 8, 9, 18, 17, 16,
              35, 36, 39],
         'scalar geometric':
-            [3, 8, 17, 4, 23, 23, 23, 34, 10, 39, 17, 3, 3, 23, 25, 2, 37, 31,
-             17, 3, 23, 7, 5, 2, 3, 24, 3, 3, 15, 2],
+            [3, 31, 19, 4, 22, 23, 20, 25, 33, 2, 1, 3, 15, 0, 24, 22, 28, 24,
+             18, 28, 25, 5, 5, 3, 3, 25, 3, 3, 2, 2],
     },
 }
 

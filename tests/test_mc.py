@@ -62,8 +62,10 @@ class TestMcNumWalks:
         with pytest.raises(ValueError):
             mc_num_walks(0.0, 0.1, 0.01)
 
-    @pytest.mark.parametrize("delta, eps", [(1e-310, 0.1), (0.1, 1e-200)])
+    @pytest.mark.parametrize("delta, eps", [(1e-310, 0.1), (0.1, 1e-200), (1e-12, 0.1),
+                                            (1e-300, 0.1)])
     def test_infinite_count_rejected(self, delta, eps):
-        # c/(eps^2*delta) overflows, or eps^2*delta underflows to 0
+        # c/(eps^2*delta) overflows, eps^2*delta underflows to 0, or the count
+        # is finite but over 2^32 walks
         with pytest.raises(ValueError, match="delta must be large enough"):
             mc_num_walks(delta, eps, 0.01)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bippr import (Graph, RandomStream, exact_mstp, exact_ppr,
-                   fixed_walk_positions, geometric_terminals)
-from bippr import walk
+from bippr import (BipprParams, Graph, PreparedSource, RandomStream, exact_mstp,
+                   exact_ppr, fixed_walk_positions, geometric_terminals)
+from bippr import estimator, walk
 from bippr.graph import step_many
 from bippr.walk import _CHUNK, fixed_walk_levels
 
@@ -106,6 +106,64 @@ class TestGeometricWalk:
         assert steps_b == len_b.sum()
         # on K2 a walk from 0 ends at 0 exactly when its length is even
         assert np.array_equal(b == 0, len_b % 2 == 0)
+
+    def test_one_uniform_per_walk_and_per_step(self, k3):
+        rng = RandomStream(21)
+        _, steps = geometric_terminals(k3, 0, 0.2, 1000, rng)
+        ref = RandomStream(21)
+        ref.random(1000 + steps)
+        assert np.array_equal(rng.random(4), ref.random(4))
+
+    @pytest.mark.parametrize("chunk", [_CHUNK, 4096])
+    def test_walk_order_does_not_depend_on_length(self, k2, monkeypatch, chunk):
+        # walks are stepped longest first; their terminals must come back in
+        # draw order, so either half of the batch is an iid sample
+        alpha, n = 0.2, 100_000
+        monkeypatch.setattr(walk, "_CHUNK", chunk)
+        rounds = []
+        monkeypatch.setattr(walk, "step_many",
+                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        terminals, steps, lengths = geometric_terminals(k2, 0, alpha, n, RandomStream(22),
+                                                        return_lengths=True)
+        assert steps == lengths.sum()
+        # one round per step of each chunk's longest walk, over the walks still going
+        chunks = [lengths[lo:lo + chunk] for lo in range(0, n, chunk)]
+        assert len(rounds) == sum(c.max() for c in chunks)
+        assert rounds == [int((c > k).sum()) for c in chunks for k in range(c.max())]
+        # on K2 a walk from 0 ends at 0 exactly when its length is even
+        assert np.array_equal(terminals == 0, lengths % 2 == 0)
+        half = n // 2
+        length_se = np.sqrt((1 - alpha) / alpha ** 2 * 2 / half)
+        assert abs(lengths[:half].mean() - lengths[half:].mean()) < 4 * length_se
+        at_start = (terminals == 0).mean()
+        start_se = np.sqrt(at_start * (1 - at_start) * 2 / half)
+        assert abs((terminals[:half] == 0).mean() - (terminals[half:] == 0).mean()) \
+            < 4 * start_se
+
+    def test_estimate_many_trials_are_iid(self, k2, monkeypatch):
+        # the trials are consecutive blocks of one batch of walks from t=1;
+        # the push leaves residual only at node 0, reached by odd lengths
+        trials, w = 20, 5000
+        params = BipprParams.derive(0.2, 0.5, 0.1, 0.01, d_t=1.0, r_max=0.5, w=w)
+        prepared = PreparedSource(k2, params.alpha, 0, params.r_max)
+        assert list(prepared.push.r) == [0]
+        drawn = []
+
+        def recording(*args):
+            terminals, steps, lengths = walk.geometric_terminals(*args, return_lengths=True)
+            drawn.append((terminals, lengths))
+            return terminals, steps
+        monkeypatch.setattr(estimator, "geometric_terminals", recording)
+        values = prepared.estimate_many(1, params, RandomStream(23), trials)
+        (terminals, lengths), = drawn
+        per_trial = lengths.reshape(trials, w).mean(axis=1)
+        length_se = np.sqrt(lengths.var() / w)
+        assert np.abs(per_trial - lengths.mean()).max() < 4 * length_se
+        x0 = prepared.push.r[0]
+        odd = (terminals == 0).mean()
+        value_se = x0 * np.sqrt(odd * (1 - odd) / w)
+        assert np.abs(values - values.mean()).max() < 4 * value_se
+        assert values.mean() == pytest.approx(prepared.push.p_at(1) + x0 * odd)
 
     def test_scalar_matches_contract(self, k2):
         terminals, steps = geometric_terminals(k2, 0, 1 - 1e-12, 1, RandomStream(5))
