@@ -10,8 +10,8 @@ import numpy as np
 
 from .graph import Graph
 from .push import PushResult, approximate_pagerank
-from .walk import (RandomStream, _check_alpha, _check_count, _check_fraction,
-                   _check_positive, _walk_count, geometric_terminals)
+from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
+                   _check_fraction, _check_positive, _walk_count, geometric_terminals)
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
            "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
@@ -88,7 +88,7 @@ class BipprParams:
         if w is None:
             w = num_walks(c, d_t, r_max, eps, delta)
         else:
-            _check_count("w", w)
+            _check_count("w", w, high=_MAX_WALKS)
         return cls(alpha=alpha, delta=delta, eps=eps, p_fail=p_fail,
                    c=c, r_max=r_max, w=int(w))
 
@@ -125,7 +125,7 @@ class PreparedSource:
     def estimate_many(self, t: int, params: BipprParams, rng: RandomStream,
                       trials: int) -> np.ndarray:
         """Estimates from ``trials`` independent walk batches over the shared push."""
-        _check_count("trials", trials)
+        _check_count("trials", trials, high=_MAX_WALKS // params.w)
         values, _ = self._walk_samples(t, params, rng, trials)
         return self.push.p_at(t) + values
 

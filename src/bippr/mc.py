@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from .estimator import PprEstimate, chernoff_c
 from .graph import Graph
-from .walk import (RandomStream, _check_count, _check_fraction, _check_positive,
-                   _walk_count, geometric_terminals)
+from .walk import (_MAX_WALKS, RandomStream, _check_count, _check_fraction,
+                   _check_positive, _walk_count, geometric_terminals)
 
 __all__ = ["mc_num_walks", "mc_estimate"]
 
@@ -21,7 +21,7 @@ def mc_num_walks(delta: float, eps: float, p_fail: float) -> int:
 def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
                 rng: RandomStream) -> PprEstimate:
     """Estimate the source-to-target PPR as a terminal-node hit frequency."""
-    _check_count("num_walks", num_walks)
+    _check_count("num_walks", num_walks, high=_MAX_WALKS)
     g._node(t)  # checks t before any walk runs
     terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
     value = float((terminals == t).sum()) / int(num_walks)

@@ -1,7 +1,6 @@
 """Random-walk samplers with a reproducible, splittable random-stream contract."""
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ __all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions",
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
-_MAX_WALKS = 1 << 32  # cap on the Chernoff walk count: 2^32 terminals alone take 32 GiB
+_MAX_WALKS = 1 << 28  # walks per sampler call: 2^28 int64 terminals take 2 GiB
 
 
 class RandomStream:
@@ -62,7 +61,7 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     """
     g.require_walkable(start)
     _check_alpha(alpha)
-    _check_count("num", num)
+    _check_count("num", num, high=_MAX_WALKS)
     out = np.empty(num, dtype=np.int64)
     lengths = np.empty(num, dtype=np.int64) if return_lengths else None
     log_continue = math.log1p(-alpha)
@@ -74,9 +73,12 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
         top = int(length.max())
         # lengths as small unsigned ints; a stable sort of them is a radix sort
         length = length.astype(np.min_scalar_type(top))
-        order = np.argsort(top - length, kind="stable")
+        key = top - length
+        order = np.argsort(key, kind="stable")
+        # the walks still going at round k (length > k, key < top - k) are a prefix
+        live = np.searchsorted(key, np.arange(top, 0, -1, dtype=key.dtype), sorter=order)
         pos = np.full(size, start, dtype=np.int64)
-        for a in _live_prefix(length[order]):
+        for a in live.tolist():
             pos[:a] = step_many(g, pos[:a], rng)
         out[lo:lo + size][order] = pos
         total_steps += int(length.sum())
@@ -85,21 +87,6 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     if return_lengths:
         return out, total_steps, lengths
     return out, total_steps
-
-
-def _live_prefix(lengths, per: int = 1):
-    """Yield, for each round k, how many walks are still going (length > k),
-    with ``per`` walks of each entry of the nonincreasing ``lengths``: they
-    are the first ones. Memory is per distinct length, not per round."""
-    lengths = np.asarray(lengths)
-    # the walks at least as long as each distinct length, longest first
-    ends = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()
-    ends.append(lengths.size)
-    done = 0
-    for a in reversed(ends):
-        ell = int(lengths[a - 1])
-        yield from itertools.repeat(per * a, ell - done)
-        done = ell
 
 
 def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
@@ -136,7 +123,9 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     u = np.empty((top, pos.shape[1]))
     for b, (ell, rng) in enumerate(zip(ells, rngs)):
         u[:ell, b * num:(b + 1) * num] = rng.random((ell, num))
-    for k, a in enumerate(_live_prefix(ells, num)):
+    # the walks still going at round k (length > k) are a prefix of the columns
+    live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
+    for k, a in enumerate(live.tolist()):
         pos[k + 1, :a] = step_many(g, pos[k, :a], None, u[k, :a])
     return pos
 
@@ -166,8 +155,9 @@ def _check_count(name: str, value: int, low: int = 1, high: int | None = None) -
     integral): low=1 for a count of walks or trials, low=0 for a length."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < low or high is not None and value > high):
-        what = (f"an integer in [{low}, {high}]" if high is not None
-                else "a positive integer" if low == 1 else "a nonnegative integer")
+        what = "a positive integer" if low == 1 else "a nonnegative integer"
+        if high is not None:
+            what += f" at most {high}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
@@ -180,6 +170,6 @@ def _walk_count(scale: float, eps: float, delta: float) -> int:
     except (OverflowError, ZeroDivisionError):
         count = math.inf
     if count > _MAX_WALKS:
-        raise ValueError(f"delta must be large enough for at most 2^32 walks "
+        raise ValueError(f"delta must be large enough for at most 2^28 walks "
                          f"at eps={eps}, got {delta}")
     return count

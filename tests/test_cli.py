@@ -243,6 +243,9 @@ class TestBadArguments:
         ("delta", ["bench", "--target", "b", "--delta", "1e-12", "--estimator", "mc"]),
         ("delta", ["bench", "--target", "b", "--delta", "1e-300", "--estimator", "mc"]),
         ("delta", ["estimate", "--target", "b", "--delta", "1e-300"]),
+        # finite counts over 2^28 walks: refused before the terminals are allocated
+        ("delta", ["bench", "--target", "b", "--delta", "1e-6", "--estimator", "mc"]),
+        ("w", ["estimate", "--target", "b", "--rmax", "1e-3", "--walks", "300000000"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)

@@ -71,11 +71,26 @@ class TestParameterRules:
         with pytest.raises(ValueError, match="delta must be large enough"):
             BipprParams.derive(0.2, delta, min(eps, 1.0), 0.01, d_t=2.0, r_max=1.0, c=c)
 
-    def test_num_walks_capped_at_2_to_32(self):
-        # c*d_t*r_max/(eps^2*delta) = c: 2^32 is the largest count allowed
-        assert num_walks(2.0 ** 32, 1.0, 1.0, 1.0, 1.0) == 2 ** 32
+    def test_num_walks_capped_at_2_to_28(self):
+        # c*d_t*r_max/(eps^2*delta) = c: 2^28 is the largest count allowed
+        assert num_walks(2.0 ** 28, 1.0, 1.0, 1.0, 1.0) == 2 ** 28
         with pytest.raises(ValueError, match="delta must be large enough for at most 2"):
-            num_walks(2.0 ** 32 + 1, 1.0, 1.0, 1.0, 1.0)
+            num_walks(2.0 ** 28 + 1, 1.0, 1.0, 1.0, 1.0)
+
+    def test_walks_per_call_capped_before_any_allocation(self):
+        cap = 2 ** 28
+        assert BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=cap).w == cap
+        params = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, r_max=1e-3, w=1000)
+        for name, call in [
+            ("w", lambda: BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=cap + 1)),
+            # w * trials walks go to one sampler call
+            ("trials", lambda: estimate_ppr_batch(K3, 0, 1, params, RandomStream(0),
+                                                  cap // 1000 + 1)),
+            ("num_walks", lambda: mc_estimate(K3, 0, 1, 0.2, cap + 1, RandomStream(0))),
+            ("num", lambda: geometric_terminals(K3, 0, 0.2, cap + 1, RandomStream(0))),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer at most "):
+                call()
 
     @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
     def test_walk_count_must_be_a_positive_integer(self, w):

@@ -66,6 +66,6 @@ class TestMcNumWalks:
                                             (1e-300, 0.1)])
     def test_infinite_count_rejected(self, delta, eps):
         # c/(eps^2*delta) overflows, eps^2*delta underflows to 0, or the count
-        # is finite but over 2^32 walks
+        # is finite but over 2^28 walks
         with pytest.raises(ValueError, match="delta must be large enough"):
             mc_num_walks(delta, eps, 0.01)
