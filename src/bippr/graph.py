@@ -30,10 +30,10 @@ class Graph:
     ``unit_weights`` is true when every stored edge weight is exactly 1.0.
     Such a graph samples a neighbor by indexing its row directly; any other
     graph samples from per-row alias tables (see :func:`step_many`), built
-    by array code on its first weighted step and cached in ``_alias``, so
-    ingest and unit-weight graphs never pay for them. An unweighted edge list
-    that repeats a pair merges it to weight 2.0, so its graph is not
-    unit-weight.
+    by array code on its first weighted step and cached in ``_alias`` with
+    the float64 row lengths the step scales its uniforms by, so ingest and
+    unit-weight graphs never pay for them. An unweighted edge list that
+    repeats a pair merges it to weight 2.0, so its graph is not unit-weight.
 
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
@@ -176,8 +176,9 @@ class Graph:
             raise KeyError(f"unknown node label {label!r}")
         return self.label_ids[label]
 
-    def _alias_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(prob, alias_node)``, one entry per CSR slot, built on first use."""
+    def _alias_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(prob, alias_node, row_len)``, built on first use: one alias
+        entry per CSR slot, and each row's length as a float64."""
         if self._alias is None:
             self._alias = _build_alias(self.indptr, self.indices, self.weights,
                                        self.degrees)
@@ -242,32 +243,42 @@ def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> 
     ``rng.random(len(nodes))`` unless drawn ahead and passed in (``rng`` is
     then not read); all nodes must be non-isolated.
 
-    - On unit-weight graphs the slot is ``floor(indptr[v] + u*d_v)``, clamped
-      to v's row: O(1) per step, no table.
-    - On other graphs, per-row alias tables (Walker 1977): with
-      ``x = u*cnt_v`` for the row length ``cnt_v``, slot
-      ``j = indptr[v] + floor(x)`` is kept when ``x - floor(x) < prob[j]``
-      and swapped for ``alias_node[j]`` otherwise. Also O(1) per step.
+    Both paths pick slot ``j = indptr[v] + floor(x)`` of v's row from
+    ``x = u*len_v``, with ``len_v`` the row length as a float64: ``degrees``
+    on unit-weight graphs, where it is the exact integer count, and a cached
+    array built with the alias tables on other graphs. O(1) per step.
+
+    - On unit-weight graphs the slot's neighbor is the step. No clamp is
+      needed: for a double ``u < 1`` and an integer ``1 <= d < 2^53``,
+      ``fl(u*d) < d``. As ``u <= 1 - 2^-53``, the exact product lies at
+      least ``d*2^-53`` below d. If d is a power of two the product is exact;
+      otherwise, with ``2^e < d < 2^(e+1)``, the doubles below d are
+      ``2^(e-52)`` apart and ``d*2^-53 > 2^(e-53)`` is more than half that
+      gap, so rounding to nearest stays below d. The row offset is added
+      after the floor, so a large ``indptr[v]`` cannot carry ``x`` into the
+      next row's slot.
+    - On other graphs, per-row alias tables (Walker 1977): slot j is kept
+      when ``x - floor(x) < prob[j]`` and swapped for ``alias_node[j]``
+      otherwise.
     """
-    starts = g.indptr[nodes]
     if u is None:
         u = rng.random(len(nodes))
     elif u.shape != nodes.shape:
         raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
     if g.unit_weights:
-        j = (starts + u * g.degrees[nodes]).astype(np.int64)
-        # float roundoff near the row boundary can land one slot past the row
-        return g.indices[np.minimum(j, g.indptr[nodes + 1] - 1)]
-    prob, alias_node = g._alias_tables()
-    # u < 1 keeps x below cnt_v, so the slot never leaves the row
-    x = u * (g.indptr[nodes + 1] - starts)
+        row_len = g.degrees
+    else:
+        prob, alias_node, row_len = g._alias_tables()
+    x = u * row_len[nodes]
     k = x.astype(np.int64)
+    j = g.indptr[nodes] + k
+    if g.unit_weights:
+        return g.indices[j]
     x -= k
-    j = starts + k
     return np.where(x < prob[j], g.indices[j], alias_node[j])
 
 
-def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndarray]:
+def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row alias tables by the prefix-sum sweep (Huebschle-Schneider and
     Sanders, ESA 2019), array code only.
 
@@ -280,6 +291,7 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     ``D_{i*} > E_j``, and aliases the next heavy; the row's last heavy (or
     a heavy with no such light) keeps 1. Every alias is clamped into its own
     row; a row that rounding left without a heavy aliases each slot to itself.
+    Also returns the row lengths ``cnt_v`` as float64, for :func:`step_many`.
     """
     n = indptr.size - 1
     cnt = np.diff(indptr)
@@ -317,7 +329,7 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     d_star = np.append(D, 0.0)[b]
     shared = (np.append(lrow, -1)[b] == hrow) & ~last
     prob[hi] = np.where(shared, (1.0 + E) - d_star, 1.0)
-    return prob, alias_node
+    return prob, alias_node, cnt.astype(np.float64)
 
 
 def _keys(row: np.ndarray, value: np.ndarray) -> np.ndarray:

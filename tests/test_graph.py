@@ -195,14 +195,17 @@ class TestStep:
 
 
 def step_many_by_search(g, nodes, rng):
-    """Reference stepping: binary search on the global cumulative weights."""
-    cum = np.concatenate([[0.0], np.cumsum(g.weights)])
-    starts = g.indptr[nodes]
-    targets = cum[starts] + rng.random(len(nodes)) * g.degrees[nodes]
-    j = np.searchsorted(cum, targets, side="right") - 1
-    j = np.minimum(j, g.indptr[nodes + 1] - 1)
-    j = np.maximum(j, starts)
-    return g.indices[j]
+    """Reference stepping: a binary search in the row's own cumulative
+    weights, summed from 0.0, for the target ``u*d_v``."""
+    cums = {}
+    out = []
+    for v, u in zip(nodes.tolist(), rng.random(len(nodes)).tolist()):
+        a, b = g.indptr[v], g.indptr[v + 1]
+        if v not in cums:
+            cums[v] = np.concatenate([[0.0], np.cumsum(g.weights[a:b])])
+        k = np.searchsorted(cums[v], u * g.degrees[v], side="right") - 1
+        out.append(int(g.indices[a + k]))
+    return np.array(out, dtype=np.int64)
 
 
 def alias_row_reference(g, v):
@@ -262,7 +265,7 @@ def alias_boundary_draws(g, nodes):
     """Uniforms that put ``x = u*cnt`` on, and one or two ulps either side
     of, each slot start and each keep/alias threshold of each node's row,
     plus 0 and one ulp below 1, with the node repeated once per draw."""
-    prob, _ = g._alias_tables()
+    prob, _, _ = g._alias_tables()
     reps, draws = [], []
     for v in nodes:
         a, b = g.indptr[v], g.indptr[v + 1]
@@ -325,8 +328,8 @@ def random_small_graph(seed, kind):
 
 
 class TestStepMatchesSearch:
-    """Unit-weight graphs step to the slot a binary search in the cumulative
-    weights would pick from the same draw; the ``weighted`` and ``repeated``
+    """Unit-weight graphs step to the slot a binary search in the row's
+    cumulative weights would pick from the same draw; the ``weighted`` and ``repeated``
     cases, which sample from alias tables, match the Python-loop alias
     reference draw by draw instead."""
 
@@ -347,8 +350,6 @@ class TestStepMatchesSearch:
 
     @pytest.mark.parametrize("kind", ["unit", "weighted"])
     def test_draws_at_slot_boundaries(self, kind):
-        # x = indptr[v] + u*d_v rounds up to the next slot when u*d_v sits a
-        # few ulps below an integer and the row offset is large
         n = 60_000
         edges = [(i, (i + 1) % n) for i in range(n)]
         edges += [(0, i) for i in range(2, n - 1, 3)]
@@ -360,12 +361,35 @@ class TestStepMatchesSearch:
         if g.unit_weights:
             nodes, u = boundary_draws(g, rows)
             want = step_many_by_search(g, nodes, PresetDraws(u))
+            # where u*d_v sits a few ulps below an integer, indptr[v] + u*d_v
+            # rounds up into the next slot at a large row offset; the row's
+            # own search, and the step, keep the lower slot
+            starts = g.indptr[nodes]
+            x = u * g.degrees[nodes]
+            lower = starts + x.astype(np.int64)
+            carried = (starts + x).astype(np.int64) > lower
+            assert (starts[carried] > 2**16).any()
+            assert np.array_equal(want[carried], g.indices[lower[carried]])
         else:
             nodes, u = alias_boundary_draws(g, rows)
             want = step_many_by_alias_loop(g, nodes, PresetDraws(u))
         got = step_many(g, nodes, PresetDraws(u))
         assert np.array_equal(got, want)
         assert np.array_equal(step_many(g, nodes, None, u), want)  # drawn ahead
+        if g.unit_weights:
+            # the largest uniform below 1 lands on the last slot of every row
+            top = np.full(n, np.nextafter(1.0, 0.0))
+            got = step_many(g, np.arange(n), None, top)
+            assert np.array_equal(got, g.indices[g.indptr[1:] - 1])
+
+    def test_largest_uniform_scales_below_every_row_length(self):
+        # fl(u*d) < d for u < 1 and an integer d < 2^53, so the unit-weight
+        # step needs no clamp to stay in its row
+        u = np.nextafter(1.0, 0.0)
+        near = [2.0**e + s for e in range(20, 54) for s in (-1, 0, 1)]
+        d = np.concatenate([np.arange(1.0, 2**20), near])
+        d = d[d < 2**53]
+        assert (u * d < d).all()
 
     def test_uniforms_drawn_ahead_need_one_per_node(self, k3):
         with pytest.raises(ValueError, match="one uniform per node"):
@@ -412,7 +436,7 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_give_each_neighbour_its_weight(self, g):
-        prob, alias_node = g._alias_tables()
+        prob, alias_node, _ = g._alias_tables()
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         want = g.weights / g.degrees[rows]
         assert np.abs(implied_probabilities(g, prob, alias_node) - want).max() <= 1e-12
@@ -421,7 +445,7 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_aliases_stay_in_their_row(self, g):
-        _, alias_node = g._alias_tables()
+        _, alias_node, _ = g._alias_tables()
         for v in range(g.n):
             a, b = g.indptr[v], g.indptr[v + 1]
             assert set(alias_node[a:b].tolist()) <= set(g.indices[a:b].tolist())
@@ -429,7 +453,7 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_match_loop_reference(self, g):
-        prob, alias_node = g._alias_tables()
+        prob, alias_node, _ = g._alias_tables()
         for v in np.flatnonzero(np.diff(g.indptr)):
             a, b = g.indptr[v], g.indptr[v + 1]
             want_prob, want_alias = alias_row_reference(g, v)
@@ -451,7 +475,7 @@ class TestAliasTables:
         g = Graph.from_edges([(0, i, w) for i in range(1, 7)])
         p = w * 6 / g.degrees[0]
         assert p < 1.0
-        prob, alias_node = g._alias_tables()
+        prob, alias_node, _ = g._alias_tables()
         assert prob[:6].tolist() == [p] * 6
         assert alias_node[:6].tolist() == g.indices[:6].tolist()
         u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
@@ -463,7 +487,7 @@ class TestAliasTables:
         # deficit starts at 4/7 + 1 ulp, past the one heavy's excess 4/7, so
         # its alias must be clamped to that heavy, not the next row's
         g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)])
-        prob, alias_node = g._alias_tables()
+        prob, alias_node, _ = g._alias_tables()
         assert alias_node[:3].tolist() == [2, 2, 2]
         assert prob[1] == 1.0
 
