@@ -10,33 +10,44 @@ from .graph import Graph, step_many
 __all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions",
            "fixed_walk_levels"]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
 _MAX_WALKS = 1 << 28  # walks per sampler call: 2^28 int64 terminals take 2 GiB
 
 
 class RandomStream:
-    """Counter-based random stream keyed by (seed, stream_id).
+    """Random stream keyed by a seed and a spawn key, ``(stream_id, *path)``.
 
-    Identical (seed, stream_id) always yields the identical sample sequence;
-    distinct stream_ids are statistically independent (Philox keying), so
-    parallel workers can each own a derived child stream.
+    The generator is PCG64DXSM (O'Neill 2014) seeded by
+    ``np.random.SeedSequence(seed, spawn_key=...)``; the seed and each key
+    entry are taken mod 2^64. An identical key always yields the identical
+    sample sequence. ``child(index)`` appends ``index`` to the spawn key, so
+    a child's key differs from its parent's and its siblings' by
+    construction. Each entry reaches SeedSequence as two 32-bit words, low
+    then high, so distinct keys are distinct SeedSequence inputs and give
+    unrelated generator states (SeedSequence itself reads an entry below
+    2^32 as one word and a larger one as two, so ``(2^32,)`` and ``(0, 1)``
+    would collide). Parallel workers can each own a derived child stream.
+    ``stream_id`` is the first key entry, the id of the top-level stream.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "spawn_key", "_gen")
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, stream_id: int = 0, *path: int):
         self.seed = seed & _MASK64
-        self.stream_id = stream_id & _MASK64
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
+        self.spawn_key = tuple(k & _MASK64 for k in (stream_id, *path))
+        words = tuple(w for k in self.spawn_key for w in (k & _MASK32, k >> 32))
+        self._gen = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence(self.seed, spawn_key=words)))
+
+    @property
+    def stream_id(self) -> int:
+        return self.spawn_key[0]
 
     def child(self, index: int) -> "RandomStream":
-        """Derive an independent stream, deterministic in (stream_id, index)."""
-        mixed = (self.stream_id * 6364136223846793005
-                 + (index + 1) * 1442695040888963407) & _MASK64
-        return RandomStream(self.seed, mixed)
+        """The stream keyed by this one's spawn key with ``index`` appended."""
+        return RandomStream(self.seed, *self.spawn_key, index)
 
     def random(self, size=None):
         return self._gen.random(size)

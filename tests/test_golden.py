@@ -33,6 +33,16 @@ each step: the lengths keep their Geometric(alpha) law and each step still
 takes one uniform, but the stream is consumed in another order, so the
 walks are a new sample. The diffusion and fixed-length entries pass
 unedited.
+
+Every ``GOLDEN`` entry, all of them fed by walks, was re-recorded when
+``RandomStream`` changed its bit generator from Philox, keyed by the seed
+and a stream id that ``child`` mixed with an ad hoc LCG, to PCG64DXSM
+seeded by ``np.random.SeedSequence`` from the seed and the stream's spawn
+key, each key entry as two 32-bit words. Every draw is still one uniform on
+[0, 1), taken in the same order, so the law of every walk and answer is
+unchanged; only the uniforms are new. ``PUSH_GOLDEN`` draws nothing and
+passes unedited. The unit-weight step that stopped clamping its slot at the
+same time moved no entry here.
 """
 import pytest
 
@@ -91,75 +101,72 @@ def outputs(g: Graph) -> dict:
 GOLDEN = {
     'unit': {
         'diffusion shared=False':
-            [0.003824750256632082, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.016319444444444445, 0.0, 0.03011347415123457,
-             0.0005333333333333334, 0.026613768593535658,
-             0.0032677777777777783, 0.039293066266337065,
-             0.0010666666666666667],
+            [0.0038175403896411712, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.016041666666666666, 0.0, 0.0294458912037037, 0.0,
+             0.030149800936642657, 0.0, 0.040897251472955726,
+             0.0014003703703703704],
         'diffusion shared=True':
-            [0.0035607357132101027, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.014444444444444442, 0.0, 0.02313599537037037,
-             0.0005333333333333334, 0.035707585305212626,
-             0.0003337037037037038, 0.037819315612913906,
-             0.0007566707818930042],
+            [0.004018844337688383, 0.0, 0.0, 0.0, 0.0, 0.0, 0.01548611111111111,
+             0.0, 0.028082609953703704, 0.0005333333333333334,
+             0.034986286597650885, 0.0008670370370370371, 0.04905447461056575,
+             0.0005570411522633746],
         'fixed':
-            [[3, 24, 11, 10, 33, 32, 33], [3, 0, 1, 0, 1, 34, 33],
-             [3, 2, 3, 24, 11, 10, 9], [3, 24, 25, 24, 11, 0, 11],
-             [3, 2, 1, 10, 9, 10, 1], [3, 24, 11, 12, 11, 10, 11],
-             [3, 0, 1, 34, 35, 36, 35], [3, 4, 31, 32, 33, 32, 27]],
+            [[3, 24, 23, 24, 23, 22, 21], [3, 24, 11, 24, 11, 10, 9],
+             [3, 4, 3, 0, 1, 2, 1], [3, 24, 3, 24, 11, 10, 11],
+             [3, 2, 17, 16, 19, 18, 9], [3, 24, 23, 22, 21, 14, 21],
+             [3, 24, 3, 4, 5, 6, 29], [3, 0, 11, 10, 33, 10, 11]],
         'geometric':
-            [4, 4, 39, 1, 18, 11, 1, 12, 30, 3, 2, 12, 24, 3, 1, 23, 3, 1, 4, 2,
-             3, 0, 5, 0, 3, 1, 39, 24, 3, 18, 0, 3, 29, 3, 26, 3, 3, 32, 9, 24,
-             0, 25, 18, 3, 3, 24, 20, 0, 14, 12, 2, 25, 5, 5, 5, 39, 17, 18, 3,
-             2, 244],
+            [39, 3, 1, 24, 24, 3, 4, 3, 32, 3, 3, 2, 21, 0, 39, 11, 3, 18, 23,
+             34, 16, 2, 7, 10, 3, 3, 32, 0, 2, 3, 2, 3, 27, 4, 3, 3, 3, 0, 0,
+             37, 33, 11, 24, 3, 0, 1, 3, 3, 19, 29, 2, 2, 2, 24, 24, 0, 16, 2,
+             11, 36, 253],
         'mc':
-            [0.0075, 7796],
+            [0.013, 7939],
         'ppr 0-17':
-            [0.011743751649931272, 2466],
+            [0.01130103395031523, 2715],
         'ppr 5-30':
-            [0.019968787327320017, 2479],
+            [0.019292607532780354, 2371],
         'scalar fixed':
-            [3, 4, 5, 4, 3, 4, 5, 4, 31, 30, 29, 6, 5, 4, 5, 6, 5, 6, 29, 38,
-             39],
+            [3, 24, 3, 2, 17, 18, 19, 20, 19, 18, 9, 26, 9, 10, 33, 34, 1, 10,
+             1, 10, 9],
         'scalar geometric':
-            [3, 17, 33, 2, 18, 5, 20, 5, 17, 0, 1, 3, 15, 0, 2, 4, 24, 24, 38,
-             4, 3, 11, 31, 25, 3, 25, 3, 3, 24, 24],
+            [0, 24, 10, 28, 15, 1, 4, 38, 31, 3, 2, 3, 3, 0, 38, 24, 24, 3, 33,
+             3, 17, 2, 1, 3, 29, 9, 24, 33, 24, 0],
     },
     'weighted': {
         'diffusion shared=False':
-            [0.0022860690508427735, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.007378915611137832, 0.0, 0.01862335427862482,
-             0.00015908571428571432, 0.01965764418211865,
-             0.00019001904761904766, 0.027702139828876805,
-             0.0006072280508363695],
+            [0.0023581025068812214, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.009004919566030674, 0.0, 0.016674258840120616, 0.0,
+             0.022305049631069548, 0.00029119112134426417, 0.02677596920685778,
+             0.0002604389631959007],
         'diffusion shared=True':
-            [0.0021105018456381076, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.007569521137298913, 0.0, 0.014559791294742734,
-             9.206349206349207e-05, 0.02087761693165232,
-             0.00015593475072840152, 0.025156885778125075,
-             0.00034085819718238797],
+            [0.0022751111938307234, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.008058763294318847, 0.0, 0.01663250588040366,
+             0.00010163809523809526, 0.021711879981502077,
+             0.00027431613713975624, 0.02611485649397212,
+             0.0006242234461756786],
         'fixed':
-            [[3, 24, 25, 24, 25, 26, 27], [3, 2, 3, 2, 3, 24, 23],
-             [3, 4, 23, 4, 5, 4, 23], [3, 2, 17, 16, 17, 2, 1],
-             [3, 2, 1, 10, 1, 2, 1], [3, 2, 3, 4, 23, 20, 23],
-             [3, 2, 1, 34, 35, 36, 35], [3, 4, 31, 32, 31, 20, 23]],
+            [[3, 2, 3, 2, 3, 4, 3], [3, 2, 1, 34, 33, 32, 31],
+             [3, 4, 5, 38, 29, 28, 29], [3, 24, 25, 26, 25, 24, 25],
+             [3, 4, 5, 4, 23, 22, 21], [3, 24, 23, 22, 23, 20, 31],
+             [3, 24, 3, 4, 5, 4, 31], [3, 0, 11, 12, 13, 12, 13]],
         'geometric':
-            [4, 2, 17, 9, 24, 11, 19, 35, 4, 3, 4, 12, 4, 3, 3, 11, 3, 15, 4, 4,
-             3, 2, 7, 0, 3, 17, 39, 2, 3, 16, 2, 3, 29, 3, 26, 3, 3, 38, 7, 4,
-             0, 25, 16, 23, 3, 2, 28, 12, 2, 6, 2, 17, 23, 23, 5, 17, 5, 8, 3,
-             4, 244],
+            [5, 3, 5, 24, 4, 10, 28, 3, 18, 3, 3, 4, 9, 0, 31, 20, 3, 18, 25,
+             38, 24, 4, 23, 10, 25, 3, 32, 28, 2, 3, 4, 3, 33, 4, 37, 3, 3, 16,
+             0, 27, 33, 15, 34, 3, 0, 3, 3, 3, 29, 29, 2, 2, 4, 38, 24, 2, 30,
+             4, 17, 36, 253],
         'mc':
-            [0.017, 7796],
+            [0.0195, 7939],
         'ppr 0-17':
-            [0.020468522376678643, 1591],
+            [0.020342725709038695, 1686],
         'ppr 5-30':
-            [0.011767489981564863, 1676],
+            [0.012622943047867798, 1510],
         'scalar fixed':
-            [3, 4, 23, 20, 19, 8, 9, 8, 35, 8, 19, 20, 19, 8, 9, 18, 17, 16,
-             35, 36, 39],
+            [3, 2, 1, 2, 17, 18, 17, 18, 17, 18, 9, 8, 9, 8, 35, 34, 33, 34, 33,
+             34, 33],
         'scalar geometric':
-            [3, 31, 19, 4, 22, 23, 20, 25, 33, 2, 1, 3, 15, 0, 24, 22, 28, 24,
-             18, 28, 25, 5, 5, 3, 3, 25, 3, 3, 2, 2],
+            [2, 24, 4, 28, 17, 5, 11, 10, 5, 10, 2, 3, 7, 0, 38, 2, 10, 3, 33,
+             3, 23, 4, 3, 3, 19, 1, 24, 35, 2, 0],
     },
 }
 

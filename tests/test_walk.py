@@ -43,9 +43,40 @@ class TestRandomStream:
     def test_child_derivation_is_deterministic(self):
         a = RandomStream(9).child(5)
         b = RandomStream(9).child(5)
-        assert a.stream_id == b.stream_id
+        assert a.spawn_key == b.spawn_key == (0, 5)
+        assert a.seed == b.seed == 9
         assert np.array_equal(a.random(16), b.random(16))
-        assert RandomStream(9).child(6).stream_id != a.stream_id
+        assert RandomStream(9).child(6).spawn_key != a.spawn_key
+        assert RandomStream(9).child(5).child(2).spawn_key == (0, 5, 2)
+
+    def test_child_differs_from_parent_siblings_and_top_level_streams(self):
+        # the parent is top-level stream 3; each stream's first draws differ
+        for seed in (0, 9):
+            parent = RandomStream(seed, 3)
+            first = {}
+            for i in range(256):
+                first[i] = RandomStream(seed, i).random(4).tobytes()
+                first[(3, i)] = parent.child(i).random(4).tobytes()
+            assert first[3] == parent.random(4).tobytes()
+            assert len(set(first.values())) == len(first)
+
+    def test_first_draws_pinned(self):
+        # a change of bit generator or of stream keying fails here first
+        assert RandomStream(0).random(3).tolist() == [
+            0.09452309503998779, 0.5898825331225036, 0.3083662291322947]
+        assert RandomStream(0).child(1).random(3).tolist() == [
+            0.8409935631450017, 0.34180826425165944, 0.6641187992007598]
+
+    def test_seed_and_key_entries_wrap_mod_2_64(self):
+        a = RandomStream(-1, -1).child(-2)
+        assert (a.seed, a.stream_id, a.spawn_key) == (2**64 - 1, 2**64 - 1,
+                                                      (2**64 - 1, 2**64 - 2))
+        assert np.array_equal(a.random(4), RandomStream(2**64 - 1, 2**64 - 1, 2**64 - 2).random(4))
+
+    def test_large_key_entries_do_not_alias_longer_keys(self):
+        # numpy's SeedSequence reads (2**32,) and (0, 1) as the same words
+        a = RandomStream(0, 2**32).random(4)
+        assert not np.array_equal(a, RandomStream(0).child(1).random(4))
 
 
 class TestGeometricWalk:
