@@ -329,9 +329,9 @@ def random_small_graph(seed, kind):
 
 class TestStepMatchesSearch:
     """Unit-weight graphs step to the slot a binary search in the row's
-    cumulative weights would pick from the same draw; the ``weighted`` and ``repeated``
-    cases, which sample from alias tables, match the Python-loop alias
-    reference draw by draw instead."""
+    cumulative weights would pick from the same draw; the ``weighted`` and
+    ``repeated`` cases, which sample from alias tables, match the Python-loop
+    alias reference draw by draw instead."""
 
     @pytest.mark.parametrize("kind", ["unit", "weighted", "repeated"])
     @pytest.mark.parametrize("seed", range(12))
