@@ -116,7 +116,7 @@ class PreparedSource:
         self._residual = self.push.residual_dense(g.n)
 
     def estimate(self, t: int, params: BipprParams, rng: RandomStream) -> PprEstimate:
-        values, steps = self._walk_samples(t, params, rng, trials=1)
+        values, steps = self._walk_means(t, params, rng, trials=1)
         push_term, walk_term = self.push.p_at(t), float(values[0])
         return PprEstimate(value=push_term + walk_term, push_term=push_term,
                            walk_term=walk_term, push_count=self.push.push_count,
@@ -125,24 +125,20 @@ class PreparedSource:
     def estimate_many(self, t: int, params: BipprParams, rng: RandomStream,
                       trials: int) -> np.ndarray:
         """Estimates from ``trials`` independent walk batches over the shared push."""
-        _check_count("trials", trials, high=_MAX_WALKS // params.w)
-        values, _ = self._walk_samples(t, params, rng, trials)
-        return self.push.p_at(t) + values
+        return self.push.p_at(t) + self._walk_means(t, params, rng, trials)[0]
 
-    def _walk_samples(self, t: int, params: BipprParams, rng: RandomStream,
-                      trials: int) -> tuple[np.ndarray, int]:
-        g = self.graph
-        g.require_walkable(t)
-        d_t = g.degree(t)
-        terminals, steps = geometric_terminals(g, t, params.alpha,
-                                               params.w * trials, rng)
-        x = self._residual[terminals] * (d_t / g.degrees[terminals])
+    def _walk_means(self, t: int, params: BipprParams, rng: RandomStream, trials: int):
+        """Per-trial means of the walk samples ``r[v]*d_t/d_v`` at the terminals v."""
+        g, residual, d_t = self.graph, self._residual, self.graph.degree(t)
         bound = d_t * params.r_max
-        if x.size and x.max() > bound * (1.0 + 1e-9):
-            raise AssertionError(
-                f"walk sample {x.max():g} exceeds d_t*r_max={bound:g}; "
-                "push postcondition violated")
-        return x.reshape(trials, params.w).mean(axis=1), steps
+
+        def sample(terminals):
+            x = residual[terminals] * (d_t / g.degrees[terminals])
+            if x.max() > bound * (1.0 + 1e-9):
+                raise AssertionError(f"walk sample {x.max():g} exceeds d_t*r_max={bound:g}; "
+                                     "push postcondition violated")
+            return x
+        return geometric_terminals(g, t, params.alpha, params.w, rng, sample, trials)
 
 
 def estimate_ppr(g: Graph, s: int, t: int, params: BipprParams,

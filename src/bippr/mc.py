@@ -23,7 +23,7 @@ def mc_estimate(g: Graph, s: int, t: int, alpha: float, num_walks: int,
     """Estimate the source-to-target PPR as a terminal-node hit frequency."""
     _check_count("num_walks", num_walks, high=_MAX_WALKS)
     g._node(t)  # checks t before any walk runs
-    terminals, steps = geometric_terminals(g, s, alpha, num_walks, rng)
-    value = float((terminals == t).sum()) / int(num_walks)
+    hits, steps = geometric_terminals(g, s, alpha, num_walks, rng, lambda v: v == t)
+    value = float(hits[0])
     return PprEstimate(value=value, push_term=0.0, walk_term=value, push_count=0,
                        push_work=0.0, walk_steps=steps)

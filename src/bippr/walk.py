@@ -7,13 +7,13 @@ import numpy as np
 
 from .graph import Graph, step_many
 
-__all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions",
-           "fixed_walk_levels"]
+__all__ = ["RandomStream", "geometric_terminals", "fixed_walk_positions", "fixed_walk_levels"]
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 20  # walks advanced together by geometric_terminals: bounds its memory
-_MAX_WALKS = 1 << 28  # walks per sampler call: 2^28 int64 terminals take 2 GiB
+_MAX_WALKS = 1 << 28  # walks per sampler call
+_MAX_STEPS = 1 << 32  # expected steps per geometric_terminals call: bounds its time
 
 
 class RandomStream:
@@ -54,8 +54,9 @@ class RandomStream:
 
 
 def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
-                        rng: RandomStream, return_lengths: bool = False):
-    """Terminals of ``num`` independent geometric-length walks, plus total steps.
+                        rng: RandomStream, sample, trials: int = 1):
+    """Per-trial means of ``sample`` at the terminals of ``trials`` batches of
+    ``num`` independent geometric-length walks, plus total steps.
 
     A walk's length L is Geometric(alpha) on {0, 1, 2, ...}, drawn by
     inversion from one uniform u: ``L = floor(log1p(-u) / log1p(-alpha))``,
@@ -63,41 +64,43 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     alpha flipped before each step. A walk of length 0 ends at the start; the
     terminal is distributed as the personalized PageRank vector of ``start``.
 
-    Walks run in chunks of at most ``_CHUNK``. A chunk draws its lengths
-    first, then orders its walks by decreasing length, so the walks still
-    going at round k (length > k) are a prefix; each round is one
-    ``step_many`` call over that prefix, one uniform per step. Terminals are
-    returned in draw order, so walk i's terminal goes with its length.
-    With ``return_lengths`` also returns the per-walk lengths.
+    Walks run in chunks: as many whole batches as fit in ``_CHUNK`` walks, or
+    ``_CHUNK`` pieces of a longer batch. A chunk draws its lengths and orders
+    its walks longest first, so each round steps a prefix (one ``step_many``
+    call, one uniform per step); ``sample`` then maps its terminals, in draw
+    order, to per-walk values summed per batch, so memory stays at one chunk.
     """
     g.require_walkable(start)
     _check_alpha(alpha)
     _check_count("num", num, high=_MAX_WALKS)
-    out = np.empty(num, dtype=np.int64)
-    lengths = np.empty(num, dtype=np.int64) if return_lengths else None
+    _check_count("trials", trials, high=_MAX_WALKS // num)
+    if num * trials * (1.0 - alpha) > _MAX_STEPS * alpha:
+        raise ValueError(f"alpha must be large enough for at most 2^32 expected steps, got {alpha}")
     log_continue = math.log1p(-alpha)
+    sums = np.zeros(trials)
     total_steps = 0
-    for lo in range(0, num, _CHUNK):
-        size = min(_CHUNK, num - lo)
-        length = np.log1p(-rng.random(size))
-        length /= log_continue
-        top = int(length.max())
-        # lengths as small unsigned ints; a stable sort of them is a radix sort
-        length = length.astype(np.min_scalar_type(top))
-        key = top - length
-        order = np.argsort(key, kind="stable")
-        # the walks still going at round k (length > k, key < top - k) are a prefix
-        live = np.searchsorted(key, np.arange(top, 0, -1, dtype=key.dtype), sorter=order)
-        pos = np.full(size, start, dtype=np.int64)
-        for a in live.tolist():
-            pos[:a] = step_many(g, pos[:a], rng)
-        out[lo:lo + size][order] = pos
-        total_steps += int(length.sum())
-        if lengths is not None:
-            lengths[lo:lo + size] = length
-    if return_lengths:
-        return out, total_steps, lengths
-    return out, total_steps
+    span = max(1, _CHUNK // num)  # whole batches per chunk
+    for b in range(0, trials, span):
+        batches = min(span, trials - b)
+        for lo in range(0, batches * num, _CHUNK):
+            size = min(_CHUNK, batches * num - lo)
+            length = np.log1p(-rng.random(size))
+            length /= log_continue
+            top = int(length.max())
+            # lengths as small unsigned ints; a stable sort of them is a radix sort
+            length = length.astype(np.min_scalar_type(top))
+            key = top - length
+            order = np.argsort(key, kind="stable")
+            # the walks still going at round k (length > k, key < top - k) are a prefix
+            live = np.searchsorted(key, np.arange(top, 0, -1, dtype=key.dtype), sorter=order)
+            pos = np.full(size, start, dtype=np.int64)
+            for a in live.tolist():
+                pos[:a] = step_many(g, pos[:a], rng)
+            terminals = np.empty_like(pos)
+            terminals[order] = pos
+            sums[b:b + batches] += sample(terminals).reshape(batches, -1).sum(axis=1)
+            total_steps += int(length.sum())
+    return sums / num, total_steps
 
 
 def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,

@@ -149,10 +149,12 @@ def test_criterion_6_work_scaling(g500):
     for i, delta in enumerate(deltas):
         params = BipprParams.derive(alpha, delta, eps, p_fail, d_t=d_t)
         push = approximate_pagerank(g, alpha, s, params.r_max)
-        _, steps = geometric_terminals(g, t, alpha, params.w, RandomStream(300, i))
+        _, steps = geometric_terminals(g, t, alpha, params.w, RandomStream(300, i),
+                                       lambda v: v)
         bippr_work.append(push.degree_work + steps)
         walks = mc_num_walks(delta, eps, p_fail)
-        _, mc_steps = geometric_terminals(g, s, alpha, walks, RandomStream(301, i))
+        _, mc_steps = geometric_terminals(g, s, alpha, walks, RandomStream(301, i),
+                                          lambda v: v == t)
         mc_work.append(float(mc_steps))
     # two-decade span: sqrt scaling predicts x10, linear predicts x100
     bippr_growth = bippr_work[2] / bippr_work[0]

@@ -243,9 +243,12 @@ class TestBadArguments:
         ("delta", ["bench", "--target", "b", "--delta", "1e-12", "--estimator", "mc"]),
         ("delta", ["bench", "--target", "b", "--delta", "1e-300", "--estimator", "mc"]),
         ("delta", ["estimate", "--target", "b", "--delta", "1e-300"]),
-        # finite counts over 2^28 walks: refused before the terminals are allocated
+        # finite counts over 2^28 walks: refused before any walk runs
         ("delta", ["bench", "--target", "b", "--delta", "1e-6", "--estimator", "mc"]),
         ("w", ["estimate", "--target", "b", "--rmax", "1e-3", "--walks", "300000000"]),
+        # over 2^32 expected steps: a tiny alpha is refused before any walk runs
+        ("alpha", ["estimate", "--target", "b", "--alpha", "1e-12", "--rmax", "1"]),
+        ("alpha", ["estimate", "--target", "b", "--alpha", "1e-300", "--rmax", "1"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
@@ -257,6 +260,15 @@ class TestBadArguments:
         assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    def test_tiny_alpha_refused_by_the_mc_bench(self, k3_file):
+        # the csv header is out before the first trial walks
+        proc = run_cli("bench", "--graph", k3_file, "--source", "a", "--target", "b",
+                       "--estimator", "mc", "--alpha", "1e-12", "--cap", "0")
+        assert proc.returncode == 2
+        assert proc.stdout.count("\n") == 1 and proc.stdout.startswith("row_type,")
+        assert proc.stderr.startswith("error: alpha must be large enough"), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_threads_option_removed(self, k3_file):
         proc = run_cli("validate", "--graph", k3_file, "--threads", "1")

@@ -87,7 +87,9 @@ class TestParameterRules:
             ("trials", lambda: estimate_ppr_batch(K3, 0, 1, params, RandomStream(0),
                                                   cap // 1000 + 1)),
             ("num_walks", lambda: mc_estimate(K3, 0, 1, 0.2, cap + 1, RandomStream(0))),
-            ("num", lambda: geometric_terminals(K3, 0, 0.2, cap + 1, RandomStream(0))),
+            ("num", lambda: geometric_terminals(K3, 0, 0.2, cap + 1, RandomStream(0), _value)),
+            ("trials", lambda: geometric_terminals(K3, 0, 0.2, 1000, RandomStream(0), _value,
+                                                   cap // 1000 + 1)),
         ]:
             with pytest.raises(ValueError, match=f"{name} must be a positive integer at most "):
                 call()
@@ -132,6 +134,10 @@ def _derive(alpha=0.2, delta=0.1, eps=0.1, p_fail=0.01, **kw):
     return BipprParams.derive(alpha, delta, eps, p_fail, d_t=2.0, **kw)
 
 
+def _value(terminals):
+    return terminals
+
+
 def _levels(ells=(2,), num=3):
     return fixed_walk_levels(K3, 0, list(ells), num, [RandomStream(0, b) for b in range(len(ells))])
 
@@ -166,9 +172,11 @@ ARGUMENTS = [
     ("mc_estimate", "num_walks", COUNT,
      lambda v: mc_estimate(K3, 0, 1, 0.2, v, RandomStream(0))),
     ("geometric_terminals", "alpha", FRACTION,
-     lambda v: geometric_terminals(K3, 0, v, 3, RandomStream(0))),
+     lambda v: geometric_terminals(K3, 0, v, 3, RandomStream(0), _value)),
     ("geometric_terminals", "num", COUNT,
-     lambda v: geometric_terminals(K3, 0, 0.2, v, RandomStream(0))),
+     lambda v: geometric_terminals(K3, 0, 0.2, v, RandomStream(0), _value)),
+    ("geometric_terminals", "trials", COUNT,
+     lambda v: geometric_terminals(K3, 0, 0.2, 3, RandomStream(0), _value, v)),
     ("fixed_walk_positions", "ell", LENGTH,
      lambda v: fixed_walk_positions(K3, 0, v, 3, RandomStream(0))),
     ("fixed_walk_positions", "num", COUNT,

@@ -88,12 +88,14 @@ def outputs(g: Graph) -> dict:
         d = estimate_diffusion(g, 2, 21, weights, 1e-2, 50, RandomStream(4),
                                shared_walks=shared)
         out[f"diffusion shared={shared}"] = [d.value] + list(d.per_level)
-    terminals, steps = geometric_terminals(g, 3, 0.2, 60, RandomStream(9))
-    out["geometric"] = terminals.tolist() + [steps]
+    # 60 batches of one walk, each batch's mean its terminal
+    terminals, steps = geometric_terminals(g, 3, 0.2, 1, RandomStream(9), lambda v: v, 60)
+    out["geometric"] = terminals.astype(int).tolist() + [steps]
     out["fixed"] = fixed_walk_positions(g, 3, 6, 8, RandomStream(10)).tolist()
     # batches of one walk, each from its own stream
     out["scalar geometric"] = [
-        int(geometric_terminals(g, 3, 0.2, 1, RandomStream(11, k))[0][0]) for k in range(30)]
+        int(geometric_terminals(g, 3, 0.2, 1, RandomStream(11, k), lambda v: v)[0][0])
+        for k in range(30)]
     out["scalar fixed"] = fixed_walk_positions(g, 3, 20, 1, RandomStream(12))[0].tolist()
     return out
 

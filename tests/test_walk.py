@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -79,26 +81,51 @@ class TestRandomStream:
         assert not np.array_equal(a, RandomStream(0).child(1).random(4))
 
 
+def walk_terminals(g, start, alpha, num, rng, trials=1):
+    """The terminals every ``sample`` call saw, joined in call order, and the steps."""
+    seen = []
+    _, steps = geometric_terminals(g, start, alpha, num, rng,
+                                   lambda v: seen.append(v.copy()) or v, trials)
+    return np.concatenate(seen), steps
+
+
+def replay_lengths(rng, alpha, sizes):
+    """Walk lengths of chunks of the given sizes, read back from a copy of the
+    sampler's stream: a chunk takes one uniform per walk for its lengths, by
+    inversion, then one uniform per step."""
+    out = []
+    for size in sizes:
+        length = (np.log1p(-rng.random(size)) / math.log1p(-alpha)).astype(np.int64)
+        rng.random(int(length.sum()))
+        out.append(length)
+    return np.concatenate(out)
+
+
 class TestGeometricWalk:
     def test_stop_immediately_limit(self, k3):
         alpha = 1 - 1e-12
-        terminals, steps = geometric_terminals(k3, 0, alpha, 10_000, RandomStream(0))
-        assert (terminals == 0).mean() >= 1 - 1e-9
+        at_start, steps = geometric_terminals(k3, 0, alpha, 10_000, RandomStream(0),
+                                              lambda v: v == 0)
+        assert at_start[0] >= 1 - 1e-9
         assert steps == 0
 
     def test_k2_terminal_frequency(self, k2):
-        terminals, _ = geometric_terminals(k2, 0, 0.2, 100_000, RandomStream(1))
-        assert abs((terminals == 0).mean() - 5 / 9) < 0.005
+        at_start, _ = geometric_terminals(k2, 0, 0.2, 100_000, RandomStream(1), lambda v: v == 0)
+        assert abs(at_start[0] - 5 / 9) < 0.005
 
     def test_mean_length(self, k3):
-        _, steps = geometric_terminals(k3, 0, 0.2, 100_000, RandomStream(2))
+        _, steps = geometric_terminals(k3, 0, 0.2, 100_000, RandomStream(2), lambda v: v)
         assert abs(steps / 100_000 - 4.0) < 0.05
 
-    def test_length_law(self, k3):
+    def test_length_law(self, k2):
         alpha = 0.2
         n = 100_000
-        _, _, lengths = geometric_terminals(k3, 0, alpha, n, RandomStream(3),
-                                            return_lengths=True)
+        terminals, steps = walk_terminals(k2, 0, alpha, n, RandomStream(3))
+        lengths = replay_lengths(RandomStream(3), alpha, [n])
+        # the replay is the sampler's: on K2 a walk from 0 ends at 0 exactly
+        # when its length is even
+        assert steps == lengths.sum()
+        assert np.array_equal(terminals == 0, lengths % 2 == 0)
         p0 = (lengths == 0).mean()
         sigma = np.sqrt(alpha * (1 - alpha) / n)
         assert abs(p0 - alpha) < 3 * sigma
@@ -110,7 +137,7 @@ class TestGeometricWalk:
         g = random_connected(8, "er", seed=12)
         alpha = 0.3
         n = 100_000
-        terminals, _ = geometric_terminals(g, 0, alpha, n, RandomStream(4))
+        terminals, _ = walk_terminals(g, 0, alpha, n, RandomStream(4))
         observed = np.bincount(terminals, minlength=g.n)
         assert chi_square_pvalue(observed, exact_ppr(g, alpha, 0, tol=1e-13)) > 1e-3
 
@@ -119,7 +146,7 @@ class TestGeometricWalk:
         assert not g.unit_weights
         alpha = 0.25
         for s, seed in [(0, 13), (4, 14), (9, 15)]:
-            terminals, _ = geometric_terminals(g, s, alpha, 100_000, RandomStream(seed))
+            terminals, _ = walk_terminals(g, s, alpha, 100_000, RandomStream(seed))
             observed = np.bincount(terminals, minlength=g.n)
             assert chi_square_pvalue(observed, exact_ppr(g, alpha, s, tol=1e-13)) > 1e-3
 
@@ -127,20 +154,18 @@ class TestGeometricWalk:
         # walks run in chunks of _CHUNK; the first chunk's draws must not
         # depend on how many walks follow it
         alpha = 0.9
-        a, steps_a, len_a = geometric_terminals(k2, 0, alpha, _CHUNK, RandomStream(6),
-                                                return_lengths=True)
-        b, steps_b, len_b = geometric_terminals(k2, 0, alpha, _CHUNK + 5,
-                                                RandomStream(6), return_lengths=True)
+        a, steps_a = walk_terminals(k2, 0, alpha, _CHUNK, RandomStream(6))
+        b, steps_b = walk_terminals(k2, 0, alpha, _CHUNK + 5, RandomStream(6))
         assert np.array_equal(b[:_CHUNK], a)
-        assert np.array_equal(len_b[:_CHUNK], len_a)
-        assert steps_a == len_a.sum()
+        len_b = replay_lengths(RandomStream(6), alpha, [_CHUNK, 5])
+        assert steps_a == len_b[:_CHUNK].sum()
         assert steps_b == len_b.sum()
         # on K2 a walk from 0 ends at 0 exactly when its length is even
         assert np.array_equal(b == 0, len_b % 2 == 0)
 
     def test_one_uniform_per_walk_and_per_step(self, k3):
         rng = RandomStream(21)
-        _, steps = geometric_terminals(k3, 0, 0.2, 1000, rng)
+        _, steps = geometric_terminals(k3, 0, 0.2, 1000, rng, lambda v: v)
         ref = RandomStream(21)
         ref.random(1000 + steps)
         assert np.array_equal(rng.random(4), ref.random(4))
@@ -154,8 +179,9 @@ class TestGeometricWalk:
         rounds = []
         monkeypatch.setattr(walk, "step_many",
                             lambda *a: rounds.append(a[1].size) or step_many(*a))
-        terminals, steps, lengths = geometric_terminals(k2, 0, alpha, n, RandomStream(22),
-                                                        return_lengths=True)
+        terminals, steps = walk_terminals(k2, 0, alpha, n, RandomStream(22))
+        sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+        lengths = replay_lengths(RandomStream(22), alpha, sizes)
         assert steps == lengths.sum()
         # one round per step of each chunk's longest walk, over the walks still going
         chunks = [lengths[lo:lo + chunk] for lo in range(0, n, chunk)]
@@ -172,21 +198,17 @@ class TestGeometricWalk:
             < 4 * start_se
 
     def test_estimate_many_trials_are_iid(self, k2, monkeypatch):
-        # the trials are consecutive blocks of one batch of walks from t=1;
+        # the trials are consecutive blocks of one chunk of walks from t=1;
         # the push leaves residual only at node 0, reached by odd lengths
         trials, w = 20, 5000
         params = BipprParams.derive(0.2, 0.5, 0.1, 0.01, d_t=1.0, r_max=0.5, w=w)
         prepared = PreparedSource(k2, params.alpha, 0, params.r_max)
         assert list(prepared.push.r) == [0]
-        drawn = []
-
-        def recording(*args):
-            terminals, steps, lengths = walk.geometric_terminals(*args, return_lengths=True)
-            drawn.append((terminals, lengths))
-            return terminals, steps
-        monkeypatch.setattr(estimator, "geometric_terminals", recording)
+        drawn = recording_sampler(monkeypatch)
         values = prepared.estimate_many(1, params, RandomStream(23), trials)
-        (terminals, lengths), = drawn
+        terminals = np.concatenate([v for v, _ in drawn])
+        lengths = replay_lengths(RandomStream(23), params.alpha, [trials * w])
+        assert np.array_equal(terminals == 0, lengths % 2 == 1)
         per_trial = lengths.reshape(trials, w).mean(axis=1)
         length_se = np.sqrt(lengths.var() / w)
         assert np.abs(per_trial - lengths.mean()).max() < 4 * length_se
@@ -197,15 +219,95 @@ class TestGeometricWalk:
         assert values.mean() == pytest.approx(prepared.push.p_at(1) + x0 * odd)
 
     def test_scalar_matches_contract(self, k2):
-        terminals, steps = geometric_terminals(k2, 0, 1 - 1e-12, 1, RandomStream(5))
-        assert terminals.tolist() == [0] and steps == 0
+        terminals, steps = geometric_terminals(k2, 0, 1 - 1e-12, 1, RandomStream(5), lambda v: v)
+        assert terminals.tolist() == [0.0] and steps == 0
 
     def test_isolated_start_rejected(self):
         g = Graph.from_edges([(0, 1)], n=3)
         with pytest.raises(ValueError, match="isolated"):
-            geometric_terminals(g, 2, 0.2, 1, RandomStream(0))
+            geometric_terminals(g, 2, 0.2, 1, RandomStream(0), lambda v: v)
         with pytest.raises(ValueError, match="isolated"):
-            geometric_terminals(g, 2, 0.2, 10, RandomStream(0))
+            geometric_terminals(g, 2, 0.2, 10, RandomStream(0), lambda v: v)
+
+
+def recording_sampler(monkeypatch):
+    """Make PreparedSource's sampler record, per ``sample`` call, the
+    terminals it was given and the values it returned."""
+    drawn = []
+
+    def recording(g, start, alpha, num, rng, sample, trials=1):
+        def recorded(terminals):
+            values = sample(terminals)
+            drawn.append((terminals.copy(), values.copy()))
+            return values
+        return walk.geometric_terminals(g, start, alpha, num, rng, recorded, trials)
+    monkeypatch.setattr(estimator, "geometric_terminals", recording)
+    return drawn
+
+
+class TestChunkedReduction:
+    """Each sampler chunk is reduced as soon as it is walked: as many whole
+    batches as fit in ``_CHUNK``, or ``_CHUNK`` pieces of a longer batch."""
+
+    def prepared(self, w):
+        g = random_connected(30, "er", seed=5)
+        params = BipprParams.derive(0.2, 1e-3, 0.1, 0.01, d_t=g.degree(7), r_max=1e-2, w=w)
+        return PreparedSource(g, params.alpha, 0, params.r_max), params
+
+    def test_whole_batches_per_chunk(self, monkeypatch):
+        # w does not divide _CHUNK and w*trials > _CHUNK: chunks of 3, 3, 1 batches
+        monkeypatch.setattr(walk, "_CHUNK", 1000)
+        prepared, params = self.prepared(w=300)
+        drawn = recording_sampler(monkeypatch)
+        values = prepared.estimate_many(7, params, RandomStream(31), trials=7)
+        assert [t.size for t, _ in drawn] == [900, 900, 300]
+        x = np.concatenate([v for _, v in drawn]).reshape(7, 300)
+        assert values.tobytes() == (prepared.push.p_at(7) + x.mean(axis=1)).tobytes()
+        assert len(set(values.tolist())) > 1
+
+    def test_long_batch_split_into_pieces(self, monkeypatch):
+        monkeypatch.setattr(walk, "_CHUNK", 1000)
+        prepared, params = self.prepared(w=2500)
+        drawn = recording_sampler(monkeypatch)
+        values = prepared.estimate_many(7, params, RandomStream(32), trials=2)
+        assert [t.size for t, _ in drawn] == [1000, 1000, 500] * 2
+        x = np.concatenate([v for _, v in drawn]).reshape(2, 2500)
+        assert values == pytest.approx(prepared.push.p_at(7) + x.mean(axis=1), rel=1e-12)
+        # the first batch draws what a single batch draws from the same stream
+        first = [t for t, _ in drawn[:3]]
+        drawn.clear()
+        est = prepared.estimate(7, params, RandomStream(32))
+        assert all(np.array_equal(a, b) for (b, _), a in zip(drawn, first))
+        assert est.value == values[0]
+
+    def test_draws_of_one_chunk_do_not_depend_on_batching(self, k3):
+        # w*trials <= _CHUNK: the batches split one chunk of draws
+        flat, steps = walk_terminals(k3, 0, 0.2, 600, RandomStream(33))
+        means, batched_steps = geometric_terminals(k3, 0, 0.2, 200, RandomStream(33),
+                                                   lambda v: v, trials=3)
+        assert batched_steps == steps
+        assert means.tobytes() == flat.reshape(3, 200).mean(axis=1).tobytes()
+
+    def test_tiny_alpha_refused_before_any_draw(self, k2):
+        # expected steps num*trials*(1-alpha)/alpha over 2^32
+        for num, trials, alpha in [(5000, 1, 1e-12), (1, 1, 1e-300), (2**27, 2, 0.0588)]:
+            rng = RandomStream(34)
+            with pytest.raises(ValueError, match="^alpha must be large enough"):
+                geometric_terminals(k2, 0, alpha, num, rng, pytest.fail, trials)
+            assert rng.random() == RandomStream(34).random()
+
+    def test_step_cap_admits_every_alpha_from_one_seventeenth(self, k2, monkeypatch):
+        # at the walk cap, alpha = 1/17 expects exactly 2^32 steps; it walks
+        class Walked(Exception):
+            pass
+
+        def stop(terminals):
+            raise Walked
+        monkeypatch.setattr(walk, "_CHUNK", 8)
+        with pytest.raises(Walked):
+            geometric_terminals(k2, 0, 1 / 17, 2**28, RandomStream(35), stop)
+        with pytest.raises(Walked):
+            geometric_terminals(k2, 0, 1 / 17, 2**14, RandomStream(35), stop, trials=2**14)
 
 
 class TestFixedWalk:
