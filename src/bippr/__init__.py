@@ -3,8 +3,8 @@ undirected graphs: forward local push from the source combined with reverse
 random walks from the target, with work budgets and accuracy guarantees."""
 
 from .estimator import (BipprParams, PprEstimate, PreparedSource, chernoff_c,
-                        choose_r_max, estimate_ppr, estimate_ppr_batch,
-                        num_walks, significance_delta)
+                        choose_r_max, estimate_ppr, num_walks,
+                        significance_delta)
 from .exact import (exact_diffusion, exact_mstp, exact_ppr, exact_ppr_from,
                     exact_ppr_matrix)
 from .graph import EdgeListParseError, Graph, load_edge_list
@@ -23,7 +23,6 @@ __all__ = [
     "PushResult", "approximate_pagerank", "push_from_distribution",
     "BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
     "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
-    "estimate_ppr_batch",
     "mc_estimate", "mc_num_walks",
     "MstpState", "DiffusionWeights", "DiffusionEstimate", "approximate_mstp",
     "bidir_mstp", "pagerank_weights", "heat_kernel_weights", "choose_ell_max",

@@ -141,8 +141,9 @@ def cmd_bench(args) -> int:
             "mc": lambda rng: counters(mc_estimate(g, s, t, params.alpha, mc_walks, rng)),
             "push": lambda rng: (prepared.push.p_at(t), prepared.push.degree_work, 0)}
 
-    print("row_type,trial,estimator,source,target,true_value,estimate,"
-          "rel_error,degree_work,walk_steps,total_work,violation_rate,wall_time_s")
+    # printed once every estimator has run, so an error leaves stdout empty
+    rows = ["row_type,trial,estimator,source,target,true_value,estimate,"
+            "rel_error,degree_work,walk_steps,total_work,violation_rate,wall_time_s"]
     summaries, bippr_work = [], None
     for name in estimators:
         n_trials = 1 if name == "push" else args.trials
@@ -157,7 +158,7 @@ def cmd_bench(args) -> int:
             violations += bound is not None and abs(value - truth) > bound
             work_sum += work
             est_sum += value
-            print(",".join([
+            rows.append(",".join([
                 "trial", str(trial), name, args.source, args.target, truth_col, _fmt(value),
                 _fmt(abs(value - truth) / truth) if truth else "", _fmt(degree_work),
                 str(walk_steps), _fmt(work), "", _fmt(elapsed) if args.wall_time else ""]))
@@ -167,7 +168,7 @@ def cmd_bench(args) -> int:
             "summary", "", name, args.source, args.target, truth_col, _fmt(est_sum / n_trials),
             _fmt(mean_work / bippr_work) if bippr_work and name != "bippr" else "", "", "",
             _fmt(mean_work), _fmt(violations / n_trials), ""]))
-    print("\n".join(summaries))
+    print("\n".join(rows + summaries))
     return EXIT_OK
 
 

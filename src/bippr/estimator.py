@@ -14,8 +14,7 @@ from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
                    _check_fraction, _check_positive, _walk_count, geometric_terminals)
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
-           "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
-           "estimate_ppr_batch"]
+           "choose_r_max", "num_walks", "significance_delta", "estimate_ppr"]
 
 
 def chernoff_c(p_fail: float) -> float:
@@ -150,9 +149,3 @@ def estimate_ppr(g: Graph, s: int, t: int, params: BipprParams,
     """
     return PreparedSource(g, params.alpha, s, params.r_max).estimate(t, params, rng)
 
-
-def estimate_ppr_batch(g: Graph, s: int, t: int, params: BipprParams,
-                       rng: RandomStream, trials: int) -> np.ndarray:
-    """Array of ``trials`` independent estimates sharing one forward push."""
-    return PreparedSource(g, params.alpha, s, params.r_max).estimate_many(
-        t, params, rng, trials)

@@ -50,13 +50,17 @@ class Graph:
                  "labels", "label_ids", "unit_weights", "total_weight",
                  "_alias", "_slots")
 
-    def __init__(self, n: int, src, dst, weight, labels: list[str] | None = None):
+    def __init__(self, n: int, src, dst, weight,
+                 labels: list[str] | dict[str, int] | None = None):
         """Build the graph from one entry per input edge, in input order.
 
         ``src``, ``dst`` and ``weight`` are equal-length sequences: edge ``i``
         joins ``src[i]`` and ``dst[i]`` with weight ``weight[i]``. Every id
         must lie in ``[0, n)`` and every weight must be finite and positive;
-        both are checked before anything is merged.
+        both are checked before anything is merged. ``labels`` names the
+        nodes in id order (default ``"0"`` to ``"n-1"``); a dict mapping each
+        label to its id, as :func:`load_edge_list` builds, becomes
+        ``label_ids`` as it is.
 
         The build is array code throughout. Each edge is canonicalised to
         ``(lo, hi)``; repeated pairs (in either direction) merge by
@@ -117,7 +121,8 @@ class Graph:
         self.labels = list(labels) if labels is not None else list(map(str, range(n)))
         if len(self.labels) != n:
             raise ValueError("label count does not match node count")
-        self.label_ids = dict(zip(self.labels, range(n)))
+        self.label_ids = (labels if isinstance(labels, dict)
+                          else dict(zip(self.labels, range(n))))
         self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
         self.unit_weights = bool((weights == 1.0).all())
         self._alias = None
@@ -233,15 +238,16 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
         dst.append(ids.setdefault(tokens[1], len(ids)))
         wts.append(w)
 
-    return Graph(len(ids), src, dst, wts, labels=list(ids))
+    return Graph(len(ids), src, dst, wts, labels=ids)
 
 
-def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> np.ndarray:
-    """Advance each walk position one transition, w_{vu}/d_v per neighbor.
+def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Advance each walk position one transition, w_{vu}/d_v per neighbor,
+    driven by one uniform ``u[i]`` in [0, 1) per node ``nodes[i]``.
 
-    Vectorized over ``nodes`` with one uniform ``u`` per node, drawn as
-    ``rng.random(len(nodes))`` unless drawn ahead and passed in (``rng`` is
-    then not read); all nodes must be non-isolated.
+    Vectorized over ``nodes``; all nodes must be non-isolated. The caller
+    draws ``u``, so the draw order that fixes every seeded answer is decided
+    by the samplers in :mod:`bippr.walk`, not here.
 
     Both paths pick slot ``j = indptr[v] + floor(x)`` of v's row from
     ``x = u*len_v``, with ``len_v`` the row length as a float64: ``degrees``
@@ -261,19 +267,14 @@ def step_many(g: Graph, nodes: np.ndarray, rng, u: np.ndarray | None = None) -> 
       when ``x - floor(x) < prob[j]`` and swapped for ``alias_node[j]``
       otherwise.
     """
-    if u is None:
-        u = rng.random(len(nodes))
-    elif u.shape != nodes.shape:
+    if u.shape != nodes.shape:  # a length-1 u would otherwise broadcast
         raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
     if g.unit_weights:
-        row_len = g.degrees
-    else:
-        prob, alias_node, row_len = g._alias_tables()
+        return g.indices[g.indptr[nodes] + (u * g.degrees[nodes]).astype(np.int64)]
+    prob, alias_node, row_len = g._alias_tables()
     x = u * row_len[nodes]
     k = x.astype(np.int64)
     j = g.indptr[nodes] + k
-    if g.unit_weights:
-        return g.indices[j]
     x -= k
     return np.where(x < prob[j], g.indices[j], alias_node[j])
 

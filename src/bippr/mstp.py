@@ -11,8 +11,9 @@ import numpy as np
 
 from .graph import Graph
 from .push import _add_work, _first_touch, _push_round, _SlotMap
-from .walk import (RandomStream, _check_alpha, _check_count, _check_fraction,
-                   _check_positive, fixed_walk_levels, fixed_walk_positions)
+from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
+                   _check_fraction, _check_positive, fixed_walk_levels,
+                   fixed_walk_positions)
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
            "approximate_mstp", "bidir_mstp", "pagerank_weights",
@@ -133,7 +134,7 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     """Unbiased bidirectional estimate of the length-ell transition probability
     from the state's source to t, using w fixed-length walks from t."""
     _check_count("ell", ell, low=0, high=state.ell_max)
-    _check_count("w", w)
+    _check_count("w", w, high=_MAX_WALKS // (ell + 1))  # positions in the walk table
     pos = fixed_walk_positions(g, t, ell, w, rng)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:
@@ -341,8 +342,9 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     independent levels walk in lockstep, each batch one gather at its own level.
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
-    _check_count("w_per_level", w_per_level)
     ell_max = weights.ell_max
+    # a walk table, shared or one level's, holds at most (ell_max+1)*w_per_level positions
+    _check_count("w_per_level", w_per_level, high=_MAX_WALKS // (ell_max + 1))
     state = approximate_mstp(g, s, ell_max, r_max)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:

@@ -68,10 +68,10 @@ class _SlotMap:
     inside another on the same graph, or in another thread, gets a fresh one;
     on exit only the members' entries are reset to -1 and the array goes
     back to the graph, unless the graph already holds one again.
-    ``nodes``, if given, are distinct and claim slots 0..len(nodes)-1.
+    ``nodes`` are distinct and claim slots 0..len(nodes)-1.
     """
 
-    def __init__(self, g: Graph, nodes: np.ndarray | None = None):
+    def __init__(self, g: Graph, nodes: np.ndarray):
         self.g = g
         try:
             self.slot = g._slots.pop()
@@ -80,8 +80,7 @@ class _SlotMap:
         self.node = np.empty(16, np.intp)
         self.deg = np.empty(16)
         self.k = 0
-        if nodes is not None:
-            self._claim(nodes)
+        self._claim(nodes)
 
     def __enter__(self) -> "_SlotMap":
         return self

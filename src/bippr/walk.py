@@ -66,9 +66,12 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
 
     Walks run in chunks: as many whole batches as fit in ``_CHUNK`` walks, or
     ``_CHUNK`` pieces of a longer batch. A chunk draws its lengths and orders
-    its walks longest first, so each round steps a prefix (one ``step_many``
-    call, one uniform per step); ``sample`` then maps its terminals, in draw
-    order, to per-walk values summed per batch, so memory stays at one chunk.
+    its walks longest first, so each round steps a prefix of a walks: one
+    ``rng.random(a)`` draw, then one ``step_many`` call. Drawing a chunk's
+    step uniforms at once would give the same numbers, but would hold about
+    ``(1-alpha)/alpha`` floats per walk. ``sample`` then maps the terminals,
+    in draw order, to per-walk values summed per batch, so memory stays at
+    one chunk.
     """
     g.require_walkable(start)
     _check_alpha(alpha)
@@ -95,7 +98,7 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
             live = np.searchsorted(key, np.arange(top, 0, -1, dtype=key.dtype), sorter=order)
             pos = np.full(size, start, dtype=np.int64)
             for a in live.tolist():
-                pos[:a] = step_many(g, pos[:a], rng)
+                pos[:a] = step_many(g, pos[:a], rng.random(a))
             terminals = np.empty_like(pos)
             terminals[order] = pos
             sums[b:b + batches] += sample(terminals).reshape(batches, -1).sum(axis=1)
@@ -140,7 +143,7 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     # the walks still going at round k (length > k) are a prefix of the columns
     live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
     for k, a in enumerate(live.tolist()):
-        pos[k + 1, :a] = step_many(g, pos[k, :a], None, u[k, :a])
+        pos[k + 1, :a] = step_many(g, pos[k, :a], u[k, :a])
     return pos
 
 

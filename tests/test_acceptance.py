@@ -9,8 +9,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from bippr import (BipprParams, Graph, RandomStream, approximate_mstp,
-                   approximate_pagerank, estimate_diffusion, estimate_ppr_batch,
+from bippr import (BipprParams, Graph, PreparedSource, RandomStream,
+                   approximate_mstp, approximate_pagerank, estimate_diffusion,
                    exact_ppr, exact_ppr_matrix, choose_ell_max,
                    heat_kernel_weights, mc_num_walks, pagerank_weights,
                    significance_delta)
@@ -116,7 +116,8 @@ def test_criterion_4_accuracy_guarantee(g500):
         delta = significance_delta(g, t)
         params = BipprParams.derive(0.2, delta, eps, p_fail, d_t=g.degree(t))
         true = float(exact_ppr(g, 0.2, s, tol=1e-12)[t])
-        values = estimate_ppr_batch(g, s, t, params, RandomStream(100), trials)
+        values = PreparedSource(g, params.alpha, s, params.r_max).estimate_many(
+            t, params, RandomStream(100), trials)
         bound = max(eps * true, 2 * math.e * delta)
         rate = float((np.abs(values - true) > bound).mean())
         rates[name] = rate
@@ -129,7 +130,8 @@ def test_criterion_5_unbiasedness():
     started = time.time()
     k2 = Graph.from_edges([(0, 1)])
     params = BipprParams.derive(0.2, 0.01, 0.1, 0.01, d_t=1.0)
-    values = estimate_ppr_batch(k2, 0, 1, params, RandomStream(200), 10_000)
+    values = PreparedSource(k2, params.alpha, 0, params.r_max).estimate_many(
+        1, params, RandomStream(200), 10_000)
     se = values.std(ddof=1) / math.sqrt(len(values))
     gap = abs(values.mean() - 4 / 9)
     assert gap <= 4 * se

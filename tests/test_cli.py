@@ -249,6 +249,15 @@ class TestBadArguments:
         # over 2^32 expected steps: a tiny alpha is refused before any walk runs
         ("alpha", ["estimate", "--target", "b", "--alpha", "1e-12", "--rmax", "1"]),
         ("alpha", ["estimate", "--target", "b", "--alpha", "1e-300", "--rmax", "1"]),
+        # refused at the first mc trial: no csv row is printed before it
+        ("alpha", ["bench", "--target", "b", "--estimator", "mc", "--alpha", "1e-12",
+                   "--cap", "0"]),
+        # over 2^28 positions in a diffusion walk table, (ell_max+1)*w_per_level
+        # with ell_max 61, refused before the push and before any allocation
+        ("w_per_level", ["diffusion", "--target", "b", "--family", "pagerank",
+                         "--walks-per-level", "300000000"]),
+        ("w_per_level", ["diffusion", "--target", "b", "--family", "pagerank",
+                         "--walks-per-level", "5000000"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
@@ -260,15 +269,6 @@ class TestBadArguments:
         assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-
-    def test_tiny_alpha_refused_by_the_mc_bench(self, k3_file):
-        # the csv header is out before the first trial walks
-        proc = run_cli("bench", "--graph", k3_file, "--source", "a", "--target", "b",
-                       "--estimator", "mc", "--alpha", "1e-12", "--cap", "0")
-        assert proc.returncode == 2
-        assert proc.stdout.count("\n") == 1 and proc.stdout.startswith("row_type,")
-        assert proc.stderr.startswith("error: alpha must be large enough"), proc.stderr
-        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_threads_option_removed(self, k3_file):
         proc = run_cli("validate", "--graph", k3_file, "--threads", "1")

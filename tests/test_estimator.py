@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bippr import (BipprParams, Graph, PreparedSource, approximate_mstp,
                    approximate_pagerank, bidir_mstp, chernoff_c, choose_ell_max,
                    choose_r_max, estimate_diffusion, estimate_ppr,
-                   estimate_ppr_batch, exact_mstp, exact_ppr, exact_ppr_from,
+                   exact_mstp, exact_ppr, exact_ppr_from,
                    exact_ppr_matrix, fixed_walk_positions, geometric_terminals,
                    heat_kernel_weights, mc_estimate, mc_num_walks, num_walks,
                    pagerank_weights, push_from_distribution, significance_delta,
@@ -84,12 +85,16 @@ class TestParameterRules:
         for name, call in [
             ("w", lambda: BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=cap + 1)),
             # w * trials walks go to one sampler call
-            ("trials", lambda: estimate_ppr_batch(K3, 0, 1, params, RandomStream(0),
-                                                  cap // 1000 + 1)),
+            ("trials", lambda: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(
+                1, params, RandomStream(0), cap // 1000 + 1)),
             ("num_walks", lambda: mc_estimate(K3, 0, 1, 0.2, cap + 1, RandomStream(0))),
             ("num", lambda: geometric_terminals(K3, 0, 0.2, cap + 1, RandomStream(0), _value)),
             ("trials", lambda: geometric_terminals(K3, 0, 0.2, 1000, RandomStream(0), _value,
                                                    cap // 1000 + 1)),
+            # a fixed-length walk table holds (ell+1)*w positions
+            ("w", lambda: bidir_mstp(K3, MSTP, 1, 2, cap // 3 + 1, RandomStream(0))),
+            ("w_per_level", lambda: estimate_diffusion(K3, 0, 1, pagerank_weights(0.2, 3),
+                                                       1e-3, cap // 4 + 1, RandomStream(0))),
         ]:
             with pytest.raises(ValueError, match=f"{name} must be a positive integer at most "):
                 call()
@@ -163,8 +168,8 @@ ARGUMENTS = [
     ("derive", "w", COUNT, lambda v: _derive(w=v)),
     ("PreparedSource", "alpha", FRACTION, lambda v: PreparedSource(K3, v, 0, 1e-3)),
     ("PreparedSource", "r_max", POSITIVE, lambda v: PreparedSource(K3, 0.2, 0, v)),
-    ("estimate_ppr_batch", "trials", COUNT,
-     lambda v: estimate_ppr_batch(K3, 0, 1, PARAMS, RandomStream(0), v)),
+    ("estimate_many", "trials", COUNT,
+     lambda v: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(1, PARAMS, RandomStream(0), v)),
     ("mc_num_walks", "delta", POSITIVE, lambda v: mc_num_walks(v, 0.1, 0.01)),
     ("mc_num_walks", "eps", FRACTION, lambda v: mc_num_walks(0.1, v, 0.01)),
     ("mc_num_walks", "p_fail", FRACTION, lambda v: mc_num_walks(0.1, 0.1, v)),
@@ -290,13 +295,15 @@ class TestEstimatePpr:
 
     def test_k2_relative_error_rarely_exceeded(self, k2):
         params = self.params(k2, 1)
-        values = estimate_ppr_batch(k2, 0, 1, params, RandomStream(17), trials=1000)
+        values = PreparedSource(k2, params.alpha, 0, params.r_max).estimate_many(
+            1, params, RandomStream(17), trials=1000)
         within = (values >= 4 / 9 * 0.9) & (values <= 4 / 9 * 1.1)
         assert within.mean() >= 0.99
 
     def test_star_unbiasedness(self, s3):
         params = self.params(s3, 0)
-        values = estimate_ppr_batch(s3, 1, 0, params, RandomStream(23), trials=1000)
+        values = PreparedSource(s3, params.alpha, 1, params.r_max).estimate_many(
+            0, params, RandomStream(23), trials=1000)
         assert abs(values.mean() - 4 / 9) < 0.005
 
     def test_unbiased_on_random_graph(self):
@@ -304,7 +311,8 @@ class TestEstimatePpr:
         s, t = 0, 7
         true = float(exact_ppr(g, 0.2, s, tol=1e-13)[t])
         params = self.params(g, t, delta=max(true / 2, 1e-3))
-        values = estimate_ppr_batch(g, s, t, params, RandomStream(31), trials=10_000)
+        values = PreparedSource(g, params.alpha, s, params.r_max).estimate_many(
+            t, params, RandomStream(31), trials=10_000)
         se = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - true) <= 4 * max(se, 1e-12)
 
@@ -326,8 +334,11 @@ class TestEstimatePpr:
     def test_symmetry_consistency(self, s3):
         # pi_s[t]*d_s and pi_t[s]*d_t estimate the same quantity
         s, t = 1, 0
-        fw = estimate_ppr_batch(s3, s, t, self.params(s3, t), RandomStream(6), 2000)
-        bw = estimate_ppr_batch(s3, t, s, self.params(s3, s), RandomStream(7), 2000)
+        fw_params, bw_params = self.params(s3, t), self.params(s3, s)
+        fw = PreparedSource(s3, fw_params.alpha, s, fw_params.r_max).estimate_many(
+            t, fw_params, RandomStream(6), 2000)
+        bw = PreparedSource(s3, bw_params.alpha, t, bw_params.r_max).estimate_many(
+            s, bw_params, RandomStream(7), 2000)
         assert abs(fw.mean() * s3.degree(s) - bw.mean() * s3.degree(t)) < 0.01
 
     def test_degenerate_source_equals_target(self, k3):
@@ -379,3 +390,44 @@ class TestEstimatePprContract:
         assert 0.0 <= est.walk_term <= sample_range * (1 + 1e-9)
         tol = sample_range * math.sqrt(math.log(2.0 / 1e-9) / (2.0 * w))
         assert abs(est.value - true) <= tol + 1e-12
+
+
+def reweighted(g: Graph, seed: int) -> Graph:
+    """g with each edge's weight drawn uniformly from [0.1, 3)."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    keep = rows <= g.indices
+    w = np.random.default_rng(seed).uniform(0.1, 3.0, int(keep.sum()))
+    return Graph.from_edges(zip(rows[keep].tolist(), g.indices[keep].tolist(), w.tolist()),
+                            n=g.n)
+
+
+class TestPprMeanContract:
+    """The mean of many ``estimate_many`` trials against exact_ppr, within z
+    sample standard errors, z the two-sided normal quantile at p_fail = 1e-9.
+
+    The Hoeffding bound of TestEstimatePprContract spans the whole sample
+    range [0, d_t*r_max]; this check scales with the samples' own spread and
+    fails in every case on a walk term scaled by 1.3 or 0.7. Each trial
+    averages w walks, and the mean of 5000 trials is close to normal."""
+
+    Z = NormalDist().inv_cdf(1.0 - 0.5e-9)
+
+    @pytest.mark.parametrize("kind, seed, weighted, alpha, r_max", [
+        ("ba", 1, False, 0.2, 0.05),
+        ("er", 2, False, 0.2, 0.005),
+        ("ba", 3, True, 0.15, 0.02),
+        ("er", 4, True, 0.3, 0.005),
+    ])
+    @pytest.mark.parametrize("s, t", [(0, 1), (3, 17)])
+    def test_trial_mean_near_exact(self, kind, seed, weighted, alpha, r_max, s, t):
+        g = random_connected(60, kind, seed)
+        if weighted:
+            g = reweighted(g, seed)
+        trials = 5000
+        params = BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=g.degree(t), r_max=r_max,
+                                    w=10)
+        values = PreparedSource(g, alpha, s, r_max).estimate_many(
+            t, params, RandomStream(seed, s, t), trials)
+        true = float(exact_ppr(g, alpha, s, tol=1e-14)[t])
+        se = values.std(ddof=1) / math.sqrt(trials)
+        assert abs(values.mean() - true) <= self.Z * se + 1e-12, (values.mean(), true, se)

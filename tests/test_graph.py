@@ -164,16 +164,15 @@ class TestInvariants:
 
 class TestStep:
     def test_sole_neighbor(self, k2):
-        assert step_many(k2, np.array([0]), RandomStream(0)).tolist() == [1]
+        assert step_many(k2, np.array([0]), RandomStream(0).random(1)).tolist() == [1]
 
     def test_self_loop_only(self):
         g = load("a a")
-        assert step_many(g, np.array([0]), RandomStream(0)).tolist() == [0]
+        assert step_many(g, np.array([0]), RandomStream(0).random(1)).tolist() == [0]
 
     def test_triangle_uniform_frequency(self, k3):
-        rng = RandomStream(11)
         n = 100_000
-        nodes = step_many(k3, np.zeros(n, dtype=np.int64), rng)
+        nodes = step_many(k3, np.zeros(n, dtype=np.int64), RandomStream(11).random(n))
         freq1 = (nodes == 1).mean()
         freq2 = (nodes == 2).mean()
         assert abs(freq1 - 0.5) < 0.01
@@ -181,29 +180,28 @@ class TestStep:
 
     def test_weighted_distribution_within_4_sigma(self):
         g = load("a b 3.0\na c 1.0", weighted=True)
-        rng = RandomStream(5)
         n = 100_000
-        nodes = step_many(g, np.zeros(n, dtype=np.int64), rng)
+        nodes = step_many(g, np.zeros(n, dtype=np.int64), RandomStream(5).random(n))
         for target, p in [(1, 0.75), (2, 0.25)]:
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs((nodes == target).mean() - p) < 4 * sigma
 
     def test_deterministic_given_stream(self, k3):
-        a = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3))
-        b = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3))
+        a = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
+        b = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
         assert np.array_equal(a, b)
 
 
-def step_many_by_search(g, nodes, rng):
+def step_many_by_search(g, nodes, u):
     """Reference stepping: a binary search in the row's own cumulative
     weights, summed from 0.0, for the target ``u*d_v``."""
     cums = {}
     out = []
-    for v, u in zip(nodes.tolist(), rng.random(len(nodes)).tolist()):
+    for v, u_v in zip(nodes.tolist(), u.tolist()):
         a, b = g.indptr[v], g.indptr[v + 1]
         if v not in cums:
             cums[v] = np.concatenate([[0.0], np.cumsum(g.weights[a:b])])
-        k = np.searchsorted(cums[v], u * g.degrees[v], side="right") - 1
+        k = np.searchsorted(cums[v], u_v * g.degrees[v], side="right") - 1
         out.append(int(g.indices[a + k]))
     return np.array(out, dtype=np.int64)
 
@@ -247,15 +245,15 @@ def alias_row_reference(g, v):
     return prob, [nodes[k] for k in alias]
 
 
-def step_many_by_alias_loop(g, nodes, rng):
+def step_many_by_alias_loop(g, nodes, u):
     """Reference stepping: one alias draw per node, in a Python loop."""
     tables = {}
     out = []
-    for v, u in zip(nodes.tolist(), rng.random(len(nodes)).tolist()):
+    for v, u_v in zip(nodes.tolist(), u.tolist()):
         if v not in tables:
             tables[v] = alias_row_reference(g, v)
         prob, alias = tables[v]
-        x = u * len(prob)
+        x = u_v * len(prob)
         k = int(x)
         out.append(int(g.indices[g.indptr[v] + k]) if x - k < prob[k] else alias[k])
     return np.array(out, dtype=np.int64)
@@ -277,17 +275,6 @@ def alias_boundary_draws(g, nodes):
         reps.append(np.full(u.size, v, dtype=np.int64))
         draws.append(u)
     return np.concatenate(reps), np.concatenate(draws)
-
-
-class PresetDraws:
-    """Stand-in random stream that hands out prepared uniforms."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        assert size == len(self.u)
-        return self.u
 
 
 def boundary_draws(g, nodes):
@@ -342,10 +329,11 @@ class TestStepMatchesSearch:
         assert walkable.size < g.n
         nodes = np.random.default_rng(seed + 100).choice(walkable, size=5000)
         assert g._alias is None
-        got = step_many(g, nodes, RandomStream(seed, 1))
+        u = RandomStream(seed, 1).random(nodes.size)
+        got = step_many(g, nodes, u)
         assert (g._alias is None) == g.unit_weights
         reference = step_many_by_search if g.unit_weights else step_many_by_alias_loop
-        want = reference(g, nodes, RandomStream(seed, 1))
+        want = reference(g, nodes, u)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["unit", "weighted"])
@@ -360,7 +348,7 @@ class TestStepMatchesSearch:
         rows = [0, 1, 2, n // 2, n - 2, n - 1]
         if g.unit_weights:
             nodes, u = boundary_draws(g, rows)
-            want = step_many_by_search(g, nodes, PresetDraws(u))
+            want = step_many_by_search(g, nodes, u)
             # where u*d_v sits a few ulps below an integer, indptr[v] + u*d_v
             # rounds up into the next slot at a large row offset; the row's
             # own search, and the step, keep the lower slot
@@ -372,14 +360,13 @@ class TestStepMatchesSearch:
             assert np.array_equal(want[carried], g.indices[lower[carried]])
         else:
             nodes, u = alias_boundary_draws(g, rows)
-            want = step_many_by_alias_loop(g, nodes, PresetDraws(u))
-        got = step_many(g, nodes, PresetDraws(u))
+            want = step_many_by_alias_loop(g, nodes, u)
+        got = step_many(g, nodes, u)
         assert np.array_equal(got, want)
-        assert np.array_equal(step_many(g, nodes, None, u), want)  # drawn ahead
         if g.unit_weights:
             # the largest uniform below 1 lands on the last slot of every row
             top = np.full(n, np.nextafter(1.0, 0.0))
-            got = step_many(g, np.arange(n), None, top)
+            got = step_many(g, np.arange(n), top)
             assert np.array_equal(got, g.indices[g.indptr[1:] - 1])
 
     def test_largest_uniform_scales_below_every_row_length(self):
@@ -393,7 +380,7 @@ class TestStepMatchesSearch:
 
     def test_uniforms_drawn_ahead_need_one_per_node(self, k3):
         with pytest.raises(ValueError, match="one uniform per node"):
-            step_many(k3, np.zeros(4, dtype=np.int64), None, np.full(1, 0.5))
+            step_many(k3, np.zeros(4, dtype=np.int64), np.full(1, 0.5))
 
     def test_unweighted_repeated_pair_is_not_unit_weight(self):
         g = load("a b\nb c\nb a")
@@ -465,8 +452,8 @@ class TestAliasTables:
     def test_step_matches_loop_reference_at_boundaries(self, g):
         nodes, u = alias_boundary_draws(g, np.flatnonzero(np.diff(g.indptr)))
         assert u.max() == np.nextafter(1.0, 0.0)
-        got = step_many(g, nodes, PresetDraws(u))
-        assert np.array_equal(got, step_many_by_alias_loop(g, nodes, PresetDraws(u)))
+        got = step_many(g, nodes, u)
+        assert np.array_equal(got, step_many_by_alias_loop(g, nodes, u))
 
     def test_equal_weights_rounding_below_one(self):
         # 6 * w / (((w + w) + w) ...) rounds to 1 - 2**-53: no slot is heavy,
@@ -479,7 +466,7 @@ class TestAliasTables:
         assert prob[:6].tolist() == [p] * 6
         assert alias_node[:6].tolist() == g.indices[:6].tolist()
         u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
-        got = step_many(g, np.zeros(7, dtype=np.int64), PresetDraws(u))
+        got = step_many(g, np.zeros(7, dtype=np.int64), u)
         assert got.tolist() == g.indices[:6].tolist() + [g.indices[5]]
 
     def test_rounding_past_the_rows_last_heavy(self):
@@ -494,9 +481,9 @@ class TestAliasTables:
     def test_built_once_on_first_weighted_step(self):
         g = load("a b 3.0\na c 1.0", weighted=True)
         assert g._alias is None
-        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(0))
+        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(0).random(4))
         tables = g._alias
-        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(1))
+        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(1).random(4))
         assert g._alias is tables
 
 

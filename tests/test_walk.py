@@ -379,7 +379,7 @@ def per_step_positions(g, start, ell, num, rng):
     pos = np.empty((num, ell + 1), dtype=np.int64)
     pos[:, 0] = start
     for k in range(ell):
-        pos[:, k + 1] = step_many(g, pos[:, k], rng)
+        pos[:, k + 1] = step_many(g, pos[:, k], rng.random(num))
     return pos
 
 
