@@ -11,7 +11,8 @@ import numpy as np
 from .graph import Graph
 from .push import PushResult, approximate_pagerank
 from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
-                   _check_fraction, _check_positive, _walk_count, geometric_terminals)
+                   _check_fraction, _check_positive, _check_walk_steps, _walk_count,
+                   geometric_terminals)
 
 __all__ = ["BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
            "choose_r_max", "num_walks", "significance_delta", "estimate_ppr"]
@@ -88,6 +89,7 @@ class BipprParams:
             w = num_walks(c, d_t, r_max, eps, delta)
         else:
             _check_count("w", w, high=_MAX_WALKS)
+        _check_walk_steps(alpha, w)  # before the push, which at such an alpha may not end
         return cls(alpha=alpha, delta=delta, eps=eps, p_fail=p_fail,
                    c=c, r_max=r_max, w=int(w))
 

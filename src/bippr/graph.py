@@ -30,10 +30,13 @@ class Graph:
     ``unit_weights`` is true when every stored edge weight is exactly 1.0.
     Such a graph samples a neighbor by indexing its row directly; any other
     graph samples from per-row alias tables (see :func:`step_many`), built
-    by array code on its first weighted step and cached in ``_alias`` with
-    the float64 row lengths the step scales its uniforms by, so ingest and
-    unit-weight graphs never pay for them. An unweighted edge list that
-    repeats a pair merges it to weight 2.0, so its graph is not unit-weight.
+    by array code on its first weighted step and cached in ``_alias``, so
+    ingest and unit-weight graphs never pay for them. The cache holds each
+    slot's keep probability, the slot pair table (the slot's own neighbour
+    and its alias, interleaved, so a step reads its node with one gather)
+    and the float64 row lengths the step scales its uniforms by. An
+    unweighted edge list that repeats a pair merges it to weight 2.0, so its
+    graph is not unit-weight.
 
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
@@ -182,8 +185,10 @@ class Graph:
         return self.label_ids[label]
 
     def _alias_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(prob, alias_node, row_len)``, built on first use: one alias
-        entry per CSR slot, and each row's length as a float64."""
+        """``(prob, pair, row_len)``, built on first use: one keep
+        probability per CSR slot, two ``pair`` entries per slot (its own
+        neighbour, then its alias; the aliases are the view ``pair[1::2]``),
+        and each row's length as a float64."""
         if self._alias is None:
             self._alias = _build_alias(self.indptr, self.indices, self.weights,
                                        self.degrees)
@@ -264,19 +269,25 @@ def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
       after the floor, so a large ``indptr[v]`` cannot carry ``x`` into the
       next row's slot.
     - On other graphs, per-row alias tables (Walker 1977): slot j is kept
-      when ``x - floor(x) < prob[j]`` and swapped for ``alias_node[j]``
-      otherwise.
+      when ``x - floor(x) < prob[j]`` and swapped for its alias otherwise.
+      The slot pair table holds slot j's own neighbour at ``2j`` and its
+      alias at ``2j + 1``, so the step is one gather, ``pair[2j + alias]``
+      with ``alias = x - floor(x) >= prob[j]``, from a table of the smallest
+      signed type that holds every node id; the result is int64.
     """
     if u.shape != nodes.shape:  # a length-1 u would otherwise broadcast
         raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
     if g.unit_weights:
         return g.indices[g.indptr[nodes] + (u * g.degrees[nodes]).astype(np.int64)]
-    prob, alias_node, row_len = g._alias_tables()
+    prob, pair, row_len = g._alias_tables()
     x = u * row_len[nodes]
     k = x.astype(np.int64)
     j = g.indptr[nodes] + k
     x -= k
-    return np.where(x < prob[j], g.indices[j], alias_node[j])
+    alias = x >= prob[j]
+    j += j
+    j += alias
+    return pair[j].astype(np.int64)
 
 
 def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +303,12 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     ``D_{i*} > E_j``, and aliases the next heavy; the row's last heavy (or
     a heavy with no such light) keeps 1. Every alias is clamped into its own
     row; a row that rounding left without a heavy aliases each slot to itself.
-    Also returns the row lengths ``cnt_v`` as float64, for :func:`step_many`.
+
+    Returns ``(prob, pair, cnt_v as float64)``. ``pair`` interleaves each
+    slot's neighbour ``indices[j]`` at ``2j`` with its alias at ``2j + 1``,
+    in the smallest signed type that holds every node id; the aliases are
+    written through the view ``pair[1::2]``, so there is no separate alias
+    array.
     """
     n = indptr.size - 1
     cnt = np.diff(indptr)
@@ -315,8 +331,10 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     last[(h_first + nh - 1)[nh > 0]] = True
 
     # the smallest signed type that holds every node id: at n=20k a quarter
-    # of int64's memory, and the step's result is still int64
-    alias_node = indices.astype(np.min_scalar_type(-n))
+    # of int64's memory, and the step's result is still int64. Every slot
+    # starts out as its own alias.
+    pair = np.repeat(indices.astype(np.min_scalar_type(-n)), 2)
+    alias_node = pair[1::2]
     # complex keys order lexicographically: by row, then by prefix sum
     a = np.searchsorted(_keys(hrow, E), _keys(lrow, d_before), side="left")
     a = np.minimum(a, h_first[lrow] + nh[lrow] - 1)
@@ -330,7 +348,7 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     d_star = np.append(D, 0.0)[b]
     shared = (np.append(lrow, -1)[b] == hrow) & ~last
     prob[hi] = np.where(shared, (1.0 + E) - d_star, 1.0)
-    return prob, alias_node, cnt.astype(np.float64)
+    return prob, pair, cnt.astype(np.float64)
 
 
 def _keys(row: np.ndarray, value: np.ndarray) -> np.ndarray:

@@ -77,8 +77,7 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     _check_alpha(alpha)
     _check_count("num", num, high=_MAX_WALKS)
     _check_count("trials", trials, high=_MAX_WALKS // num)
-    if num * trials * (1.0 - alpha) > _MAX_STEPS * alpha:
-        raise ValueError(f"alpha must be large enough for at most 2^32 expected steps, got {alpha}")
+    _check_walk_steps(alpha, num, trials)
     log_continue = math.log1p(-alpha)
     sums = np.zeros(trials)
     total_steps = 0
@@ -159,6 +158,14 @@ def _check_fraction(name: str, value: float, closed: bool = False) -> None:
 def _check_alpha(alpha: float) -> None:
     """Rule: alpha in the open interval (0, 1), the same in every entry point."""
     _check_fraction("alpha", alpha)
+
+
+def _check_walk_steps(alpha: float, num: int, trials: int = 1) -> None:
+    """Rule: ``num*trials`` geometric walks at a valid ``alpha`` expect at
+    most ``_MAX_STEPS`` steps, ``num*trials*(1-alpha)/alpha``; a tiny alpha
+    fails."""
+    if num * trials * (1.0 - alpha) > _MAX_STEPS * alpha:
+        raise ValueError(f"alpha must be large enough for at most 2^32 expected steps, got {alpha}")
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -246,8 +246,10 @@ class TestBadArguments:
         # finite counts over 2^28 walks: refused before any walk runs
         ("delta", ["bench", "--target", "b", "--delta", "1e-6", "--estimator", "mc"]),
         ("w", ["estimate", "--target", "b", "--rmax", "1e-3", "--walks", "300000000"]),
-        # over 2^32 expected steps: a tiny alpha is refused before any walk runs
+        # over 2^32 expected steps: a tiny alpha is refused before any walk runs,
+        # and with the default r_max before a push that would not end
         ("alpha", ["estimate", "--target", "b", "--alpha", "1e-12", "--rmax", "1"]),
+        ("alpha", ["estimate", "--target", "b", "--alpha", "1e-12"]),
         ("alpha", ["estimate", "--target", "b", "--alpha", "1e-300", "--rmax", "1"]),
         # refused at the first mc trial: no csv row is printed before it
         ("alpha", ["bench", "--target", "b", "--estimator", "mc", "--alpha", "1e-12",
@@ -263,7 +265,7 @@ class TestBadArguments:
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
     def test_one_error_line_exit_2(self, k3_file, name, args):
         source = [] if args[0] == "validate" else ["--source", "a"]
-        proc = run_cli(args[0], "--graph", k3_file, *source, *args[1:])
+        proc = run_cli(args[0], "--graph", k3_file, *source, *args[1:], timeout=60)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr

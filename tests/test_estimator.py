@@ -246,6 +246,16 @@ class TestArgumentChecks:
         assert approximate_mstp(K3, 0, 0, 5.0).push_count == 0
         assert exact_ppr(K3, 0.2, 0, tol=2.5).shape == (3,)
 
+    def test_tiny_alpha_refused_when_derived(self):
+        # the derived w walks expect w*(1-alpha)/alpha steps: over 2^32 at
+        # alpha 1e-12, refused before any push; about 1e8 at alpha 1e-6
+        w = _derive().w
+        for kw in [{}, {"w": 5000}, {"r_max": 1.0}]:
+            with pytest.raises(ValueError, match="^alpha must be large enough"):
+                _derive(alpha=1e-12, **kw)
+        assert _derive(alpha=1e-6).w == w
+        assert _derive(alpha=1 / 17, w=2**28).w == 2**28
+
 
 class TestSignificanceDelta:
     def test_k2(self, k2):

@@ -336,16 +336,23 @@ class TestStepMatchesSearch:
         want = reference(g, nodes, u)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind", ["unit", "weighted"])
-    def test_draws_at_slot_boundaries(self, kind):
-        n = 60_000
+    # the weighted sizes put the largest node id at 2^15 - 1 (an int16 pair
+    # table) and at 2^15 and beyond (int32), and draw from rows on both sides
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param("unit", 60_000, id="unit"),
+        pytest.param("weighted", 60_000, id="weighted"),
+        pytest.param("weighted", 2**15 + 1, id="weighted-int32"),
+        pytest.param("weighted", 2**15, id="weighted-int16"),
+    ])
+    def test_draws_at_slot_boundaries(self, kind, n):
         edges = [(i, (i + 1) % n) for i in range(n)]
         edges += [(0, i) for i in range(2, n - 1, 3)]
         if kind == "weighted":
             edges = [(u, v, 0.1 + 0.7 * ((u + 2 * v) % 5)) for u, v in edges]
         g = Graph.from_edges(edges, n=n)
         assert g.unit_weights == (kind == "unit")
-        rows = [0, 1, 2, n // 2, n - 2, n - 1]
+        near = range(2**15 - 2, min(n, 2**15 + 2))
+        rows = sorted({0, 1, 2, n // 2, *near, n - 2, n - 1})
         if g.unit_weights:
             nodes, u = boundary_draws(g, rows)
             want = step_many_by_search(g, nodes, u)
@@ -361,6 +368,9 @@ class TestStepMatchesSearch:
         else:
             nodes, u = alias_boundary_draws(g, rows)
             want = step_many_by_alias_loop(g, nodes, u)
+            pair = g._alias_tables()[1]
+            assert pair.dtype == (np.int16 if n <= 2**15 else np.int32)
+            assert want.max() == n - 1
         got = step_many(g, nodes, u)
         assert np.array_equal(got, want)
         if g.unit_weights:
@@ -423,7 +433,8 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_give_each_neighbour_its_weight(self, g):
-        prob, alias_node, _ = g._alias_tables()
+        prob, pair, _ = g._alias_tables()
+        alias_node = pair[1::2]
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         want = g.weights / g.degrees[rows]
         assert np.abs(implied_probabilities(g, prob, alias_node) - want).max() <= 1e-12
@@ -432,7 +443,8 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_aliases_stay_in_their_row(self, g):
-        _, alias_node, _ = g._alias_tables()
+        _, pair, _ = g._alias_tables()
+        alias_node = pair[1::2]
         for v in range(g.n):
             a, b = g.indptr[v], g.indptr[v + 1]
             assert set(alias_node[a:b].tolist()) <= set(g.indices[a:b].tolist())
@@ -440,7 +452,10 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_match_loop_reference(self, g):
-        prob, alias_node, _ = g._alias_tables()
+        prob, pair, _ = g._alias_tables()
+        assert pair.size == 2 * g.indices.size
+        assert np.array_equal(pair[0::2], g.indices)
+        alias_node = pair[1::2]
         for v in np.flatnonzero(np.diff(g.indptr)):
             a, b = g.indptr[v], g.indptr[v + 1]
             want_prob, want_alias = alias_row_reference(g, v)
@@ -462,9 +477,9 @@ class TestAliasTables:
         g = Graph.from_edges([(0, i, w) for i in range(1, 7)])
         p = w * 6 / g.degrees[0]
         assert p < 1.0
-        prob, alias_node, _ = g._alias_tables()
+        prob, pair, _ = g._alias_tables()
         assert prob[:6].tolist() == [p] * 6
-        assert alias_node[:6].tolist() == g.indices[:6].tolist()
+        assert pair[1:12:2].tolist() == g.indices[:6].tolist()
         u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
         got = step_many(g, np.zeros(7, dtype=np.int64), u)
         assert got.tolist() == g.indices[:6].tolist() + [g.indices[5]]
@@ -474,8 +489,8 @@ class TestAliasTables:
         # deficit starts at 4/7 + 1 ulp, past the one heavy's excess 4/7, so
         # its alias must be clamped to that heavy, not the next row's
         g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)])
-        prob, alias_node, _ = g._alias_tables()
-        assert alias_node[:3].tolist() == [2, 2, 2]
+        prob, pair, _ = g._alias_tables()
+        assert pair[1:6:2].tolist() == [2, 2, 2]
         assert prob[1] == 1.0
 
     def test_built_once_on_first_weighted_step(self):

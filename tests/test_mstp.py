@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import networkx as nx
 import numpy as np
@@ -17,6 +18,7 @@ from bippr.mstp import _all_levels, _own_level, _Residuals
 from bippr.walk import fixed_walk_levels
 
 from conftest import dense_walk_matrix, mstp_dicts, random_connected
+from test_estimator import reweighted
 from test_push import push_graphs
 
 
@@ -502,3 +504,43 @@ class TestDiffusionContract:
                                  shared_walks=shared)
         tol = hoeffding_tolerance(weights, g.degree(t), r_max, w, 1e-9)
         assert abs(est.value - true) <= tol + 1e-12
+
+
+class TestDiffusionMeanContract:
+    """The mean of many ``estimate_diffusion`` values against exact_diffusion
+    of the same truncated weights, within z sample standard errors, z the
+    two-sided normal quantile at p_fail = 1e-9.
+
+    Each value is unbiased for the truncated diffusion, so no tail enters.
+    The Hoeffding bound of TestDiffusionContract spans a walk's whole sample
+    range; this check scales with the values' own spread, and a walk term
+    scaled by 1.3 or 0.7 fails every case (by 11 to 285 standard errors).
+    Each value averages w walks per level, so the mean of the trials is
+    close to normal."""
+
+    Z = NormalDist().inv_cdf(1.0 - 0.5e-9)
+
+    @pytest.mark.parametrize("kind, seed, weighted, s, t", [
+        ("ba", 1, False, 0, 1),
+        ("er", 2, True, 3, 17),
+        ("er", 3, False, 3, 17),
+        ("ba", 4, True, 0, 1),
+    ])
+    @pytest.mark.parametrize("family", ["pagerank", "heat-kernel"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+    def test_mean_near_exact(self, kind, seed, weighted, s, t, family, shared):
+        g = random_connected(60, kind, seed)
+        if weighted:
+            g = reweighted(g, seed)
+        if family == "pagerank":
+            weights = pagerank_weights(0.3, choose_ell_max("pagerank", 1e-3, alpha=0.3))
+        else:
+            weights = heat_kernel_weights(3.0, choose_ell_max("heat-kernel", 1e-3, gamma=3.0))
+        trials, w, r_max = 200, 200, 0.05
+        rng = RandomStream(seed, s, t)
+        values = np.array([estimate_diffusion(g, s, t, weights, r_max, w, rng.child(i),
+                                              shared_walks=shared).value
+                           for i in range(trials)])
+        true = float(exact_diffusion(g, weights, s)[t])
+        se = values.std(ddof=1) / math.sqrt(trials)
+        assert abs(values.mean() - true) <= self.Z * se + 1e-12, (values.mean(), true, se)
