@@ -134,16 +134,15 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     """Unbiased bidirectional estimate of the length-ell transition probability
     from the state's source to t, using w fixed-length walks from t."""
     _check_count("ell", ell, low=0, high=state.ell_max)
-    _check_count("w", w, high=_MAX_WALKS // (ell + 1))  # positions in the walk table
-    pos = fixed_walk_positions(g, t, ell, w, rng)
+    _check_count("w", w, high=_MAX_WALKS // (ell + 1))  # at most 2^28 positions, the samplers' cap
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:
         q_t = state.q_levels.at(sm.slot[t]).tolist()
-        cols = sm.slot[pos[:, ::-1].T] + 1
-    return q_t[ell] + float(_own_level(res, cols).mean())
+        sums = _own_level_sums(g, sm, res, t, [ell], w, rng)
+    return q_t[ell] + float(sums[ell] / w)
 
 
-_TERMS = 1 << 20  # entries per combine temporary (walk chunk, level group): bounds its memory
+_TERMS = 1 << 20  # entries per walk table and combine temporary: bounds their memory
 
 
 class _Residuals:
@@ -218,16 +217,37 @@ def _all_levels(res: _Residuals, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_groups(ell_max: int, w: int):
-    """Levels ell_max down to 0, in runs whose lockstep position table of
-    (first level + 1) x w x len(run) entries stays within ``_TERMS``."""
-    group: list[int] = []
-    for ell in range(ell_max, -1, -1):
-        if group and (group[0] + 1) * w * (len(group) + 1) > _TERMS:
-            yield group
-            group = []
-        group.append(ell)
-    yield group
+def _runs(levels, w: int):
+    """Runs ``(run, n)`` that together walk w walks of each of ``levels``
+    (nonincreasing): n walks of each level of ``run``, in lockstep, in a
+    position table of (run[0] + 1) x n x len(run) entries within ``_TERMS``.
+    A level whose w walks do not fit alone is split into runs of
+    max(1, _TERMS // (ell + 1)) walks."""
+    run: list[int] = []
+    for ell in levels:
+        n = max(1, _TERMS // (ell + 1))
+        if n < w:
+            for lo in range(0, w, n):
+                yield [ell], min(n, w - lo)
+            continue
+        if run and (run[0] + 1) * w * (len(run) + 1) > _TERMS:
+            yield run, w
+            run = []
+        run.append(ell)
+    if run:
+        yield run, w
+
+
+def _own_level_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, levels, w: int,
+                    rng: RandomStream) -> np.ndarray:
+    """Sums over w walks from t of each of ``levels`` (nonincreasing) of their
+    ``_own_level`` samples, indexed by level; the walks are drawn run by run."""
+    sums = np.zeros(levels[0] + 1)
+    for run, n in _runs(levels, w):
+        table = fixed_walk_levels(g, t, run, n, rng)
+        for b, ell in enumerate(run):
+            sums[ell] += _own_level(res, sm.slot[table[ell::-1, b * n:(b + 1) * n]] + 1).sum()
+    return sums
 
 
 @dataclass
@@ -250,7 +270,7 @@ class DiffusionWeights:
 def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
     """Geometric weights alpha*(1-alpha)^i with tail (1-alpha)^(ell_max+1)."""
     _check_alpha(alpha)
-    _check_count("ell_max", ell_max, low=0)
+    _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     i = np.arange(ell_max + 1)
     alphas = alpha * (1.0 - alpha) ** i
     return DiffusionWeights(alphas=alphas, tail=(1.0 - alpha) ** (ell_max + 1))
@@ -258,7 +278,7 @@ def pagerank_weights(alpha: float, ell_max: int) -> DiffusionWeights:
 
 def heat_kernel_weights(gamma: float, ell_max: int) -> DiffusionWeights:
     """Poisson weights e^{-gamma} gamma^i / i!, each taken from its logarithm."""
-    _check_count("ell_max", ell_max, low=0)
+    _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     alphas = _poisson_pmf(gamma, ell_max)
     tail = max(0.0, 1.0 - float(alphas.sum()))
     return DiffusionWeights(alphas=alphas, tail=tail)
@@ -288,7 +308,8 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
     """Smallest truncation length whose tail mass is <= trunc_tol.
 
     A heat-kernel tail still above ``trunc_tol`` at ``max_levels`` raises
-    ``ValueError`` rather than truncating silently.
+    ``ValueError`` rather than truncating silently; so does a PageRank alpha
+    that needs 2^28 levels or more, whose weights alone would take 2 GiB.
     """
     _check_fraction("trunc_tol", trunc_tol, closed=True)
     _check_count("max_levels", max_levels, low=0)
@@ -298,7 +319,11 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
         _check_alpha(alpha)
         if trunc_tol >= 1.0 - alpha:
             return 0
-        return max(0, math.ceil(math.log(trunc_tol) / math.log1p(-alpha)) - 1)
+        ell_max = max(0, math.ceil(math.log(trunc_tol) / math.log1p(-alpha)) - 1)
+        if ell_max >= _MAX_WALKS:
+            raise ValueError(f"alpha must be large enough for fewer than 2^28 levels "
+                             f"at trunc_tol={trunc_tol}, got {alpha}")
+        return ell_max
     if family == "heat-kernel":
         if gamma is None:
             raise ValueError("heat-kernel family requires gamma")
@@ -336,31 +361,27 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     With ``shared_walks`` one batch of full-length trajectories from t is
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
     of cross-level correlation); disable it for independent per-level batches,
-    level ell drawing from ``rng.child(ell)`` exactly as :func:`bidir_mstp`
-    would. The residual terms are tabled once, over their support; shared
-    walks are binned into every level in one pass over their entries, and
-    independent levels walk in lockstep, each batch one gather at its own level.
+    every one drawn from ``rng`` with no uniform used twice. The residual
+    terms are tabled once, over their support; shared walks are binned into
+    every level in one pass over their entries, and independent levels walk
+    in lockstep, each batch one gather at its own level. Walks run in tables
+    of at most ``_TERMS`` positions, so memory does not grow with w_per_level.
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
     ell_max = weights.ell_max
-    # a walk table, shared or one level's, holds at most (ell_max+1)*w_per_level positions
+    # a level's walks take (ell_max+1)*w_per_level positions, within a sampler's cap
     _check_count("w_per_level", w_per_level, high=_MAX_WALKS // (ell_max + 1))
     state = approximate_mstp(g, s, ell_max, r_max)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:
         q_t = state.q_levels.at(sm.slot[t]).tolist()
         if shared_walks:
-            pos = fixed_walk_positions(g, t, ell_max, w_per_level, rng)
-            means = _all_levels(res, sm.slot[pos[:, ::-1].T] + 1).mean(axis=1).tolist()
-            per_level = [q_t[ell] + means[ell] for ell in range(ell_max + 1)]
+            sums = np.zeros(ell_max + 1)
+            for _, n in _runs([ell_max], w_per_level):
+                pos = fixed_walk_positions(g, t, ell_max, n, rng)
+                sums += _all_levels(res, sm.slot[pos[:, ::-1].T] + 1).sum(axis=1)
         else:
-            per_level = [0.0] * (ell_max + 1)
-            w = w_per_level
-            for group in _level_groups(ell_max, w):
-                table = fixed_walk_levels(g, t, group, w, [rng.child(ell) for ell in group])
-                for b, ell in enumerate(group):
-                    cols = sm.slot[table[ell::-1, b * w:(b + 1) * w]] + 1
-                    per_level[ell] = q_t[ell] + float(_own_level(res, cols).mean())
-
+            sums = _own_level_sums(g, sm, res, t, range(ell_max, -1, -1), w_per_level, rng)
+    per_level = [q + m for q, m in zip(q_t, (sums / w_per_level).tolist())]
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail, per_level=per_level)

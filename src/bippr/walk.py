@@ -112,22 +112,23 @@ def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
 
     One block of :func:`fixed_walk_levels`, returned transposed (a view).
     """
-    return fixed_walk_levels(g, start, [ell], num, [rng]).T
+    return fixed_walk_levels(g, start, [ell], num, rng).T
 
 
-def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
+def fixed_walk_levels(g: Graph, start: int, ells, num: int, rng: RandomStream) -> np.ndarray:
     """Position table of ``num`` walks from start of each length in ``ells``
     (nonincreasing), all advanced in lockstep: one ``step_many`` call per round.
 
     Column block b (``num`` columns from ``b*num``) holds the walks of length
     ``ells[b]``, row k their step k; rows past a block's length are left unset.
-    Block b takes its uniforms as one ``rngs[b].random((ells[b], num))`` draw,
-    the numbers ``ells[b]`` calls of ``random(num)`` would give, so it equals
-    ``fixed_walk_positions(g, start, ells[b], num, rngs[b])`` transposed.
+    The uniforms are one ``rng.random`` draw, one per step, round after round,
+    so one block of length ell reads them as ``rng.random((ell, num))``. The
+    table holds a position per step anyway, so they are drawn at once; the
+    walks of :func:`geometric_terminals` keep no table and draw per round.
     """
     g.require_walkable(start)
-    if len(ells) == 0 or len(rngs) != len(ells):
-        raise ValueError(f"need one stream per length, got {len(rngs)} for {len(ells)} lengths")
+    if len(ells) == 0:
+        raise ValueError("need at least one walk length")
     for ell in ells:
         _check_count("ell", ell, low=0)
     if any(a < b for a, b in zip(ells, ells[1:])):
@@ -136,13 +137,12 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rngs) -> np.ndarray:
     top = ells[0]
     pos = np.empty((top + 1, num * len(ells)), dtype=np.int64)
     pos[0] = start
-    u = np.empty((top, pos.shape[1]))
-    for b, (ell, rng) in enumerate(zip(ells, rngs)):
-        u[:ell, b * num:(b + 1) * num] = rng.random((ell, num))
     # the walks still going at round k (length > k) are a prefix of the columns
     live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
+    u = rng.random(int(live.sum()))
     for k, a in enumerate(live.tolist()):
-        pos[k + 1, :a] = step_many(g, pos[k, :a], u[k, :a])
+        pos[k + 1, :a] = step_many(g, pos[k, :a], u[:a])
+        u = u[a:]
     return pos
 
 

@@ -238,6 +238,8 @@ class TestBadArguments:
         ("eps", ["estimate", "--target", "b", "--eps", "5", "--rmax", "1e-3", "--walks", "10"]),
         ("gamma", ["diffusion", "--target", "b", "--family", "heat-kernel", "--gamma", "inf"]),
         ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "0"]),
+        # 13,815,510,551 levels: refused before their weights are allocated
+        ("alpha", ["diffusion", "--target", "b", "--family", "pagerank", "--alpha", "1e-9"]),
         ("trials", ["bench", "--target", "b", "--trials", "0"]),
         ("delta", ["bench", "--target", "b", "--delta", "1e-310", "--estimator", "mc"]),
         ("delta", ["bench", "--target", "b", "--delta", "1e-12", "--estimator", "mc"]),
@@ -344,6 +346,11 @@ CLI_CASES = [
     "bench --graph {w} --weighted --source b --target d --trials 2 --seed 6",
     *[f"diffusion --graph {{u}} --source a --target d --family {family} "
       f"--trunc-tol 1e-3 --walks-per-level 50 --seed 7{extra}"
+      for family in ("pagerank", "heat-kernel") for extra in ("", " --independent-walks")],
+    # at --rmax 0.1 the push leaves terms that the walks read, so the output
+    # changes with the walks (at the default 1e-3 it does not on this graph)
+    *[f"diffusion --graph {{u}} --source a --target d --family {family} "
+      f"--trunc-tol 1e-3 --rmax 0.1 --walks-per-level 50 --seed 7{extra}"
       for family in ("pagerank", "heat-kernel") for extra in ("", " --independent-walks")],
     "validate --graph {u}",
     "validate --graph {w} --weighted",

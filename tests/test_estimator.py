@@ -144,7 +144,7 @@ def _value(terminals):
 
 
 def _levels(ells=(2,), num=3):
-    return fixed_walk_levels(K3, 0, list(ells), num, [RandomStream(0, b) for b in range(len(ells))])
+    return fixed_walk_levels(K3, 0, list(ells), num, RandomStream(0))
 
 
 # (entry point, parameter, bad values, call with the parameter set to v)

@@ -43,6 +43,15 @@ key, each key entry as two 32-bit words. Every draw is still one uniform on
 unchanged; only the uniforms are new. ``PUSH_GOLDEN`` draws nothing and
 passes unedited. The unit-weight step that stopped clamping its slot at the
 same time moved no entry here.
+
+The two ``'diffusion shared=False'`` entries were re-recorded when the
+independent diffusion levels stopped drawing each from its own child
+stream, ``rng.child(ell)``, and came to draw every walk from the query's
+one stream, round by round through each lockstep run of levels. Each level
+still takes its own walks and every uniform is used once, so the levels
+stay independent and each keeps its law; only which uniforms feed which
+walk changed. Shared walks, fixed-length walks and every other entry draw
+the same numbers as before and pass unedited.
 """
 import pytest
 
@@ -103,10 +112,11 @@ def outputs(g: Graph) -> dict:
 GOLDEN = {
     'unit': {
         'diffusion shared=False':
-            [0.0038175403896411712, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.016041666666666666, 0.0, 0.0294458912037037, 0.0,
-             0.030149800936642657, 0.0, 0.040897251472955726,
-             0.0014003703703703704],
+            [0.003669970498616307, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.015416666666666665, 0.0, 0.023699652777777774,
+             0.0005333333333333334, 0.03502888776363169,
+             0.0010666666666666667, 0.03941569795566368,
+             0.0005333333333333334],
         'diffusion shared=True':
             [0.004018844337688383, 0.0, 0.0, 0.0, 0.0, 0.0, 0.01548611111111111,
              0.0, 0.028082609953703704, 0.0005333333333333334,
@@ -137,10 +147,11 @@ GOLDEN = {
     },
     'weighted': {
         'diffusion shared=False':
-            [0.0023581025068812214, 0.0, 0.0, 0.0, 0.0, 0.0,
-             0.009004919566030674, 0.0, 0.016674258840120616, 0.0,
-             0.022305049631069548, 0.00029119112134426417, 0.02677596920685778,
-             0.0002604389631959007],
+            [0.0022749355156057235, 0.0, 0.0, 0.0, 0.0, 0.0,
+             0.008600294479183366, 0.0, 0.014098247976074492,
+             0.00026072380952380956, 0.02354469373610001,
+             0.0004034014173950683, 0.027020591302313005,
+             0.0004611891363050776],
         'diffusion shared=True':
             [0.0022751111938307234, 0.0, 0.0, 0.0, 0.0, 0.0,
              0.008058763294318847, 0.0, 0.01663250588040366,

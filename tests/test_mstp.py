@@ -13,13 +13,15 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    choose_ell_max, estimate_diffusion, exact_diffusion,
                    exact_mstp, exact_ppr, fixed_walk_positions,
                    heat_kernel_weights, pagerank_weights)
-from bippr import mstp
+from bippr import mstp, walk
+from bippr.graph import step_many
 from bippr.mstp import _all_levels, _own_level, _Residuals
 from bippr.walk import fixed_walk_levels
 
 from conftest import dense_walk_matrix, mstp_dicts, random_connected
 from test_estimator import reweighted
 from test_push import push_graphs
+from test_walk import lockstep_positions
 
 
 def level_gap(g, state, s, Wpows, ell):
@@ -234,6 +236,21 @@ class TestChooseEllMax:
     def test_pagerank_trivial_tolerance(self):
         assert choose_ell_max("pagerank", 1.0, alpha=0.2) == 0
 
+    def test_pagerank_levels_capped(self):
+        # alpha 1e-9 would take 13,815,510,551 levels, whose weights alone
+        # are 103 GiB; no walk of that length fits a 2^28-position table
+        with pytest.raises(ValueError, match=r"^alpha must be .* trunc_tol=1e-06, got 1e-09$"):
+            choose_ell_max("pagerank", 1e-6, alpha=1e-9)
+        assert choose_ell_max("pagerank", 1e-6, alpha=1e-4) == 138_148
+        # tolerances whose tails end half a level inside and past the cap
+        rate = math.log1p(-1e-8)
+        assert choose_ell_max("pagerank", math.exp((2**28 - 0.5) * rate), alpha=1e-8) == 2**28 - 1
+        with pytest.raises(ValueError, match="^alpha must be "):
+            choose_ell_max("pagerank", math.exp((2**28 + 0.5) * rate), alpha=1e-8)
+        for weights in (pagerank_weights, heat_kernel_weights):
+            with pytest.raises(ValueError, match="ell_max must be .* at most 268435455, got 268435456"):
+                weights(0.5, 2**28)
+
     def test_heat_kernel(self):
         assert choose_ell_max("heat-kernel", 0.081, gamma=1.0) == 2
 
@@ -321,15 +338,36 @@ class TestEstimateDiffusion:
                                    shared_walks=False)
         assert abs(shared.value - indep.value) < 0.01
 
-    def test_independent_levels_match_bidir_mstp(self):
+    def test_independent_levels_match_bidir_mstp(self, monkeypatch):
         g = random_connected(30, "ba", seed=4)
         w = pagerank_weights(0.2, 6)
         est = estimate_diffusion(g, 0, 5, w, 1e-2, 40, RandomStream(12),
                                  shared_walks=False)
         state = approximate_mstp(g, 0, w.ell_max, 1e-2)
-        assert est.per_level == [
-            bidir_mstp(g, state, 5, ell, 40, RandomStream(12).child(ell))
-            for ell in range(w.ell_max + 1)]
+        # the seven levels walk in one lockstep run from the one stream; level
+        # ell is bidir_mstp's estimate on that run's walks of length ell
+        walks = lockstep_positions(g, 5, range(w.ell_max, -1, -1), 40, RandomStream(12))
+        got = []
+        for ell in range(w.ell_max + 1):
+            b = w.ell_max - ell
+            block = walks[b * 40:(b + 1) * 40, :ell + 1].T
+            monkeypatch.setattr(mstp, "fixed_walk_levels", lambda *a, block=block: block)
+            got.append(bidir_mstp(g, state, 5, ell, 40, RandomStream(12)))
+        assert est.per_level == got
+
+    @pytest.mark.parametrize("terms", [mstp._TERMS, 50])
+    def test_independent_walks_use_each_uniform_once_in_order(self, terms, monkeypatch):
+        # at a budget of 50 positions the levels above 0 are split into runs
+        monkeypatch.setattr(mstp, "_TERMS", terms)
+        g = random_connected(30, "ba", seed=4)
+        uniforms = []
+        monkeypatch.setattr(walk, "step_many", lambda g, v, u:
+                            uniforms.append(u.copy()) or step_many(g, v, u))
+        estimate_diffusion(g, 0, 5, pagerank_weights(0.2, 6), 1e-2, 40, RandomStream(12, 3),
+                           shared_walks=False)
+        got = np.concatenate(uniforms)
+        assert got.size == 40 * sum(range(7))  # one per step of 40 walks of each length
+        assert got.tobytes() == RandomStream(12, 3).random(got.size).tobytes()
 
     def test_converges_to_exact_ppr_mean(self, s3):
         ell_max = choose_ell_max("pagerank", 1e-8, alpha=0.2)
@@ -342,16 +380,21 @@ class TestEstimateDiffusion:
         assert abs(np.mean(values) - true) <= max(3 * se, 1e-6) + w.tail
 
 
-def loop_level_estimate(g, q, rd, pos, t):
+def loop_level_estimate(g, q, rd, runs, t):
     """The per-k loop the combine used before, as reference: each walk adds
-    its terms in increasing k, starting from 0.0."""
-    ell = pos.shape[1] - 1
+    its terms in increasing k, starting from 0.0. ``runs`` holds the walks in
+    the runs they were drawn in; the run sums are added from 0.0 and divided
+    by the number of walks, so one run gives its mean."""
+    ell = runs[0].shape[1] - 1
     d_t = g.degree(t)
-    x = np.zeros(pos.shape[0])
-    for k in range(ell + 1):
-        nodes = pos[:, ell - k]
-        x += rd[k, nodes] * (d_t / g.degrees[nodes])
-    return q[ell].get(t, 0.0) + float(x.mean())
+    total = 0.0
+    for pos in runs:
+        x = np.zeros(pos.shape[0])
+        for k in range(ell + 1):
+            nodes = pos[:, ell - k]
+            x += rd[k, nodes] * (d_t / g.degrees[nodes])
+        total += x.sum()
+    return q[ell].get(t, 0.0) + float(total / sum(pos.shape[0] for pos in runs))
 
 
 def columns(state, pos):
@@ -369,36 +412,42 @@ class TestLevelEstimateMatchesLoop:
     """The residual table's combines return the reference loop's bits on the
     dense residual at every level: the one-gather combine at a walk's own
     length (also through ``bidir_mstp``), the all-levels binning of shared
-    prefixes, and ``estimate_diffusion`` in both modes, whose lockstep batches
-    equal per-level ``fixed_walk_positions``."""
+    prefixes, and ``estimate_diffusion`` in both modes, whose walks are the
+    one stream's per-round reference walks, run by run."""
 
     def check_levels(self, g, s, t, ell_max, r_max, w, seed):
         state = approximate_mstp(g, s, ell_max, r_max)
         q, _ = mstp_dicts(state)
         rd = state.residual_dense(g.n)
         res = _Residuals(state, g, t)
-        shared = fixed_walk_positions(g, t, ell_max, w, RandomStream(seed))
-        binned = _all_levels(res, columns(state, shared[:, ::-1].T))
         weights = pagerank_weights(0.2, ell_max)
         est = {mode: estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
                                         shared_walks=mode) for mode in (True, False)}
-        levels = list(range(ell_max, -1, -1))
-        table = fixed_walk_levels(g, t, levels, w,
-                                  [RandomStream(seed).child(ell) for ell in levels])
+
+        def walks(levels):
+            """Per level, the walks of that length each run draws from one stream."""
+            rng, out = RandomStream(seed), {ell: [] for ell in levels}
+            for run, n in mstp._runs(levels, w):
+                pos = lockstep_positions(g, t, run, n, rng)
+                for b, ell in enumerate(run):
+                    out[ell].append(pos[b * n:(b + 1) * n, :ell + 1])
+            return out
+
+        shared = walks([ell_max])[ell_max]
+        binned = [_all_levels(res, columns(state, pos[:, ::-1].T)) for pos in shared]
+        indep = walks(range(ell_max, -1, -1))
         for ell in range(ell_max + 1):
-            pos = shared[:, :ell + 1]
-            want = loop_level_estimate(g, q, rd, pos, t)
-            got = q[ell].get(t, 0.0) + float(_own_level(res, columns(state, pos[:, ::-1].T)).mean())
-            assert same_bits(got, want)
-            assert same_bits(q[ell].get(t, 0.0) + float(binned[ell].mean()), want)
+            runs = [pos[:, :ell + 1] for pos in shared]
+            want = loop_level_estimate(g, q, rd, runs, t)
+            own = sum((_own_level(res, columns(state, pos[:, ::-1].T)).sum() for pos in runs), 0.0)
+            assert same_bits(q[ell].get(t, 0.0) + float(own / w), want)
+            assert same_bits(q[ell].get(t, 0.0) + float(sum((b[ell].sum() for b in binned), 0.0) / w),
+                             want)
             assert same_bits(est[True].per_level[ell], want)
-            pos = fixed_walk_positions(g, t, ell, w, RandomStream(seed).child(ell))
-            b = ell_max - ell
-            assert np.array_equal(table[:ell + 1, b * w:(b + 1) * w].T, pos)
-            want = loop_level_estimate(g, q, rd, pos, t)
-            got = bidir_mstp(g, state, t, ell, w, RandomStream(seed).child(ell))
-            assert same_bits(got, want)
+            want = loop_level_estimate(g, q, rd, indep[ell], t)
             assert same_bits(est[False].per_level[ell], want)
+            want = loop_level_estimate(g, q, rd, walks([ell])[ell], t)
+            assert same_bits(bidir_mstp(g, state, t, ell, w, RandomStream(seed)), want)
 
     @settings(max_examples=150, deadline=None)
     @given(push_graphs(), st.integers(0, 6),
@@ -432,16 +481,25 @@ class TestLevelEstimateMatchesLoop:
     def test_long_walks_small_budget(self, ell_max, monkeypatch):
         # a budget of 100 terms bins the walks in several chunks (the shared
         # walks are binned twice, once here and once in estimate_diffusion)
-        # and walks every level in its own lockstep run
+        # and splits the 64 walks of every level above 0 into runs of
+        # 100 // (ell + 1) walks, each level in runs of its own
         monkeypatch.setattr(mstp, "_TERMS", 100)
-        bins, groups = [], []
+        bins, tables = [], []
         monkeypatch.setattr(np, "bincount", lambda *a, _f=np.bincount, **k:
                             bins.append("weights" in k) or _f(*a, **k))
         monkeypatch.setattr(mstp, "fixed_walk_levels", lambda *a, _f=fixed_walk_levels:
-                            groups.append(a[2]) or _f(*a))
+                            tables.append((list(a[2]), a[3])) or _f(*a))
+        monkeypatch.setattr(mstp, "fixed_walk_positions", lambda *a, _f=fixed_walk_positions:
+                            tables.append(([a[2]], a[3])) or _f(*a))
         self.check_levels(self.long_walk_graph(), 0, 4, ell_max, 1e-3, 64, 11)
-        assert sorted(ell for group in groups for ell in group) == list(range(ell_max + 1))
-        assert sum(bins) > 2 and len(groups) == ell_max + 1
+        walked = dict.fromkeys(range(ell_max + 1), 0)
+        for levels, n in tables:
+            assert (levels[0] + 1) * n * len(levels) <= 100
+            for ell in levels:
+                walked[ell] += n
+        # the shared walks, the independent levels and bidir_mstp at each level
+        assert walked == {ell: 64 * (2 + (ell == ell_max)) for ell in range(ell_max + 1)}
+        assert sum(bins) > 2 and all(n < 64 for levels, n in tables if levels[0] > 0)
 
 
 class TestDiffusionMemory:
@@ -460,6 +518,25 @@ class TestDiffusionMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+    def test_peak_does_not_grow_with_w(self, shared, monkeypatch):
+        # at a budget of 2^16 positions, 2^14 walks of each of four levels
+        # fill one walk table, and 2^18 walks are walked in 16 such runs
+        # (one table of 2^18 walks would take 8 MB of positions alone)
+        monkeypatch.setattr(mstp, "_TERMS", 1 << 16)
+        g = random_connected(30, "ba", seed=3)
+        w = pagerank_weights(0.2, 3)
+        peaks = []
+        for w_per_level in (1 << 14, 1 << 18):
+            tracemalloc.start()
+            try:
+                estimate_diffusion(g, 0, 5, w, 1e-4, w_per_level, RandomStream(0),
+                                   shared_walks=shared)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def hoeffding_tolerance(weights, d_t, r_max, w, p_fail):
