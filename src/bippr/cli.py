@@ -18,7 +18,7 @@ from . import exact, mstp
 from .estimator import BipprParams, PreparedSource, significance_delta
 from .graph import EdgeListParseError, Graph, load_edge_list
 from .mc import mc_estimate, mc_num_walks
-from .walk import RandomStream, _check_count
+from .walk import RandomStream, _check_count, _check_table_walks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -73,7 +73,7 @@ def cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
     params = _derive_params(args, g, t)
     prepared = PreparedSource(g, params.alpha, s, params.r_max)
-    est = prepared.estimate(t, params, RandomStream(seed))
+    est = prepared.estimate(t, params.w, RandomStream(seed))
     record = {
         "source": args.source,
         "target": args.target,
@@ -137,7 +137,7 @@ def cmd_bench(args) -> int:
     # each estimator maps a stream to (value, degree_work, walk_steps)
     def counters(est):
         return est.value, est.push_work, est.walk_steps
-    runs = {"bippr": lambda rng: counters(prepared.estimate(t, params, rng)),
+    runs = {"bippr": lambda rng: counters(prepared.estimate(t, params.w, rng)),
             "mc": lambda rng: counters(mc_estimate(g, s, t, params.alpha, mc_walks, rng)),
             "push": lambda rng: (prepared.push.p_at(t), prepared.push.degree_work, 0)}
 
@@ -176,12 +176,11 @@ def cmd_diffusion(args) -> int:
     g = _load_graph(args.graph, args.weighted)
     s, t = _node(g, args.source), _node(g, args.target)
     seed = _resolve_seed(args)
-    if args.family == "pagerank":
-        ell_max = mstp.choose_ell_max("pagerank", args.trunc_tol, alpha=args.alpha)
-        weights = mstp.pagerank_weights(args.alpha, ell_max)
-    else:
-        ell_max = mstp.choose_ell_max("heat-kernel", args.trunc_tol, gamma=args.gamma)
-        weights = mstp.heat_kernel_weights(args.gamma, ell_max)
+    ell_max = mstp.choose_ell_max(args.family, args.trunc_tol, alpha=args.alpha, gamma=args.gamma)
+    # refused before the weights, which at a tiny alpha take gigabytes
+    _check_table_walks("w_per_level", args.walks_per_level, ell_max + 1)
+    weights = (mstp.pagerank_weights(args.alpha, ell_max) if args.family == "pagerank"
+               else mstp.heat_kernel_weights(args.gamma, ell_max))
     est = mstp.estimate_diffusion(
         g, s, t, weights, r_max=args.rmax, w_per_level=args.walks_per_level,
         rng=RandomStream(seed), shared_walks=not args.independent_walks)

@@ -60,8 +60,8 @@ def significance_delta(g: Graph, t: int) -> float:
 
 @dataclass
 class BipprParams:
-    """Estimator parameters; derived fields follow the standard rules unless
-    explicitly overridden."""
+    """Estimator parameters; the derived fields follow the standard rules,
+    r_max and w unless explicitly overridden."""
 
     alpha: float
     delta: float
@@ -73,14 +73,12 @@ class BipprParams:
 
     @classmethod
     def derive(cls, alpha: float, delta: float, eps: float, p_fail: float,
-               d_t: float, r_max: float | None = None, c: float | None = None,
+               d_t: float, r_max: float | None = None,
                w: int | None = None) -> "BipprParams":
         _check_alpha(alpha)
         _check_fraction("eps", eps, closed=True)
         _check_positive("delta", delta)
-        _check_fraction("p_fail", p_fail)
-        if c is None:
-            c = chernoff_c(p_fail)
+        c = chernoff_c(p_fail)
         if r_max is None:
             r_max = choose_r_max(eps, delta, d_t, p_fail)
         else:
@@ -109,29 +107,31 @@ class PprEstimate:
 class PreparedSource:
     """Two-phase estimator: run the forward push for a source once, then
     query any number of targets (or repeated trials) against the shared,
-    immutable push state."""
+    immutable push state. The walks run at the push's alpha, and each walk
+    sample is checked against the push's r_max."""
 
     def __init__(self, g: Graph, alpha: float, s: int, r_max: float):
         self.graph = g
         self.push: PushResult = approximate_pagerank(g, alpha, s, r_max)
         self._residual = self.push.residual_dense(g.n)
 
-    def estimate(self, t: int, params: BipprParams, rng: RandomStream) -> PprEstimate:
-        values, steps = self._walk_means(t, params, rng, trials=1)
+    def estimate(self, t: int, w: int, rng: RandomStream) -> PprEstimate:
+        """The estimate at t from w walks."""
+        values, steps = self._walk_means(t, w, rng, trials=1)
         push_term, walk_term = self.push.p_at(t), float(values[0])
         return PprEstimate(value=push_term + walk_term, push_term=push_term,
                            walk_term=walk_term, push_count=self.push.push_count,
                            push_work=self.push.degree_work, walk_steps=steps)
 
-    def estimate_many(self, t: int, params: BipprParams, rng: RandomStream,
-                      trials: int) -> np.ndarray:
-        """Estimates from ``trials`` independent walk batches over the shared push."""
-        return self.push.p_at(t) + self._walk_means(t, params, rng, trials)[0]
+    def estimate_many(self, t: int, w: int, rng: RandomStream, trials: int) -> np.ndarray:
+        """Estimates from ``trials`` independent batches of w walks over the shared push."""
+        return self.push.p_at(t) + self._walk_means(t, w, rng, trials)[0]
 
-    def _walk_means(self, t: int, params: BipprParams, rng: RandomStream, trials: int):
+    def _walk_means(self, t: int, w: int, rng: RandomStream, trials: int):
         """Per-trial means of the walk samples ``r[v]*d_t/d_v`` at the terminals v."""
+        _check_count("w", w, high=_MAX_WALKS)
         g, residual, d_t = self.graph, self._residual, self.graph.degree(t)
-        bound = d_t * params.r_max
+        bound = d_t * self.push.r_max
 
         def sample(terminals):
             x = residual[terminals] * (d_t / g.degrees[terminals])
@@ -139,7 +139,7 @@ class PreparedSource:
                 raise AssertionError(f"walk sample {x.max():g} exceeds d_t*r_max={bound:g}; "
                                      "push postcondition violated")
             return x
-        return geometric_terminals(g, t, params.alpha, params.w, rng, sample, trials)
+        return geometric_terminals(g, t, self.push.alpha, w, rng, sample, trials)
 
 
 def estimate_ppr(g: Graph, s: int, t: int, params: BipprParams,
@@ -149,5 +149,5 @@ def estimate_ppr(g: Graph, s: int, t: int, params: BipprParams,
     Unbiased; with probability >= 1-p_fail the error is within
     max(eps*true, 2e*delta) when parameters follow the derivation rules.
     """
-    return PreparedSource(g, params.alpha, s, params.r_max).estimate(t, params, rng)
+    return PreparedSource(g, params.alpha, s, params.r_max).estimate(t, params.w, rng)
 

@@ -12,8 +12,8 @@ import numpy as np
 from .graph import Graph
 from .push import _add_work, _first_touch, _push_round, _SlotMap
 from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
-                   _check_fraction, _check_positive, fixed_walk_levels,
-                   fixed_walk_positions)
+                   _check_fraction, _check_positive, _check_table_walks,
+                   fixed_walk_levels, fixed_walk_positions)
 
 __all__ = ["MstpState", "DiffusionWeights", "DiffusionEstimate",
            "approximate_mstp", "bidir_mstp", "pagerank_weights",
@@ -134,7 +134,7 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     """Unbiased bidirectional estimate of the length-ell transition probability
     from the state's source to t, using w fixed-length walks from t."""
     _check_count("ell", ell, low=0, high=state.ell_max)
-    _check_count("w", w, high=_MAX_WALKS // (ell + 1))  # at most 2^28 positions, the samplers' cap
+    _check_table_walks("w", w, ell + 1)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:
         q_t = state.q_levels.at(sm.slot[t]).tolist()
@@ -303,16 +303,19 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array(out[:n + 1])
 
 
+_MAX_LEVELS = 10_000  # heat-kernel levels choose_ell_max looks through
+
+
 def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
-                   gamma: float | None = None, max_levels: int = 10_000) -> int:
+                   gamma: float | None = None) -> int:
     """Smallest truncation length whose tail mass is <= trunc_tol.
 
-    A heat-kernel tail still above ``trunc_tol`` at ``max_levels`` raises
-    ``ValueError`` rather than truncating silently; so does a PageRank alpha
-    that needs 2^28 levels or more, whose weights alone would take 2 GiB.
+    A heat-kernel tail still above ``trunc_tol`` at ``_MAX_LEVELS`` levels
+    raises ``ValueError`` rather than truncating silently; so does a
+    PageRank alpha that needs 2^28 levels or more, whose weights alone would
+    take 2 GiB.
     """
     _check_fraction("trunc_tol", trunc_tol, closed=True)
-    _check_count("max_levels", max_levels, low=0)
     if family == "pagerank":
         if alpha is None:
             raise ValueError("pagerank family requires alpha")
@@ -329,15 +332,15 @@ def choose_ell_max(family: str, trunc_tol: float, alpha: float | None = None,
             raise ValueError("heat-kernel family requires gamma")
         # the tails fall monotonically and each table is a bit-identical
         # prefix of a longer one, so grow the table by doubling
-        levels = min(64, max_levels)
+        levels = min(64, _MAX_LEVELS)
         tails = 1.0 - np.cumsum(_poisson_pmf(gamma, levels))
-        while tails[-1] > trunc_tol and levels < max_levels:
-            levels = min(2 * levels, max_levels)
+        while tails[-1] > trunc_tol and levels < _MAX_LEVELS:
+            levels = min(2 * levels, _MAX_LEVELS)
             tails = 1.0 - np.cumsum(_poisson_pmf(gamma, levels))
         hit = np.flatnonzero(tails <= trunc_tol)
         if hit.size == 0:
             raise ValueError(f"heat-kernel tail is still {tails[-1]:.3g} > trunc_tol="
-                             f"{trunc_tol} at max_levels={max_levels} (gamma={gamma})")
+                             f"{trunc_tol} at max_levels={_MAX_LEVELS} (gamma={gamma})")
         return int(hit[0])
     raise ValueError(f"unknown weight family {family!r}")
 
@@ -369,8 +372,7 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
     ell_max = weights.ell_max
-    # a level's walks take (ell_max+1)*w_per_level positions, within a sampler's cap
-    _check_count("w_per_level", w_per_level, high=_MAX_WALKS // (ell_max + 1))
+    _check_table_walks("w_per_level", w_per_level, ell_max + 1)
     state = approximate_mstp(g, s, ell_max, r_max)
     res = _Residuals(state, g, t)
     with _SlotMap(g, state.node) as sm:

@@ -1,4 +1,4 @@
-"""Random-walk samplers with a reproducible, splittable random-stream contract."""
+"""Random-walk samplers with a reproducible, keyed random-stream contract."""
 from __future__ import annotations
 
 import math
@@ -17,37 +17,25 @@ _MAX_STEPS = 1 << 32  # expected steps per geometric_terminals call: bounds its 
 
 
 class RandomStream:
-    """Random stream keyed by a seed and a spawn key, ``(stream_id, *path)``.
+    """Random stream keyed by a seed and a stream id.
 
     The generator is PCG64DXSM (O'Neill 2014) seeded by
-    ``np.random.SeedSequence(seed, spawn_key=...)``; the seed and each key
-    entry are taken mod 2^64. An identical key always yields the identical
-    sample sequence. ``child(index)`` appends ``index`` to the spawn key, so
-    a child's key differs from its parent's and its siblings' by
-    construction. Each entry reaches SeedSequence as two 32-bit words, low
-    then high, so distinct keys are distinct SeedSequence inputs and give
-    unrelated generator states (SeedSequence itself reads an entry below
-    2^32 as one word and a larger one as two, so ``(2^32,)`` and ``(0, 1)``
-    would collide). Parallel workers can each own a derived child stream.
-    ``stream_id`` is the first key entry, the id of the top-level stream.
+    ``np.random.SeedSequence(seed, spawn_key=...)``; the seed and the stream
+    id are taken mod 2^64. An identical key always yields the identical
+    sample sequence. The stream id reaches SeedSequence as two 32-bit words,
+    low then high, so every id in [0, 2^64) keys its own generator state
+    (SeedSequence itself reads a key entry below 2^32 as one word and a
+    larger one as two).
     """
 
-    __slots__ = ("seed", "spawn_key", "_gen")
+    __slots__ = ("seed", "stream_id", "_gen")
 
-    def __init__(self, seed: int, stream_id: int = 0, *path: int):
+    def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK64
-        self.spawn_key = tuple(k & _MASK64 for k in (stream_id, *path))
-        words = tuple(w for k in self.spawn_key for w in (k & _MASK32, k >> 32))
+        self.stream_id = stream_id & _MASK64
+        words = (self.stream_id & _MASK32, self.stream_id >> 32)
         self._gen = np.random.Generator(np.random.PCG64DXSM(
             np.random.SeedSequence(self.seed, spawn_key=words)))
-
-    @property
-    def stream_id(self) -> int:
-        return self.spawn_key[0]
-
-    def child(self, index: int) -> "RandomStream":
-        """The stream keyed by this one's spawn key with ``index`` appended."""
-        return RandomStream(self.seed, *self.spawn_key, index)
 
     def random(self, size=None):
         return self._gen.random(size)
@@ -125,16 +113,17 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rng: RandomStream) -
     so one block of length ell reads them as ``rng.random((ell, num))``. The
     table holds a position per step anyway, so they are drawn at once; the
     walks of :func:`geometric_terminals` keep no table and draw per round.
+    A table over ``_MAX_WALKS`` positions is refused before any allocation.
     """
     g.require_walkable(start)
     if len(ells) == 0:
         raise ValueError("need at least one walk length")
     for ell in ells:
-        _check_count("ell", ell, low=0)
+        _check_count("ell", ell, low=0, high=_MAX_WALKS - 1)
     if any(a < b for a, b in zip(ells, ells[1:])):
         raise ValueError(f"walk lengths must be nonincreasing, got {list(ells)}")
-    _check_count("num", num)
     top = ells[0]
+    _check_table_walks("num", num, (top + 1) * len(ells))
     pos = np.empty((top + 1, num * len(ells)), dtype=np.int64)
     pos[0] = start
     # the walks still going at round k (length > k) are a prefix of the columns
@@ -183,6 +172,13 @@ def _check_count(name: str, value: int, low: int = 1, high: int | None = None) -
         if high is not None:
             what += f" at most {high}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_table_walks(name: str, num: int, positions: int) -> None:
+    """Rule: ``num`` walks of ``positions`` positions each (ell+1 for a walk
+    of ell steps) fill a table within the samplers' cap of ``_MAX_WALKS``
+    positions, so ``num`` is a count at most ``_MAX_WALKS // positions``."""
+    _check_count(name, num, high=_MAX_WALKS // positions)
 
 
 def _walk_count(scale: float, eps: float, delta: float) -> int:

@@ -117,7 +117,7 @@ def test_criterion_4_accuracy_guarantee(g500):
         params = BipprParams.derive(0.2, delta, eps, p_fail, d_t=g.degree(t))
         true = float(exact_ppr(g, 0.2, s, tol=1e-12)[t])
         values = PreparedSource(g, params.alpha, s, params.r_max).estimate_many(
-            t, params, RandomStream(100), trials)
+            t, params.w, RandomStream(100), trials)
         bound = max(eps * true, 2 * math.e * delta)
         rate = float((np.abs(values - true) > bound).mean())
         rates[name] = rate
@@ -131,7 +131,7 @@ def test_criterion_5_unbiasedness():
     k2 = Graph.from_edges([(0, 1)])
     params = BipprParams.derive(0.2, 0.01, 0.1, 0.01, d_t=1.0)
     values = PreparedSource(k2, params.alpha, 0, params.r_max).estimate_many(
-        1, params, RandomStream(200), 10_000)
+        1, params.w, RandomStream(200), 10_000)
     se = values.std(ddof=1) / math.sqrt(len(values))
     gap = abs(values.mean() - 4 / 9)
     assert gap <= 4 * se

@@ -262,6 +262,10 @@ class TestBadArguments:
                          "--walks-per-level", "300000000"]),
         ("w_per_level", ["diffusion", "--target", "b", "--family", "pagerank",
                          "--walks-per-level", "5000000"]),
+        # 138,155,098 levels: the default 1000 walks per level are refused
+        # before their 2 GiB of weights are built
+        ("w_per_level", ["diffusion", "--target", "b", "--family", "pagerank",
+                         "--alpha", "1e-7"]),
         ("cap", ["exact", "--cap", "-1"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)

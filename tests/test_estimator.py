@@ -70,7 +70,7 @@ class TestParameterRules:
         with pytest.raises(ValueError, match="delta must be large enough"):
             num_walks(c, 2.0, 1.0, eps, delta)
         with pytest.raises(ValueError, match="delta must be large enough"):
-            BipprParams.derive(0.2, delta, min(eps, 1.0), 0.01, d_t=2.0, r_max=1.0, c=c)
+            BipprParams.derive(0.2, delta, min(eps, 1.0), 0.01, d_t=2.0, r_max=1.0)
 
     def test_num_walks_capped_at_2_to_28(self):
         # c*d_t*r_max/(eps^2*delta) = c: 2^28 is the largest count allowed
@@ -81,12 +81,12 @@ class TestParameterRules:
     def test_walks_per_call_capped_before_any_allocation(self):
         cap = 2 ** 28
         assert BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=cap).w == cap
-        params = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, r_max=1e-3, w=1000)
         for name, call in [
             ("w", lambda: BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=1.0, w=cap + 1)),
+            ("w", lambda: PreparedSource(K3, 0.2, 0, 1e-3).estimate(1, cap + 1, RandomStream(0))),
             # w * trials walks go to one sampler call
             ("trials", lambda: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(
-                1, params, RandomStream(0), cap // 1000 + 1)),
+                1, 1000, RandomStream(0), cap // 1000 + 1)),
             ("num_walks", lambda: mc_estimate(K3, 0, 1, 0.2, cap + 1, RandomStream(0))),
             ("num", lambda: geometric_terminals(K3, 0, 0.2, cap + 1, RandomStream(0), _value)),
             ("trials", lambda: geometric_terminals(K3, 0, 0.2, 1000, RandomStream(0), _value,
@@ -95,8 +95,11 @@ class TestParameterRules:
             ("w", lambda: bidir_mstp(K3, MSTP, 1, 2, cap // 3 + 1, RandomStream(0))),
             ("w_per_level", lambda: estimate_diffusion(K3, 0, 1, pagerank_weights(0.2, 3),
                                                        1e-3, cap // 4 + 1, RandomStream(0))),
+            ("num", lambda: fixed_walk_positions(K3, 0, 2, cap // 3 + 1, RandomStream(0))),
+            ("ell", lambda: fixed_walk_positions(K3, 0, 2**40, 1, RandomStream(0))),
         ]:
-            with pytest.raises(ValueError, match=f"{name} must be a positive integer at most "):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a (nonnegative|positive) integer at most "):
                 call()
 
     @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
@@ -132,7 +135,6 @@ COUNT = [True, 2.5, math.nan, math.inf, 0, -1]
 LENGTH = [True, 2.5, math.nan, math.inf, -1]
 K3 = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
 MSTP = approximate_mstp(K3, 0, 3, 1e-3)
-PARAMS = BipprParams.derive(0.2, 0.1, 0.1, 0.01, d_t=2.0, r_max=1e-3, w=10)
 
 
 def _derive(alpha=0.2, delta=0.1, eps=0.1, p_fail=0.01, **kw):
@@ -168,8 +170,12 @@ ARGUMENTS = [
     ("derive", "w", COUNT, lambda v: _derive(w=v)),
     ("PreparedSource", "alpha", FRACTION, lambda v: PreparedSource(K3, v, 0, 1e-3)),
     ("PreparedSource", "r_max", POSITIVE, lambda v: PreparedSource(K3, 0.2, 0, v)),
-    ("estimate_many", "trials", COUNT,
-     lambda v: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(1, PARAMS, RandomStream(0), v)),
+    ("estimate", "w", COUNT, lambda v: PreparedSource(K3, 0.2, 0, 1e-3).estimate(
+        1, v, RandomStream(0))),
+    ("estimate_many", "w", COUNT, lambda v: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(
+        1, v, RandomStream(0), 3)),
+    ("estimate_many", "trials", COUNT, lambda v: PreparedSource(K3, 0.2, 0, 1e-3).estimate_many(
+        1, 10, RandomStream(0), v)),
     ("mc_num_walks", "delta", POSITIVE, lambda v: mc_num_walks(v, 0.1, 0.01)),
     ("mc_num_walks", "eps", FRACTION, lambda v: mc_num_walks(0.1, v, 0.01)),
     ("mc_num_walks", "p_fail", FRACTION, lambda v: mc_num_walks(0.1, 0.1, v)),
@@ -213,8 +219,6 @@ ARGUMENTS = [
      lambda v: choose_ell_max("pagerank", v, alpha=0.2)),
     ("choose_ell_max", "alpha", FRACTION, lambda v: choose_ell_max("pagerank", 0.5, alpha=v)),
     ("choose_ell_max", "gamma", POSITIVE, lambda v: choose_ell_max("heat-kernel", 0.5, gamma=v)),
-    ("choose_ell_max", "max_levels", LENGTH,
-     lambda v: choose_ell_max("heat-kernel", 0.5, gamma=1.0, max_levels=v)),
     ("estimate_diffusion", "r_max", POSITIVE,
      lambda v: estimate_diffusion(K3, 0, 1, pagerank_weights(0.2, 3), v, 3, RandomStream(0))),
     ("estimate_diffusion", "w_per_level", COUNT,
@@ -306,14 +310,14 @@ class TestEstimatePpr:
     def test_k2_relative_error_rarely_exceeded(self, k2):
         params = self.params(k2, 1)
         values = PreparedSource(k2, params.alpha, 0, params.r_max).estimate_many(
-            1, params, RandomStream(17), trials=1000)
+            1, params.w, RandomStream(17), trials=1000)
         within = (values >= 4 / 9 * 0.9) & (values <= 4 / 9 * 1.1)
         assert within.mean() >= 0.99
 
     def test_star_unbiasedness(self, s3):
         params = self.params(s3, 0)
         values = PreparedSource(s3, params.alpha, 1, params.r_max).estimate_many(
-            0, params, RandomStream(23), trials=1000)
+            0, params.w, RandomStream(23), trials=1000)
         assert abs(values.mean() - 4 / 9) < 0.005
 
     def test_unbiased_on_random_graph(self):
@@ -322,7 +326,7 @@ class TestEstimatePpr:
         true = float(exact_ppr(g, 0.2, s, tol=1e-13)[t])
         params = self.params(g, t, delta=max(true / 2, 1e-3))
         values = PreparedSource(g, params.alpha, s, params.r_max).estimate_many(
-            t, params, RandomStream(31), trials=10_000)
+            t, params.w, RandomStream(31), trials=10_000)
         se = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - true) <= 4 * max(se, 1e-12)
 
@@ -346,9 +350,9 @@ class TestEstimatePpr:
         s, t = 1, 0
         fw_params, bw_params = self.params(s3, t), self.params(s3, s)
         fw = PreparedSource(s3, fw_params.alpha, s, fw_params.r_max).estimate_many(
-            t, fw_params, RandomStream(6), 2000)
+            t, fw_params.w, RandomStream(6), 2000)
         bw = PreparedSource(s3, bw_params.alpha, t, bw_params.r_max).estimate_many(
-            s, bw_params, RandomStream(7), 2000)
+            s, bw_params.w, RandomStream(7), 2000)
         assert abs(fw.mean() * s3.degree(s) - bw.mean() * s3.degree(t)) < 0.01
 
     def test_degenerate_source_equals_target(self, k3):
@@ -360,11 +364,19 @@ class TestEstimatePpr:
     def test_two_phase_reuse(self, k3):
         params = self.params(k3, 1)
         prepared = PreparedSource(k3, params.alpha, 0, params.r_max)
-        a = prepared.estimate(1, params, RandomStream(9, 1))
-        b = prepared.estimate(2, params, RandomStream(9, 2))
+        a = prepared.estimate(1, params.w, RandomStream(9, 1))
+        b = prepared.estimate(2, params.w, RandomStream(9, 2))
         assert a.push_work == b.push_work
         one_shot = estimate_ppr(k3, 0, 1, params, RandomStream(9, 1))
         assert a.value == one_shot.value
+
+    def test_walk_sample_over_the_push_bound_raises(self, k3):
+        # no argument reaches the bound: a residual over r_max*d_v trips it
+        prepared = PreparedSource(k3, 0.2, 0, 0.1)
+        prepared._residual[:] = 2 * 0.1 * k3.degrees
+        with pytest.raises(AssertionError, match=r"^walk sample 0\.4 exceeds d_t\*r_max=0\.2; "
+                                                 r"push postcondition violated$"):
+            prepared.estimate(1, 10, RandomStream(0))
 
     def test_isolated_endpoint_rejected(self):
         g = Graph.from_edges([(0, 1)], n=3)
@@ -434,10 +446,8 @@ class TestPprMeanContract:
         if weighted:
             g = reweighted(g, seed)
         trials = 5000
-        params = BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=g.degree(t), r_max=r_max,
-                                    w=10)
         values = PreparedSource(g, alpha, s, r_max).estimate_many(
-            t, params, RandomStream(seed, s, t), trials)
+            t, 10, RandomStream(seed, s * g.n + t), trials)
         true = float(exact_ppr(g, alpha, s, tol=1e-14)[t])
         se = values.std(ddof=1) / math.sqrt(trials)
         assert abs(values.mean() - true) <= self.Z * se + 1e-12, (values.mean(), true, se)

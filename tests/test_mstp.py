@@ -275,11 +275,14 @@ class TestChooseEllMax:
     @pytest.mark.parametrize("gamma, tol, expected, tail", [
         (50.0, 1e-3, 73, "0.00134"), (800.0, 1e-6, 938, "1.08e-06"),
     ])
-    def test_heat_kernel_max_levels_boundary_pinned(self, gamma, tol, expected, tail):
+    def test_heat_kernel_max_levels_boundary_pinned(self, gamma, tol, expected, tail,
+                                                    monkeypatch):
         # a cap at the answer still finds it; one level less reports the tail there
-        assert choose_ell_max("heat-kernel", tol, gamma=gamma, max_levels=expected) == expected
+        monkeypatch.setattr(mstp, "_MAX_LEVELS", expected)
+        assert choose_ell_max("heat-kernel", tol, gamma=gamma) == expected
+        monkeypatch.setattr(mstp, "_MAX_LEVELS", expected - 1)
         with pytest.raises(ValueError) as err:
-            choose_ell_max("heat-kernel", tol, gamma=gamma, max_levels=expected - 1)
+            choose_ell_max("heat-kernel", tol, gamma=gamma)
         assert str(err.value) == (f"heat-kernel tail is still {tail} > trunc_tol={tol} "
                                   f"at max_levels={expected - 1} (gamma={gamma})")
 
@@ -289,12 +292,14 @@ class TestChooseEllMax:
         assert heat_kernel_weights(800.0, ell - 1).tail > 1e-6
         assert stats.poisson.sf(ell, 800.0) <= 1e-6 < stats.poisson.sf(ell - 1, 800.0)
 
-    def test_max_levels_reached_raises(self):
-        with pytest.raises(ValueError, match="max_levels"):
-            choose_ell_max("heat-kernel", 1e-6, gamma=50.0, max_levels=20)
-        with pytest.raises(ValueError, match="max_levels"):
+    def test_max_levels_reached_raises(self, monkeypatch):
+        with pytest.raises(ValueError, match="max_levels=10000"):
             choose_ell_max("heat-kernel", 1e-6, gamma=20_000.0)
-        assert choose_ell_max("heat-kernel", 0.081, gamma=1.0, max_levels=2) == 2
+        monkeypatch.setattr(mstp, "_MAX_LEVELS", 20)
+        with pytest.raises(ValueError, match="max_levels=20"):
+            choose_ell_max("heat-kernel", 1e-6, gamma=50.0)
+        monkeypatch.setattr(mstp, "_MAX_LEVELS", 2)
+        assert choose_ell_max("heat-kernel", 0.081, gamma=1.0) == 2
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -614,8 +619,8 @@ class TestDiffusionMeanContract:
         else:
             weights = heat_kernel_weights(3.0, choose_ell_max("heat-kernel", 1e-3, gamma=3.0))
         trials, w, r_max = 200, 200, 0.05
-        rng = RandomStream(seed, s, t)
-        values = np.array([estimate_diffusion(g, s, t, weights, r_max, w, rng.child(i),
+        values = np.array([estimate_diffusion(g, s, t, weights, r_max, w,
+                                              RandomStream(seed, (s * g.n + t) * trials + i),
                                               shared_walks=shared).value
                            for i in range(trials)])
         true = float(exact_diffusion(g, weights, s)[t])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bippr import (BipprParams, Graph, PreparedSource, RandomStream, exact_mstp,
+from bippr import (Graph, PreparedSource, RandomStream, exact_mstp,
                    exact_ppr, fixed_walk_positions, geometric_terminals)
 from bippr import estimator, walk
 from bippr.graph import step_many
@@ -42,43 +42,26 @@ class TestRandomStream:
         b = RandomStream(123, 1).random(64)
         assert not np.array_equal(a, b)
 
-    def test_child_derivation_is_deterministic(self):
-        a = RandomStream(9).child(5)
-        b = RandomStream(9).child(5)
-        assert a.spawn_key == b.spawn_key == (0, 5)
-        assert a.seed == b.seed == 9
-        assert np.array_equal(a.random(16), b.random(16))
-        assert RandomStream(9).child(6).spawn_key != a.spawn_key
-        assert RandomStream(9).child(5).child(2).spawn_key == (0, 5, 2)
-
-    def test_child_differs_from_parent_siblings_and_top_level_streams(self):
-        # the parent is top-level stream 3; each stream's first draws differ
-        for seed in (0, 9):
-            parent = RandomStream(seed, 3)
-            first = {}
-            for i in range(256):
-                first[i] = RandomStream(seed, i).random(4).tobytes()
-                first[(3, i)] = parent.child(i).random(4).tobytes()
-            assert first[3] == parent.random(4).tobytes()
-            assert len(set(first.values())) == len(first)
-
     def test_first_draws_pinned(self):
         # a change of bit generator or of stream keying fails here first
         assert RandomStream(0).random(3).tolist() == [
             0.09452309503998779, 0.5898825331225036, 0.3083662291322947]
-        assert RandomStream(0).child(1).random(3).tolist() == [
-            0.8409935631450017, 0.34180826425165944, 0.6641187992007598]
 
-    def test_seed_and_key_entries_wrap_mod_2_64(self):
-        a = RandomStream(-1, -1).child(-2)
-        assert (a.seed, a.stream_id, a.spawn_key) == (2**64 - 1, 2**64 - 1,
-                                                      (2**64 - 1, 2**64 - 2))
-        assert np.array_equal(a.random(4), RandomStream(2**64 - 1, 2**64 - 1, 2**64 - 2).random(4))
+    def test_stream_id_keyed_as_two_32_bit_words(self):
+        # SeedSequence alone would read id 2^32 as the key (0, 1); id -1 wraps
+        # to 2^64 - 1, the stream of the CLI's untimed warm-up call
+        high = RandomStream(0, 2**32).random(3)
+        wrapped = RandomStream(0, -1).random(3)
+        assert high.tolist() == [0.2582464185243696, 0.798184389124504, 0.40106247350424584]
+        assert wrapped.tolist() == [0.6652996691712587, 0.8924911849156087, 0.45755084645220134]
+        for stream_id in (0, 1):
+            low = RandomStream(0, stream_id).random(3)
+            assert not np.array_equal(low, high) and not np.array_equal(low, wrapped)
 
-    def test_large_key_entries_do_not_alias_longer_keys(self):
-        # numpy's SeedSequence reads (2**32,) and (0, 1) as the same words
-        a = RandomStream(0, 2**32).random(4)
-        assert not np.array_equal(a, RandomStream(0).child(1).random(4))
+    def test_seed_and_stream_id_wrap_mod_2_64(self):
+        a = RandomStream(-1, -1)
+        assert (a.seed, a.stream_id) == (2**64 - 1, 2**64 - 1)
+        assert np.array_equal(a.random(4), RandomStream(2**64 - 1, 2**64 - 1).random(4))
 
 
 def walk_terminals(g, start, alpha, num, rng, trials=1):
@@ -201,13 +184,12 @@ class TestGeometricWalk:
         # the trials are consecutive blocks of one chunk of walks from t=1;
         # the push leaves residual only at node 0, reached by odd lengths
         trials, w = 20, 5000
-        params = BipprParams.derive(0.2, 0.5, 0.1, 0.01, d_t=1.0, r_max=0.5, w=w)
-        prepared = PreparedSource(k2, params.alpha, 0, params.r_max)
+        prepared = PreparedSource(k2, 0.2, 0, 0.5)
         assert list(prepared.push.r) == [0]
         drawn = recording_sampler(monkeypatch)
-        values = prepared.estimate_many(1, params, RandomStream(23), trials)
+        values = prepared.estimate_many(1, w, RandomStream(23), trials)
         terminals = np.concatenate([v for v, _ in drawn])
-        lengths = replay_lengths(RandomStream(23), params.alpha, [trials * w])
+        lengths = replay_lengths(RandomStream(23), 0.2, [trials * w])
         assert np.array_equal(terminals == 0, lengths % 2 == 1)
         per_trial = lengths.reshape(trials, w).mean(axis=1)
         length_se = np.sqrt(lengths.var() / w)
@@ -249,17 +231,15 @@ class TestChunkedReduction:
     """Each sampler chunk is reduced as soon as it is walked: as many whole
     batches as fit in ``_CHUNK``, or ``_CHUNK`` pieces of a longer batch."""
 
-    def prepared(self, w):
-        g = random_connected(30, "er", seed=5)
-        params = BipprParams.derive(0.2, 1e-3, 0.1, 0.01, d_t=g.degree(7), r_max=1e-2, w=w)
-        return PreparedSource(g, params.alpha, 0, params.r_max), params
+    def prepared(self):
+        return PreparedSource(random_connected(30, "er", seed=5), 0.2, 0, 1e-2)
 
     def test_whole_batches_per_chunk(self, monkeypatch):
         # w does not divide _CHUNK and w*trials > _CHUNK: chunks of 3, 3, 1 batches
         monkeypatch.setattr(walk, "_CHUNK", 1000)
-        prepared, params = self.prepared(w=300)
+        prepared = self.prepared()
         drawn = recording_sampler(monkeypatch)
-        values = prepared.estimate_many(7, params, RandomStream(31), trials=7)
+        values = prepared.estimate_many(7, 300, RandomStream(31), trials=7)
         assert [t.size for t, _ in drawn] == [900, 900, 300]
         x = np.concatenate([v for _, v in drawn]).reshape(7, 300)
         assert values.tobytes() == (prepared.push.p_at(7) + x.mean(axis=1)).tobytes()
@@ -267,16 +247,16 @@ class TestChunkedReduction:
 
     def test_long_batch_split_into_pieces(self, monkeypatch):
         monkeypatch.setattr(walk, "_CHUNK", 1000)
-        prepared, params = self.prepared(w=2500)
+        prepared = self.prepared()
         drawn = recording_sampler(monkeypatch)
-        values = prepared.estimate_many(7, params, RandomStream(32), trials=2)
+        values = prepared.estimate_many(7, 2500, RandomStream(32), trials=2)
         assert [t.size for t, _ in drawn] == [1000, 1000, 500] * 2
         x = np.concatenate([v for _, v in drawn]).reshape(2, 2500)
         assert values == pytest.approx(prepared.push.p_at(7) + x.mean(axis=1), rel=1e-12)
         # the first batch draws what a single batch draws from the same stream
         first = [t for t, _ in drawn[:3]]
         drawn.clear()
-        est = prepared.estimate(7, params, RandomStream(32))
+        est = prepared.estimate(7, 2500, RandomStream(32))
         assert all(np.array_equal(a, b) for (b, _), a in zip(drawn, first))
         assert est.value == values[0]
 
