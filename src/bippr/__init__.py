@@ -12,7 +12,7 @@ from .mc import mc_estimate, mc_num_walks
 from .mstp import (DiffusionEstimate, DiffusionWeights, MstpState,
                    approximate_mstp, bidir_mstp, choose_ell_max,
                    estimate_diffusion, heat_kernel_weights, pagerank_weights)
-from .push import PushResult, approximate_pagerank, push_from_distribution
+from .push import PushResult, approximate_pagerank
 from .walk import RandomStream, fixed_walk_positions, geometric_terminals
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "RandomStream", "geometric_terminals", "fixed_walk_positions",
     "exact_ppr", "exact_ppr_from", "exact_ppr_matrix", "exact_mstp",
     "exact_diffusion",
-    "PushResult", "approximate_pagerank", "push_from_distribution",
+    "PushResult", "approximate_pagerank",
     "BipprParams", "PprEstimate", "PreparedSource", "chernoff_c",
     "choose_r_max", "num_walks", "significance_delta", "estimate_ppr",
     "mc_estimate", "mc_num_walks",

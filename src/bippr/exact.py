@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .graph import Graph
-from .walk import _check_alpha, _check_count, _check_positive
+from .walk import _MAX_WALKS, _check_alpha, _check_count, _check_positive
 
 __all__ = ["exact_ppr", "exact_ppr_from", "exact_ppr_matrix", "exact_mstp",
            "exact_diffusion"]
@@ -81,7 +81,7 @@ def _power_iteration(g: Graph, alpha: float, start: np.ndarray, tol: float) -> n
 def exact_mstp(g: Graph, s: int, ell_max: int) -> list[np.ndarray]:
     """[e_s W^0, ..., e_s W^ell_max] by repeated sparse vector-matrix products."""
     g.require_walkable(s)
-    _check_count("ell_max", ell_max, low=0)
+    _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     step = _walk_step(g, (g.n,))
     out = [np.zeros(g.n)]
     out[0][s] = 1.0

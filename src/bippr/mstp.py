@@ -92,7 +92,7 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     with a snapshot of the state, built as the returned one is.
     """
     g.require_walkable(s)
-    _check_count("ell_max", ell_max, low=0)
+    _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     _check_positive("r_max", r_max)
 
     q_slots: list[np.ndarray] = []

@@ -2,7 +2,6 @@
 residuals, with degree-weighted work accounting."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .graph import Graph
 from .walk import _check_alpha, _check_positive
 
-__all__ = ["PushResult", "approximate_pagerank", "push_from_distribution"]
+__all__ = ["PushResult", "approximate_pagerank"]
 
 
 @dataclass
@@ -174,44 +173,23 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
 
     Each push converts an alpha-fraction of the residual at a node into
     settled estimate and spreads the rest to its neighbors in proportion to
-    edge weight. ``on_push(state)``, if given, is called after every round of
-    pushes with a snapshot of the state, built as the returned one is.
-    """
-    g.require_walkable(s)
-    return push_from_distribution(g, alpha, {s: 1.0}, r_max, on_push=on_push)
-
-
-def push_from_distribution(g: Graph, alpha: float, sigma: dict[int, float],
-                           r_max: float, on_push=None) -> PushResult:
-    """The same push with the residual initialized to a distribution sigma.
-
-    The push runs in synchronous rounds (parallel push, Shun et al. VLDB
-    2016): each round pushes every node whose ratio r[v]/d_v exceeds r_max,
+    edge weight. The push runs in synchronous rounds (parallel push, Shun et
+    al. VLDB 2016): each round pushes every node whose ratio exceeds r_max,
     all reading their residuals before any of the round's mass lands, until
     no ratio exceeds it. Each push settles alpha*r_u > alpha*r_max*d_u, so
     degree_work <= 1/(alpha*r_max) holds as for one node at a time, and each
     round is a composition of valid pushes, so the invariant
-    pi_sigma = p + sum_v r[v]*pi_v holds after every round.
+    pi_s = p + sum_v r[v]*pi_v holds after every round. ``on_push(state)``,
+    if given, is called after every round with a snapshot of the state,
+    built as the returned one is.
     """
+    g.require_walkable(s)
     _check_alpha(alpha)
     _check_positive("r_max", r_max)
-    for v, mass in sigma.items():
-        if not math.isfinite(mass):
-            raise ValueError(f"sigma entries must be finite, got {mass}")
-        if mass < 0:
-            raise ValueError("sigma entries must be nonnegative")
-        if mass > 0:
-            g.require_walkable(v)
-    # correctly rounded: a running sum over 1e5+ entries drifts past 1e-12
-    total = math.fsum(sigma.values())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"sigma must sum to 1, got {total}")
-
-    start = [(int(v), float(m)) for v, m in sigma.items() if m > 0]
     push_count = 0
     degree_work = 0.0
-    with _SlotMap(g, np.array([v for v, _ in start], np.intp)) as sm:
-        r = sm.fit(np.array([m for _, m in start]))
+    with _SlotMap(g, np.array([s], np.intp)) as sm:
+        r = sm.fit(np.array([1.0]))
         p = np.zeros_like(r)
 
         def state() -> PushResult:

@@ -53,13 +53,10 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
     terminal is distributed as the personalized PageRank vector of ``start``.
 
     Walks run in chunks: as many whole batches as fit in ``_CHUNK`` walks, or
-    ``_CHUNK`` pieces of a longer batch. A chunk draws its lengths and orders
-    its walks longest first, so each round steps a prefix of a walks: one
-    ``rng.random(a)`` draw, then one ``step_many`` call. Drawing a chunk's
-    step uniforms at once would give the same numbers, but would hold about
-    ``(1-alpha)/alpha`` floats per walk. ``sample`` then maps the terminals,
-    in draw order, to per-walk values summed per batch, so memory stays at
-    one chunk.
+    ``_CHUNK`` pieces of a longer batch. A chunk draws its lengths, orders its
+    walks longest first and steps them with :func:`_lockstep`. ``sample``
+    then maps the terminals, in draw order, to per-walk values summed per
+    batch, so memory stays at one chunk.
     """
     g.require_walkable(start)
     _check_alpha(alpha)
@@ -79,15 +76,9 @@ def geometric_terminals(g: Graph, start: int, alpha: float, num: int,
             top = int(length.max())
             # lengths as small unsigned ints; a stable sort of them is a radix sort
             length = length.astype(np.min_scalar_type(top))
-            key = top - length
-            order = np.argsort(key, kind="stable")
-            # the walks still going at round k (length > k, key < top - k) are a prefix
-            live = np.searchsorted(key, np.arange(top, 0, -1, dtype=key.dtype), sorter=order)
-            pos = np.full(size, start, dtype=np.int64)
-            for a in live.tolist():
-                pos[:a] = step_many(g, pos[:a], rng.random(a))
-            terminals = np.empty_like(pos)
-            terminals[order] = pos
+            order = np.argsort(top - length, kind="stable")
+            terminals = np.empty(size, np.int64)
+            terminals[order] = _lockstep(g, start, length[order], rng)
             sums[b:b + batches] += sample(terminals).reshape(batches, -1).sum(axis=1)
             total_steps += int(length.sum())
     return sums / num, total_steps
@@ -105,14 +96,10 @@ def fixed_walk_positions(g: Graph, start: int, ell: int, num: int,
 
 def fixed_walk_levels(g: Graph, start: int, ells, num: int, rng: RandomStream) -> np.ndarray:
     """Position table of ``num`` walks from start of each length in ``ells``
-    (nonincreasing), all advanced in lockstep: one ``step_many`` call per round.
+    (nonincreasing), all advanced in lockstep by :func:`_lockstep`.
 
     Column block b (``num`` columns from ``b*num``) holds the walks of length
     ``ells[b]``, row k their step k; rows past a block's length are left unset.
-    The uniforms are one ``rng.random`` draw, one per step, round after round,
-    so one block of length ell reads them as ``rng.random((ell, num))``. The
-    table holds a position per step anyway, so they are drawn at once; the
-    walks of :func:`geometric_terminals` keep no table and draw per round.
     A table over ``_MAX_WALKS`` positions is refused before any allocation.
     """
     g.require_walkable(start)
@@ -122,17 +109,27 @@ def fixed_walk_levels(g: Graph, start: int, ells, num: int, rng: RandomStream) -
         _check_count("ell", ell, low=0, high=_MAX_WALKS - 1)
     if any(a < b for a, b in zip(ells, ells[1:])):
         raise ValueError(f"walk lengths must be nonincreasing, got {list(ells)}")
-    top = ells[0]
-    _check_table_walks("num", num, (top + 1) * len(ells))
-    pos = np.empty((top + 1, num * len(ells)), dtype=np.int64)
+    _check_table_walks("num", num, (ells[0] + 1) * len(ells))
+    return _lockstep(g, start, np.repeat(ells, num), rng, table=True)
+
+
+def _lockstep(g: Graph, start: int, length: np.ndarray, rng: RandomStream,
+              table: bool = False) -> np.ndarray:
+    """Walks from start of the nonincreasing ``length``s, advanced together:
+    the walks still going at round k (length > k) are a prefix of a walks,
+    and the round draws ``rng.random(a)``, one uniform per step, then makes
+    one ``step_many`` call. Returns the terminals, in the order of
+    ``length``, or with ``table`` the (length[0]+1, walks) position table,
+    row k every walk's step k; rows past a walk's length are left unset."""
+    top = int(length[0])
+    live = length.size - np.searchsorted(length[::-1], np.arange(top, dtype=length.dtype),
+                                         side="right")
+    pos = np.empty((top + 1 if table else 1, length.size), np.int64)
     pos[0] = start
-    # the walks still going at round k (length > k) are a prefix of the columns
-    live = num * np.searchsorted(-np.asarray(ells), -np.arange(top), side="left")
-    u = rng.random(int(live.sum()))
     for k, a in enumerate(live.tolist()):
-        pos[k + 1, :a] = step_many(g, pos[k, :a], u[:a])
-        u = u[a:]
-    return pos
+        at, to = (k, k + 1) if table else (0, 0)
+        pos[to, :a] = step_many(g, pos[at, :a], rng.random(a))
+    return pos if table else pos[0]
 
 
 # Every public entry point checks its arguments with these, one rule per kind

@@ -267,6 +267,8 @@ class TestBadArguments:
         ("w_per_level", ["diffusion", "--target", "b", "--family", "pagerank",
                          "--alpha", "1e-7"]),
         ("cap", ["exact", "--cap", "-1"]),
+        # one vector per level: over 2^28 - 1 levels is refused before the first
+        ("ell_max", ["exact", "--ell", "4611686018427387904"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
     def test_one_error_line_exit_2(self, k3_file, name, args):

@@ -12,7 +12,7 @@ from bippr import (BipprParams, Graph, PreparedSource, approximate_mstp,
                    exact_mstp, exact_ppr, exact_ppr_from,
                    exact_ppr_matrix, fixed_walk_positions, geometric_terminals,
                    heat_kernel_weights, mc_estimate, mc_num_walks, num_walks,
-                   pagerank_weights, push_from_distribution, significance_delta,
+                   pagerank_weights, significance_delta,
                    RandomStream)
 from bippr.walk import fixed_walk_levels
 
@@ -97,6 +97,11 @@ class TestParameterRules:
                                                        1e-3, cap // 4 + 1, RandomStream(0))),
             ("num", lambda: fixed_walk_positions(K3, 0, 2, cap // 3 + 1, RandomStream(0))),
             ("ell", lambda: fixed_walk_positions(K3, 0, 2**40, 1, RandomStream(0))),
+            # one push round or one vector per level: capped as the weight builders cap it
+            ("ell_max", lambda: approximate_mstp(K3, 0, 2**62, 1e-3)),
+            ("ell_max", lambda: approximate_mstp(K3, 0, cap, 1e-3)),
+            ("ell_max", lambda: exact_mstp(K3, 0, 2**62)),
+            ("ell_max", lambda: exact_mstp(K3, 0, cap)),
         ]:
             with pytest.raises(ValueError,
                                match=f"{name} must be a (nonnegative|positive) integer at most "):
@@ -117,7 +122,7 @@ class TestParameterRules:
     def test_alpha_rejected_alike_everywhere(self, k2, alpha):
         calls = [
             lambda: BipprParams.derive(alpha, 0.1, 0.1, 0.01, d_t=1.0),
-            lambda: push_from_distribution(k2, alpha, {0: 1.0}, 0.1),
+            lambda: approximate_pagerank(k2, alpha, 0, 0.1),
             lambda: pagerank_weights(alpha, 3),
             lambda: exact_ppr(k2, alpha, 0),
             lambda: choose_ell_max("pagerank", 1e-6, alpha=alpha),
@@ -203,10 +208,6 @@ ARGUMENTS = [
     ("exact_mstp", "ell_max", LENGTH, lambda v: exact_mstp(K3, 0, v)),
     ("approximate_pagerank", "alpha", FRACTION, lambda v: approximate_pagerank(K3, v, 0, 1e-3)),
     ("approximate_pagerank", "r_max", POSITIVE, lambda v: approximate_pagerank(K3, 0.2, 0, v)),
-    ("push_from_distribution", "alpha", FRACTION,
-     lambda v: push_from_distribution(K3, v, {0: 1.0}, 1e-3)),
-    ("push_from_distribution", "r_max", POSITIVE,
-     lambda v: push_from_distribution(K3, 0.2, {0: 1.0}, v)),
     ("approximate_mstp", "ell_max", LENGTH, lambda v: approximate_mstp(K3, 0, v, 1e-3)),
     ("approximate_mstp", "r_max", POSITIVE, lambda v: approximate_mstp(K3, 0, 3, v)),
     ("bidir_mstp", "ell", LENGTH, lambda v: bidir_mstp(K3, MSTP, 1, v, 3, RandomStream(0))),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bippr import (Graph, PushResult, RandomStream, approximate_mstp,
                    approximate_pagerank, estimate_diffusion, exact_ppr_matrix,
-                   pagerank_weights, push_from_distribution)
+                   pagerank_weights)
 
 from conftest import mstp_dicts, random_connected
 
@@ -129,80 +129,9 @@ class TestApproximatePagerank:
         with pytest.raises(ValueError, match="isolated"):
             approximate_pagerank(g, 0.2, 2, 0.1)
 
-
-class TestPushFromDistribution:
-    def test_point_mass_equals_single_source(self, k3):
-        a = approximate_pagerank(k3, 0.2, 0, 0.05)
-        b = push_from_distribution(k3, 0.2, {0: 1.0}, 0.05)
-        assert a.p == b.p
-        assert a.r == b.r
-
-    def test_uniform_k2_below_threshold_is_noop(self, k2):
-        # initial ratios are 0.5 <= 0.9, so the loop never fires
-        res = push_from_distribution(k2, 0.2, {0: 0.5, 1: 0.5}, 0.9)
-        assert res.p == {}
-        assert res.r == {0: 0.5, 1: 0.5}
-        assert res.push_count == 0
-
-    def test_uniform_k2_pushes_when_threshold_low(self, k2):
-        res = push_from_distribution(k2, 0.2, {0: 0.5, 1: 0.5}, 0.45)
-        assert res.push_count >= 2
-        Pi = exact_ppr_matrix(k2, 0.2, tol=1e-14)
-        sigma = np.array([0.5, 0.5])
-        recon = dense(res.p, 2) + dense(res.r, 2) @ Pi
-        assert np.abs(recon - sigma @ Pi).max() <= 1e-12
-
-    def test_uniform_k3_invariant(self, k3):
-        # the push invariant holds against the uniform source distribution
-        sigma = {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
-        res = push_from_distribution(k3, 0.2, sigma, 0.1)
-        assert res.push_count > 0
-        for v, rv in res.r.items():
-            assert rv / k3.degree(v) <= 0.1
-        Pi = exact_ppr_matrix(k3, 0.2, tol=1e-14)
-        recon = dense(res.p, 3) + dense(res.r, 3) @ Pi
-        assert np.abs(recon - np.full(3, 1 / 3) @ Pi).max() <= 1e-12
-
-    def test_invalid_sigma(self, k2):
-        with pytest.raises(ValueError):
-            push_from_distribution(k2, 0.2, {0: 0.7, 1: 0.7}, 0.1)
-        with pytest.raises(ValueError):
-            push_from_distribution(k2, 0.2, {0: 1.5, 1: -0.5}, 0.1)
-        g = Graph.from_edges([(0, 1)], n=3)
-        with pytest.raises(ValueError, match="isolated"):
-            push_from_distribution(g, 0.2, {2: 1.0}, 0.1)
-
-    def test_uniform_sigma_over_many_nodes_accepted(self):
-        # a left-to-right float sum of 1e5 copies of 1e-5 is off by ~2e-12
-        n = 100_000
-        g = Graph.from_edges([(i, (i + 1) % n) for i in range(n)], n=n)
-        sigma = dict.fromkeys(range(n), 1.0 / n)
-        res = push_from_distribution(g, 0.2, sigma, 1e-5)
-        assert res.push_count == 0
-        assert len(res.r) == n
-
-    def test_sigma_off_by_1e_9_rejected(self, k2):
-        with pytest.raises(ValueError, match="sum to 1"):
-            push_from_distribution(k2, 0.2, {0: 0.5, 1: 0.5 + 1e-9}, 0.1)
-
-    @pytest.mark.parametrize("sigma", [
-        {0: math.nan},
-        {0: 1.0, 2: math.nan},
-        {0: math.inf},
-        {0: 1.0, 1: -math.inf},
-        {0: np.float64("nan")},
-    ])
-    def test_non_finite_mass_rejected(self, k3, sigma):
-        # nan passes both `mass < 0` and `abs(fsum - 1) > tol`
-        with pytest.raises(ValueError, match="finite"):
-            push_from_distribution(k3, 0.2, sigma, 0.1)
-
     @pytest.mark.parametrize("call", [
         lambda g: approximate_pagerank(g, 0.2, 1.0, 0.1),
         lambda g: approximate_pagerank(g, 0.2, True, 0.1),
-        lambda g: push_from_distribution(g, 0.2, {1.0: 1.0}, 0.1),
-        lambda g: push_from_distribution(g, 0.2, {True: 1.0}, 0.1),
-        lambda g: push_from_distribution(g, 0.2, {0: 0.5, np.float64(2): 0.5}, 0.1),
         lambda g: approximate_mstp(g, 1.0, 2, 0.1),
     ])
     def test_non_integer_node_rejected(self, path3, call):
@@ -268,7 +197,7 @@ def fifo_push(g: Graph, r: dict[int, float], out: dict[int, float],
 
 
 def fifo_pagerank(g, alpha, sigma, r_max):
-    """``push_from_distribution`` as it ran on ``fifo_push``, the reference:
+    """The push from ``sigma`` run on ``fifo_push``, the reference:
     (p, r, push_count, degree_work)."""
     p = {}
     r = {v: float(m) for v, m in sigma.items() if m > 0}
@@ -389,28 +318,6 @@ class TestKernelMatchesReference:
         assert ordered(approximate_pagerank(g, alpha, s, r_max).p) == ordered(new.p)
 
     @settings(max_examples=200, deadline=None)
-    @given(push_graphs(), ALPHA, R_MAX, st.data())
-    def test_push_from_distribution(self, case, alpha, r_max, data):
-        g, walkable = case
-        nodes = data.draw(st.lists(st.sampled_from(walkable), min_size=1,
-                                   unique=True))
-        masses = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(nodes),
-                                    max_size=len(nodes)))
-        total = math.fsum(masses)
-        sigma = {v: m / total for v, m in zip(nodes, masses)}
-        new = push_from_distribution(g, alpha, sigma, r_max)
-        assert_slots_released(g)
-        assert_ppr_near_reference(g, new, fifo_pagerank(g, alpha, sigma, r_max),
-                                  alpha, r_max)
-        # numpy keys and masses give the same push
-        np_sigma = {np.int64(v): np.float64(m) for v, m in sigma.items()}
-        same = push_from_distribution(g, alpha, np_sigma, r_max)
-        assert ordered(same.p) == ordered(new.p)
-        assert ordered(same.r) == ordered(new.r)
-        assert repr(same.degree_work) == repr(new.degree_work)
-        assert_python_floats(same.p, same.r)
-
-    @settings(max_examples=200, deadline=None)
     @given(push_graphs(), st.integers(0, 6), R_MAX, st.data())
     def test_approximate_mstp(self, case, ell_max, r_max, data):
         g, walkable = case
@@ -513,7 +420,7 @@ class TestSlotArray:
         approximate_pagerank(g, 0.2, 0, 1e-3)
         assert_slots_released(g)
         slots = g._slots[0]
-        push_from_distribution(g, 0.2, {1: 0.5, 2: 0.5}, 1e-3)
+        approximate_pagerank(g, 0.2, 1, 1e-3)
         approximate_mstp(g, 3, 6, 1e-3)
         estimate_diffusion(g, 3, 7, pagerank_weights(0.2, 6), 1e-3, 20, RandomStream(0))
         assert g._slots[0] is slots  # reused, not reallocated

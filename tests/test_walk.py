@@ -401,3 +401,39 @@ class TestFixedWalkLevels:
         for b, ell in enumerate(ells):
             block = table[:ell + 1, b * num:(b + 1) * num].T
             assert block.tobytes() == want[b * num:(b + 1) * num, :ell + 1].tobytes()
+
+
+class RecordingStream(RandomStream):
+    """A stream that records the size of every ``random`` call."""
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return super().random(size)
+
+
+class TestDrawPolicy:
+    """Both samplers draw step uniforms alike: one ``random`` call per round,
+    sized to the walks still going."""
+
+    def test_fixed_walk_levels_draws_once_per_round(self):
+        g = random_connected(40, "ba", seed=5)
+        ells, num = [12, 12, 7, 1, 0], 9
+        rng = RecordingStream(8)
+        fixed_walk_levels(g, 3, ells, num, rng)
+        assert rng.sizes == [num * sum(ell > k for ell in ells) for k in range(12)]
+
+    def test_geometric_terminals_draws_lengths_per_chunk_then_once_per_round(
+            self, k3, monkeypatch):
+        monkeypatch.setattr(walk, "_CHUNK", 4096)
+        alpha = 0.2
+        rng = RecordingStream(22)
+        geometric_terminals(k3, 0, alpha, 10_000, rng, lambda v: v)
+        replay, want = RandomStream(22), []
+        for size in [4096, 4096, 1808]:
+            length = replay_lengths(replay, alpha, [size])
+            want += [size] + [int((length > k).sum()) for k in range(length.max())]
+        assert rng.sizes == want
