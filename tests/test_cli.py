@@ -269,6 +269,7 @@ class TestBadArguments:
         ("cap", ["exact", "--cap", "-1"]),
         # one vector per level: over 2^28 - 1 levels is refused before the first
         ("ell_max", ["exact", "--ell", "4611686018427387904"]),
+        ("ell_max", ["exact", "--ell", "268435456"]),
         ("cap", ["bench", "--target", "b", "--cap", "-1"]),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
     def test_one_error_line_exit_2(self, k3_file, name, args):

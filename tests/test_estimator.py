@@ -107,6 +107,20 @@ class TestParameterRules:
                                match=f"{name} must be a (nonnegative|positive) integer at most "):
                 call()
 
+    @pytest.mark.parametrize("ell_max", [2**28, 2**62])
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda v: approximate_mstp(K3, 0, v, 1e-3), id="approximate_mstp"),
+        pytest.param(lambda v: exact_mstp(K3, 0, v), id="exact_mstp"),
+        pytest.param(lambda v: pagerank_weights(0.2, v), id="pagerank_weights"),
+        pytest.param(lambda v: heat_kernel_weights(1.0, v), id="heat_kernel_weights"),
+    ])
+    def test_ell_max_capped_alike_by_every_level_builder(self, call, ell_max):
+        # one push round, oracle vector or weight per level: all share one cap
+        with pytest.raises(ValueError) as err:
+            call(ell_max)
+        assert str(err.value) == (f"ell_max must be a nonnegative integer at most "
+                                  f"{2**28 - 1}, got {ell_max}")
+
     @pytest.mark.parametrize("w", [2.7, 2.0, True, False, 0, -3, np.float64(3.0), "3"])
     def test_walk_count_must_be_a_positive_integer(self, w):
         # 2.7 became 2 and True became 1

@@ -133,10 +133,22 @@ class TestApproximatePagerank:
         lambda g: approximate_pagerank(g, 0.2, 1.0, 0.1),
         lambda g: approximate_pagerank(g, 0.2, True, 0.1),
         lambda g: approximate_mstp(g, 1.0, 2, 0.1),
+        lambda g: approximate_pagerank(g, 0.2, np.float64(1), 0.1),
+        lambda g: approximate_mstp(g, True, 2, 0.1),
     ])
     def test_non_integer_node_rejected(self, path3, call):
         with pytest.raises(ValueError, match="node id must be an integer"):
             call(path3)
+
+    @pytest.mark.parametrize("s", [0, 3, 17])
+    def test_numpy_source_gives_the_same_push(self, s):
+        g = random_connected(40, "ba", seed=5)
+        a = approximate_pagerank(g, 0.2, s, 1e-3)
+        b = approximate_pagerank(g, 0.2, np.int64(s), 1e-3)
+        assert list(a.p.items()) == list(b.p.items())
+        assert list(a.r.items()) == list(b.r.items())
+        assert repr(a.degree_work) == repr(b.degree_work)
+        assert all(type(v) is int for v in [*b.p, *b.r])
 
 
 def fifo_push(g: Graph, r: dict[int, float], out: dict[int, float],

@@ -437,3 +437,77 @@ class TestDrawPolicy:
             length = replay_lengths(replay, alpha, [size])
             want += [size] + [int((length > k).sum()) for k in range(length.max())]
         assert rng.sizes == want
+
+
+# nonincreasing walk lengths, as both samplers hand them to the round loop
+LENGTH_PROFILES = {
+    "all-zero": [0, 0, 0],
+    "one-walk": [9],
+    "equal": [4, 4, 4, 4, 4, 4],
+    "decreasing": [7, 5, 5, 3, 2, 2, 1, 0, 0],
+    "long-tail": [30, 1, 1, 1, 0],
+}
+
+
+def lockstep_graph(name: str) -> Graph:
+    return {"k2": lambda: Graph.from_edges([(0, 1)]),
+            "path": lambda: Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)]),
+            "ba": lambda: random_connected(40, "ba", seed=5),
+            "weighted": weighted_loop_graph}[name]()
+
+
+class TestLockstep:
+    """The one round loop under both samplers, called directly."""
+
+    @pytest.mark.parametrize("profile", LENGTH_PROFILES)
+    def test_table_matches_per_round_reference(self, profile):
+        g = weighted_loop_graph()
+        length = np.array(LENGTH_PROFILES[profile])
+        table = walk._lockstep(g, 2, length, RandomStream(3), table=True)
+        want = lockstep_positions(g, 2, LENGTH_PROFILES[profile], 1, RandomStream(3))
+        assert table.shape == (length[0] + 1, length.size)
+        for i, ell in enumerate(length.tolist()):
+            assert table[:ell + 1, i].tolist() == want[i, :ell + 1].tolist()
+
+    @pytest.mark.parametrize("profile", LENGTH_PROFILES)
+    def test_terminals_are_the_table_read_at_each_length(self, profile):
+        g = weighted_loop_graph()
+        length = np.array(LENGTH_PROFILES[profile])
+        table = walk._lockstep(g, 2, length, RandomStream(3), table=True)
+        ends = walk._lockstep(g, 2, length, RandomStream(3))
+        assert ends.tolist() == table[length, np.arange(length.size)].tolist()
+
+    @pytest.mark.parametrize("profile", LENGTH_PROFILES)
+    def test_one_draw_and_one_step_per_round(self, profile, monkeypatch):
+        # step_many is looked up as the module global, where tracers wrap it
+        g = weighted_loop_graph()
+        length = np.array(LENGTH_PROFILES[profile])
+        rounds = []
+        monkeypatch.setattr(walk, "step_many",
+                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        rng = RecordingStream(3)
+        walk._lockstep(g, 2, length, rng)
+        live = [int((length > k).sum()) for k in range(length[0])]
+        assert rng.sizes == live
+        assert rounds == live
+
+    @pytest.mark.parametrize("graph", ["k2", "path", "ba", "weighted"])
+    def test_every_round_steps_along_an_edge(self, graph):
+        g = lockstep_graph(graph)
+        length = np.array(LENGTH_PROFILES["decreasing"])
+        table = walk._lockstep(g, 1, length, RandomStream(12), table=True)
+        assert (table[0] == 1).all()
+        for i, ell in enumerate(length.tolist()):
+            for u, v in zip(table[:ell, i].tolist(), table[1:ell + 1, i].tolist()):
+                assert v in g.neighbors(u)[0]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_length_dtype_does_not_change_the_walks(self, dtype):
+        # geometric_terminals hands over its lengths as the smallest unsigned
+        # type that holds them, fixed_walk_levels as int64
+        g = random_connected(40, "ba", seed=5)
+        profile = LENGTH_PROFILES["long-tail"]
+        want = walk._lockstep(g, 0, np.array(profile), RandomStream(6), table=True)
+        got = walk._lockstep(g, 0, np.array(profile, dtype=dtype), RandomStream(6), table=True)
+        for i, ell in enumerate(profile):
+            assert got[:ell + 1, i].tolist() == want[:ell + 1, i].tolist()
