@@ -106,8 +106,11 @@ def cmd_exact(args) -> int:
     _check_count("cap", cap, low=0)
     if g.n > cap:
         raise GuardError(f"graph has {g.n} nodes, over the cap of {cap}")
-    vec = (exact.exact_ppr(g, args.alpha, s, tol=args.tol) if args.ell is None
-           else exact.exact_mstp(g, s, args.ell)[args.ell])
+    if args.ell is None:
+        vec = exact.exact_ppr(g, args.alpha, s, tol=args.tol)
+    else:
+        for vec in exact._mstp_levels(g, s, args.ell):
+            pass  # only the current level is held
     order = sorted(range(g.n), key=lambda v: (-vec[v], g.labels[v]))
     print("node,value")
     for v in order:

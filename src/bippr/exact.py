@@ -78,23 +78,32 @@ def _power_iteration(g: Graph, alpha: float, start: np.ndarray, tol: float) -> n
     return pi
 
 
-def exact_mstp(g: Graph, s: int, ell_max: int) -> list[np.ndarray]:
-    """[e_s W^0, ..., e_s W^ell_max] by repeated sparse vector-matrix products."""
+def _mstp_levels(g: Graph, s: int, ell_max: int):
+    """Yields e_s W^0, ..., e_s W^ell_max, each vector built from the one
+    before by one sparse vector-matrix product. A caller that keeps only the
+    current vector holds one, so memory does not grow with ell_max (time
+    does)."""
     g.require_walkable(s)
     _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     step = _walk_step(g, (g.n,))
-    out = [np.zeros(g.n)]
-    out[0][s] = 1.0
+    p = np.zeros(g.n)
+    p[s] = 1.0
+    yield p
     for _ in range(ell_max):
-        out.append(step(out[-1]))
-    return out
+        p = step(p)
+        yield p
+
+
+def exact_mstp(g: Graph, s: int, ell_max: int) -> list[np.ndarray]:
+    """[e_s W^0, ..., e_s W^ell_max] by repeated sparse vector-matrix products."""
+    return list(_mstp_levels(g, s, ell_max))
 
 
 def exact_diffusion(g: Graph, weights, s: int) -> np.ndarray:
-    """Truncated diffusion sum_l alphas[l] * (e_s W^l); tail mass is the caller's."""
+    """Truncated diffusion sum_l alphas[l] * (e_s W^l); tail mass is the caller's.
+    One level vector is held at a time."""
     alphas = np.asarray(weights.alphas, dtype=np.float64)
-    levels = exact_mstp(g, s, len(alphas) - 1)
     out = np.zeros(g.n)
-    for a, p in zip(alphas, levels):
+    for a, p in zip(alphas, _mstp_levels(g, s, len(alphas) - 1)):
         out += a * p
     return out

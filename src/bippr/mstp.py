@@ -171,24 +171,18 @@ class _Residuals:
         self.ptr = np.cumsum(self.nnz) - self.nnz
 
 
-# Both combines read walks backward: cols[i, j] is the slot of walk j's i-th
-# last position, and each walk adds its terms in increasing k (i ascending)
-# from 0.0, as the estimator's sum is written; the terms a combine skips are
-# +0.0 and change no bit. The gather reads one term per position, the
-# binning every listed entry of it, so the gather is the cheaper one for a
-# walk's own level and the binning for all levels at once.
-
-def _own_level(res: _Residuals, cols: np.ndarray) -> np.ndarray:
-    """Sums sum_k r[k][pos[j, L-k]] * d_t / d_pos of w walks of length L: one
-    gather of R[i, cols[i, j]] and a cumsum down the rows (``sum`` over the
-    rows of a column is not promised to add them in order)."""
-    idx = cols + (np.arange(cols.shape[0]) * res.R.shape[1])[:, None]
-    return np.cumsum(res.R.ravel()[idx], axis=0)[-1]
-
+# Both combines read walks backward, and each walk adds its terms in
+# increasing level k from 0.0, as the estimator's sum is written; the terms a
+# combine skips are +0.0 and change no bit. ``_run_sums`` reads one term of
+# ``R`` per position, in one pass over a run's table from its last row to
+# its first; ``_all_levels`` bins every listed entry of every position. So
+# the first is the cheaper one for a walk's own level, the second for all
+# levels at once.
 
 def _all_levels(res: _Residuals, cols: np.ndarray) -> np.ndarray:
     """(L+1, w) sums x[l, j] = sum_k r[k][pos[j, l-k]] * d_t / d_pos for every
-    level l <= L of w walks of length L, from the listed entries only.
+    level l <= L of w walks of length L, from the listed entries only;
+    ``cols[i, j]`` is the column of walk j's i-th last position.
 
     The entry of level k at the position i back adds to bin (L - i + k, j),
     all in one ``np.bincount``, which adds in input order from 0.0. A
@@ -221,14 +215,19 @@ def _runs(levels, w: int):
     """Runs ``(run, n)`` that together walk w walks of each of ``levels``
     (nonincreasing): n walks of each level of ``run``, in lockstep, in a
     position table of (run[0] + 1) x n x len(run) entries within ``_TERMS``.
+
     A level whose w walks do not fit alone is split into runs of
-    max(1, _TERMS // (ell + 1)) walks."""
+    max(1, _TERMS // (levels[0] + 1)) walks, the size of a split run of the
+    longest level, so that the per-walk temporaries of stepping and combining
+    do not grow with w. The run sizes decide which uniforms each walk draws;
+    a level below levels[0] is split, into runs smaller than it alone would
+    fit, only when w > _TERMS // levels[0]."""
+    cap = max(1, _TERMS // (levels[0] + 1))
     run: list[int] = []
     for ell in levels:
-        n = max(1, _TERMS // (ell + 1))
-        if n < w:
-            for lo in range(0, w, n):
-                yield [ell], min(n, w - lo)
+        if max(1, _TERMS // (ell + 1)) < w:
+            for lo in range(0, w, cap):
+                yield [ell], min(cap, w - lo)
             continue
         if run and (run[0] + 1) * w * (len(run) + 1) > _TERMS:
             yield run, w
@@ -241,13 +240,36 @@ def _runs(levels, w: int):
 def _own_level_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, levels, w: int,
                     rng: RandomStream) -> np.ndarray:
     """Sums over w walks from t of each of ``levels`` (nonincreasing) of their
-    ``_own_level`` samples, indexed by level; the walks are drawn run by run."""
+    own-level samples sum_k r[k][pos[L-k]] * d_t / d_pos, indexed by level;
+    the walks are drawn run by run, and one run's table is held at a time."""
     sums = np.zeros(levels[0] + 1)
     for run, n in _runs(levels, w):
-        table = fixed_walk_levels(g, t, run, n, rng)
-        for b, ell in enumerate(run):
-            sums[ell] += _own_level(res, sm.slot[table[ell::-1, b * n:(b + 1) * n]] + 1).sum()
+        sums[run] += _run_sums(g, sm, res, t, run, n, rng)
     return sums
+
+
+def _run_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, run: list[int], n: int,
+              rng: RandomStream) -> np.ndarray:
+    """Per level of ``run``, the sum of the own-level samples of its n walks.
+
+    The run's table is read once, from its last row to its first: row k
+    holds step k of the walks of length at least k, a prefix of the run, and
+    walk j's step k reads level ``L_j - k`` of ``R``. So every walk starts
+    from 0.0 and adds its terms in increasing level, and each level's walks
+    are summed by one ``sum``."""
+    R, stride = res.R.ravel(), res.R.shape[1]
+    table = fixed_walk_levels(g, t, run, n, rng)
+    ells = np.asarray(run, np.intp)
+    base = np.repeat(ells * stride + 1, n)
+    live = n * np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
+    acc = np.zeros(base.size)
+    for k in range(run[0], -1, -1):
+        a = int(live[k])
+        idx = sm.slot[table[k, :a]]
+        idx += base[:a]
+        idx -= k * stride
+        acc[:a] += R[idx]
+    return acc.reshape(len(run), n).sum(axis=1)
 
 
 @dataclass
@@ -367,8 +389,12 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     every one drawn from ``rng`` with no uniform used twice. The residual
     terms are tabled once, over their support; shared walks are binned into
     every level in one pass over their entries, and independent levels walk
-    in lockstep, each batch one gather at its own level. Walks run in tables
-    of at most ``_TERMS`` positions, so memory does not grow with w_per_level.
+    in lockstep runs, each run's table read once, backward, every walk
+    summing the terms of its own level. Walks run in tables of at most
+    ``_TERMS`` positions, and a level split over several runs takes at most
+    ``_TERMS // (ell_max + 1)`` walks per run, so memory does not grow with
+    w_per_level. Which uniforms an independent walk draws depends on the
+    runs (see ``_runs``).
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
     ell_max = weights.ell_max

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ class TestExactCommand:
                        "--ell", "2")
         lines = proc.stdout.strip().splitlines()
         assert lines[1] == "a,1.0"
+
+    def test_mstp_peak_does_not_grow_with_ell(self, tmp_path, capsys):
+        # a 5000-node ring: 201 level vectors held at once would take 8 MB
+        path = tmp_path / "ring.txt"
+        path.write_text("".join(f"{v} {(v + 1) % 5000}\n" for v in range(5000)))
+        peaks = []
+        for ell in (2, 200):
+            tracemalloc.start()
+            try:
+                assert main(["exact", "--graph", str(path), "--source", "0",
+                             "--ell", str(ell)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr().out.startswith("node,value\n")
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 class TestBenchCommand:

@@ -15,7 +15,8 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    heat_kernel_weights, pagerank_weights)
 from bippr import mstp, walk
 from bippr.graph import step_many
-from bippr.mstp import _all_levels, _own_level, _Residuals
+from bippr.mstp import _all_levels, _own_level_sums, _Residuals
+from bippr.push import _SlotMap
 from bippr.walk import fixed_walk_levels
 
 from conftest import dense_walk_matrix, mstp_dicts, random_connected
@@ -413,12 +414,33 @@ def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def own_level_by_gather(res, cols):
+    """Sums sum_k r[k][pos[j, L-k]] * d_t / d_pos of w walks of length L,
+    ``cols[i, j]`` the column of walk j's i-th last position, as reference:
+    one gather of R[i, cols[i, j]] and a cumsum down the rows (``sum`` over
+    the rows of a column is not promised to add them in order)."""
+    idx = cols + (np.arange(cols.shape[0]) * res.R.shape[1])[:, None]
+    return np.cumsum(res.R.ravel()[idx], axis=0)[-1]
+
+
+def own_level_sums_by_gather(g, sm, res, t, levels, w, rng):
+    """``_own_level_sums`` as reference: the same runs from the same stream,
+    each level's block of a run summed by ``own_level_by_gather``."""
+    sums = np.zeros(levels[0] + 1)
+    for run, n in mstp._runs(levels, w):
+        table = fixed_walk_levels(g, t, run, n, rng)
+        for b, ell in enumerate(run):
+            cols = sm.slot[table[ell::-1, b * n:(b + 1) * n]] + 1
+            sums[ell] += own_level_by_gather(res, cols).sum()
+    return sums
+
+
 class TestLevelEstimateMatchesLoop:
     """The residual table's combines return the reference loop's bits on the
-    dense residual at every level: the one-gather combine at a walk's own
-    length (also through ``bidir_mstp``), the all-levels binning of shared
-    prefixes, and ``estimate_diffusion`` in both modes, whose walks are the
-    one stream's per-round reference walks, run by run."""
+    dense residual at every level: the gather reference at a walk's own
+    length, the all-levels binning of shared prefixes, ``bidir_mstp`` and
+    ``estimate_diffusion`` in both modes, whose walks are the one stream's
+    per-round reference walks, run by run."""
 
     def check_levels(self, g, s, t, ell_max, r_max, w, seed):
         state = approximate_mstp(g, s, ell_max, r_max)
@@ -444,7 +466,8 @@ class TestLevelEstimateMatchesLoop:
         for ell in range(ell_max + 1):
             runs = [pos[:, :ell + 1] for pos in shared]
             want = loop_level_estimate(g, q, rd, runs, t)
-            own = sum((_own_level(res, columns(state, pos[:, ::-1].T)).sum() for pos in runs), 0.0)
+            own = sum((own_level_by_gather(res, columns(state, pos[:, ::-1].T)).sum()
+                       for pos in runs), 0.0)
             assert same_bits(q[ell].get(t, 0.0) + float(own / w), want)
             assert same_bits(q[ell].get(t, 0.0) + float(sum((b[ell].sum() for b in binned), 0.0) / w),
                              want)
@@ -505,6 +528,62 @@ class TestLevelEstimateMatchesLoop:
         # the shared walks, the independent levels and bidir_mstp at each level
         assert walked == {ell: 64 * (2 + (ell == ell_max)) for ell in range(ell_max + 1)}
         assert sum(bins) > 2 and all(n < 64 for levels, n in tables if levels[0] > 0)
+
+
+class TestOwnLevelMatchesGather:
+    """The backward pass over each run's table returns the bits of the
+    per-block gather (``own_level_sums_by_gather``), through
+    ``_own_level_sums``, ``estimate_diffusion``'s independent levels and
+    ``bidir_mstp``; ``push_graphs`` draws unit-weight and weighted graphs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(push_graphs(), st.integers(0, 8), st.sampled_from([0.3, 0.05, 1e-2, 1e-3]),
+           st.integers(1, 40), st.sampled_from(["pagerank", "heat-kernel"]),
+           st.sampled_from([50, 1 << 16]), st.data())
+    def test_random_small_graphs(self, case, ell_max, r_max, w, family, terms, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        t = data.draw(st.sampled_from(walkable))
+        ell = data.draw(st.integers(0, ell_max))
+        seed = data.draw(st.integers(0, 2**32))
+        weights = (pagerank_weights(0.2, ell_max) if family == "pagerank"
+                   else heat_kernel_weights(2.0, ell_max))
+        levels = range(ell_max, -1, -1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mstp, "_TERMS", terms)  # at 50 positions most levels split
+            state = approximate_mstp(g, s, ell_max, r_max)
+            res = _Residuals(state, g, t)
+            with _SlotMap(g, state.node) as sm:
+                q_t = state.q_levels.at(sm.slot[t]).tolist()
+                got = _own_level_sums(g, sm, res, t, levels, w, RandomStream(seed))
+                want = own_level_sums_by_gather(g, sm, res, t, levels, w, RandomStream(seed))
+                one = own_level_sums_by_gather(g, sm, res, t, [ell], w, RandomStream(seed))
+            est = estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
+                                     shared_walks=False)
+            value = bidir_mstp(g, state, t, ell, w, RandomStream(seed))
+        assert got.tobytes() == want.tobytes()
+        per_level = [q + m for q, m in zip(q_t, (want / w).tolist())]
+        assert repr(est.per_level) == repr(per_level)
+        assert repr(est.value) == repr(float(np.dot(weights.alphas, per_level)))
+        assert same_bits(value, q_t[ell] + float(one[ell] / w))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 70), st.integers(1, 3000),
+           st.sampled_from([1, 50, 1000, 1 << 16, mstp._TERMS]))
+    def test_runs_bound_tables_and_split_runs(self, ell_max, w, terms):
+        # every level is walked w times, in order; a run's table holds at
+        # most _TERMS positions (one walk's, if a walk is longer), and a
+        # split level runs at most _TERMS // (ell_max + 1) walks at a time
+        cap = max(1, terms // (ell_max + 1))
+        walked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mstp, "_TERMS", terms)
+            for run, n in mstp._runs(range(ell_max, -1, -1), w):
+                assert (run[0] + 1) * n * len(run) <= max(terms, run[0] + 1)
+                if n < w:
+                    assert len(run) == 1 and n <= cap
+                walked += [ell for ell in run for _ in range(n)]
+        assert walked == [ell for ell in range(ell_max, -1, -1) for _ in range(w)]
 
 
 class TestDiffusionMemory:
