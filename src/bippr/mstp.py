@@ -142,73 +142,53 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     return q_t[ell] + float(sums[ell] / w)
 
 
-_TERMS = 1 << 20  # entries per walk table and combine temporary: bounds their memory
+_TERMS = 1 << 20  # entries per walk table: bounds the memory of a run
 
 
 class _Residuals:
     """The terms r[l][v] * d_t / d_v of an MstpState's residuals for target t,
     over the push's slots only, never dense in n.
 
-    Column c+1 stands for slot c of the state, column 0 for every node the
-    push never touched: a walk position v reads column ``slot[v] + 1``
-    through the graph's slot map holding the state's nodes (``-1 + 1`` is the
-    empty column). ``R`` is the levels x columns table of the terms; the same
-    terms are also listed column by column, ``nnz[c]`` entries from
-    ``ptr[c]`` on, in increasing ``level``, with values ``term``.
+    ``R`` is the levels x columns table of the terms: column c+1 stands for
+    slot c of the state, column 0 for every node the push never touched, so a
+    walk position v reads column ``slot[v] + 1`` through the graph's slot map
+    holding the state's nodes (``-1 + 1`` is the empty column). ``levels``
+    lists, increasing, the levels that hold an entry; every other row is 0.
     """
 
     def __init__(self, state: MstpState, g: Graph, t: int):
         lv = state.r_levels
-        levels = lv.level()
-        cols = lv.slot + 1
-        k = state.node.size
-        terms = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
-        self.R = np.zeros((state.ell_max + 1, k + 1))
-        self.R[levels, cols] = terms
-        order = np.argsort(cols, kind="stable")  # entries come level by level
-        self.level, self.term = levels[order], terms[order]
-        self.nnz = np.bincount(cols, minlength=k + 1)
-        self.ptr = np.cumsum(self.nnz) - self.nnz
+        self.R = np.zeros((state.ell_max + 1, state.node.size + 1))
+        self.R[lv.level(), lv.slot + 1] = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
+        self.levels = np.flatnonzero(np.diff(lv.ptr)).tolist()
 
 
-# Both combines read walks backward, and each walk adds its terms in
-# increasing level k from 0.0, as the estimator's sum is written; the terms a
-# combine skips are +0.0 and change no bit. ``_run_sums`` reads one term of
-# ``R`` per position, in one pass over a run's table from its last row to
-# its first; ``_all_levels`` bins every listed entry of every position. So
-# the first is the cheaper one for a walk's own level, the second for all
-# levels at once.
+def _sample_sums(res: _Residuals, top: int, size: int, cols) -> np.ndarray:
+    """Per sample, sum_k r[k][v_k] * d_t / d_{v_k} over levels k <= top.
 
-def _all_levels(res: _Residuals, cols: np.ndarray) -> np.ndarray:
-    """(L+1, w) sums x[l, j] = sum_k r[k][pos[j, l-k]] * d_t / d_pos for every
-    level l <= L of w walks of length L, from the listed entries only;
-    ``cols[i, j]`` is the column of walk j's i-th last position.
+    For each level k that holds an entry, in increasing k, the samples still
+    live at k are a prefix, and ``cols(k)`` gives the columns they read; each
+    gathers its level-k term once. So every sample adds its terms in
+    increasing level from 0.0, as the estimator's sum is written, and skips
+    only +0.0 terms, which change no bit. The cost is (levels holding an
+    entry) x (live samples) gathers."""
+    acc = np.zeros(size)
+    for k in res.levels:
+        if k <= top:
+            c = cols(k)
+            acc[:c.size] += res.R[k][c]
+    return acc
 
-    The entry of level k at the position i back adds to bin (L - i + k, j),
-    all in one ``np.bincount``, which adds in input order from 0.0. A
-    gather per level would touch (L+1)^2 / 2 positions per walk; this touches
-    each position once. Walks are binned in chunks of about ``_TERMS`` entries.
-    """
-    top, w = cols.shape[0] - 1, cols.shape[1]
-    cnt = res.nnz[cols]
-    per_walk = np.cumsum(cnt.sum(axis=0))
-    out = np.empty((top + 1, w))
-    j0 = 0
-    while j0 < w:
-        base = per_walk[j0 - 1] if j0 else 0
-        j1 = max(j0 + 1, int(np.searchsorted(per_walk, base + _TERMS, side="right")))
-        wc = j1 - j0
-        c = cnt[:, j0:j1].ravel()
-        at = np.repeat(np.arange(c.size), c)
-        e = np.repeat(res.ptr[cols[:, j0:j1].ravel()] - (np.cumsum(c) - c), c)
-        e += np.arange(at.size)
-        level = top - at // wc + res.level[e]
-        keep = level <= top
-        out[:, j0:j1] = np.bincount(level[keep] * wc + at[keep] % wc,
-                                    weights=res.term[e[keep]],
-                                    minlength=(top + 1) * wc).reshape(top + 1, wc)
-        j0 = j1
-    return out
+
+def _shared_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, ell: int, n: int,
+                 rng: RandomStream) -> np.ndarray:
+    """Per level l <= ell, the sum of the level-l samples of n shared walks of
+    length ell, each walk's prefix read backward. Samples go by level, ell
+    down to 0, so at level k the live ones read rows k.. of the walk table
+    turned upside down: row i of ``cols`` is every walk's step ell - i."""
+    cols = sm.slot[fixed_walk_positions(g, t, ell, n, rng).T[::-1]] + 1
+    acc = _sample_sums(res, ell, cols.size, lambda k: cols[k:].ravel())
+    return acc.reshape(ell + 1, n).sum(axis=1)[::-1]
 
 
 def _runs(levels, w: int):
@@ -218,10 +198,10 @@ def _runs(levels, w: int):
 
     A level whose w walks do not fit alone is split into runs of
     max(1, _TERMS // (levels[0] + 1)) walks, the size of a split run of the
-    longest level, so that the per-walk temporaries of stepping and combining
-    do not grow with w. The run sizes decide which uniforms each walk draws;
-    a level below levels[0] is split, into runs smaller than it alone would
-    fit, only when w > _TERMS // levels[0]."""
+    longest level, so that one run's walks, and the temporaries of stepping
+    and combining them, do not grow with w. The run sizes decide which
+    uniforms each walk draws; a level below levels[0] is split, into runs
+    smaller than it alone would fit, only when w > _TERMS // levels[0]."""
     cap = max(1, _TERMS // (levels[0] + 1))
     run: list[int] = []
     for ell in levels:
@@ -241,7 +221,7 @@ def _own_level_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, levels, w: 
                     rng: RandomStream) -> np.ndarray:
     """Sums over w walks from t of each of ``levels`` (nonincreasing) of their
     own-level samples sum_k r[k][pos[L-k]] * d_t / d_pos, indexed by level;
-    the walks are drawn run by run, and one run's table is held at a time."""
+    ``_run_sums`` draws and sums them one run, and one table, at a time."""
     sums = np.zeros(levels[0] + 1)
     for run, n in _runs(levels, w):
         sums[run] += _run_sums(g, sm, res, t, run, n, rng)
@@ -250,25 +230,17 @@ def _own_level_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, levels, w: 
 
 def _run_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, run: list[int], n: int,
               rng: RandomStream) -> np.ndarray:
-    """Per level of ``run``, the sum of the own-level samples of its n walks.
-
-    The run's table is read once, from its last row to its first: row k
-    holds step k of the walks of length at least k, a prefix of the run, and
-    walk j's step k reads level ``L_j - k`` of ``R``. So every walk starts
-    from 0.0 and adds its terms in increasing level, and each level's walks
-    are summed by one ``sum``."""
-    R, stride = res.R.ravel(), res.R.shape[1]
+    """Per level of ``run``, the sum of the own-level samples of its n walks:
+    walk j of length L_j reads level k at its step L_j - k, the flat table
+    index ``last[j] - k * stride``, and the walks with L_j >= k, the ones
+    live at k, are a prefix of the run (lengths are nonincreasing)."""
     table = fixed_walk_levels(g, t, run, n, rng)
-    ells = np.asarray(run, np.intp)
-    base = np.repeat(ells * stride + 1, n)
-    live = n * np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
-    acc = np.zeros(base.size)
-    for k in range(run[0], -1, -1):
-        a = int(live[k])
-        idx = sm.slot[table[k, :a]]
-        idx += base[:a]
-        idx -= k * stride
-        acc[:a] += R[idx]
+    flat, stride = table.ravel(), table.shape[1]
+    ells = np.repeat(run, n)
+    last = ells * stride + np.arange(stride)
+    live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
+    acc = _sample_sums(res, run[0], stride,
+                       lambda k: sm.slot[flat[last[:live[k]] - k * stride]] + 1)
     return acc.reshape(len(run), n).sum(axis=1)
 
 
@@ -387,14 +359,14 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
     of cross-level correlation); disable it for independent per-level batches,
     every one drawn from ``rng`` with no uniform used twice. The residual
-    terms are tabled once, over their support; shared walks are binned into
-    every level in one pass over their entries, and independent levels walk
-    in lockstep runs, each run's table read once, backward, every walk
-    summing the terms of its own level. Walks run in tables of at most
-    ``_TERMS`` positions, and a level split over several runs takes at most
-    ``_TERMS // (ell_max + 1)`` walks per run, so memory does not grow with
-    w_per_level. Which uniforms an independent walk draws depends on the
-    runs (see ``_runs``).
+    terms are tabled once, over their support, and both modes sum them by
+    one rule (``_sample_sums``): every sample still live at a level that
+    holds an entry gathers that level's term once, so a run costs (levels
+    holding an entry) x (live samples) gathers. Walks run one table of at
+    most ``_TERMS`` positions at a time, and a level split over several runs
+    takes at most ``_TERMS // (ell_max + 1)`` walks per run, so memory does
+    not grow with w_per_level. Which uniforms an independent walk draws
+    depends on the runs (see ``_runs``).
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
     ell_max = weights.ell_max
@@ -406,8 +378,7 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
         if shared_walks:
             sums = np.zeros(ell_max + 1)
             for _, n in _runs([ell_max], w_per_level):
-                pos = fixed_walk_positions(g, t, ell_max, n, rng)
-                sums += _all_levels(res, sm.slot[pos[:, ::-1].T] + 1).sum(axis=1)
+                sums += _shared_sums(g, sm, res, t, ell_max, n, rng)
         else:
             sums = _own_level_sums(g, sm, res, t, range(ell_max, -1, -1), w_per_level, rng)
     per_level = [q + m for q, m in zip(q_t, (sums / w_per_level).tolist())]

@@ -15,7 +15,7 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    heat_kernel_weights, pagerank_weights)
 from bippr import mstp, walk
 from bippr.graph import step_many
-from bippr.mstp import _all_levels, _own_level_sums, _Residuals
+from bippr.mstp import _own_level_sums, _Residuals
 from bippr.push import _SlotMap
 from bippr.walk import fixed_walk_levels
 
@@ -436,11 +436,10 @@ def own_level_sums_by_gather(g, sm, res, t, levels, w, rng):
 
 
 class TestLevelEstimateMatchesLoop:
-    """The residual table's combines return the reference loop's bits on the
+    """The residual table's combine returns the reference loop's bits on the
     dense residual at every level: the gather reference at a walk's own
-    length, the all-levels binning of shared prefixes, ``bidir_mstp`` and
-    ``estimate_diffusion`` in both modes, whose walks are the one stream's
-    per-round reference walks, run by run."""
+    length, ``bidir_mstp`` and ``estimate_diffusion`` in both modes, whose
+    walks are the one stream's per-round reference walks, run by run."""
 
     def check_levels(self, g, s, t, ell_max, r_max, w, seed):
         state = approximate_mstp(g, s, ell_max, r_max)
@@ -461,7 +460,6 @@ class TestLevelEstimateMatchesLoop:
             return out
 
         shared = walks([ell_max])[ell_max]
-        binned = [_all_levels(res, columns(state, pos[:, ::-1].T)) for pos in shared]
         indep = walks(range(ell_max, -1, -1))
         for ell in range(ell_max + 1):
             runs = [pos[:, :ell + 1] for pos in shared]
@@ -469,8 +467,6 @@ class TestLevelEstimateMatchesLoop:
             own = sum((own_level_by_gather(res, columns(state, pos[:, ::-1].T)).sum()
                        for pos in runs), 0.0)
             assert same_bits(q[ell].get(t, 0.0) + float(own / w), want)
-            assert same_bits(q[ell].get(t, 0.0) + float(sum((b[ell].sum() for b in binned), 0.0) / w),
-                             want)
             assert same_bits(est[True].per_level[ell], want)
             want = loop_level_estimate(g, q, rd, indep[ell], t)
             assert same_bits(est[False].per_level[ell], want)
@@ -505,16 +501,20 @@ class TestLevelEstimateMatchesLoop:
         # from a sequential one
         self.check_levels(self.long_walk_graph(), 0, 4, ell_max, 1e-3, 64, 11)
 
+    @pytest.mark.parametrize("t", range(6))
+    def test_residual_levels_with_gaps(self, t):
+        # on a 6-node path the push leaves entries on levels 4, 6 and 8 only,
+        # so a walk's sum skips levels between its terms, not only around them
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        assert _Residuals(approximate_mstp(g, 0, 8, 0.1), g, t).levels == [4, 6, 8]
+        self.check_levels(g, 0, t, 8, 0.1, 64, 11)
+
     @pytest.mark.parametrize("ell_max", [17, 40])
     def test_long_walks_small_budget(self, ell_max, monkeypatch):
-        # a budget of 100 terms bins the walks in several chunks (the shared
-        # walks are binned twice, once here and once in estimate_diffusion)
-        # and splits the 64 walks of every level above 0 into runs of
-        # 100 // (ell + 1) walks, each level in runs of its own
+        # a budget of 100 terms splits the 64 walks of every level above 0
+        # into runs of 100 // (ell + 1) walks, each level in runs of its own
         monkeypatch.setattr(mstp, "_TERMS", 100)
-        bins, tables = [], []
-        monkeypatch.setattr(np, "bincount", lambda *a, _f=np.bincount, **k:
-                            bins.append("weights" in k) or _f(*a, **k))
+        tables = []
         monkeypatch.setattr(mstp, "fixed_walk_levels", lambda *a, _f=fixed_walk_levels:
                             tables.append((list(a[2]), a[3])) or _f(*a))
         monkeypatch.setattr(mstp, "fixed_walk_positions", lambda *a, _f=fixed_walk_positions:
@@ -527,7 +527,7 @@ class TestLevelEstimateMatchesLoop:
                 walked[ell] += n
         # the shared walks, the independent levels and bidir_mstp at each level
         assert walked == {ell: 64 * (2 + (ell == ell_max)) for ell in range(ell_max + 1)}
-        assert sum(bins) > 2 and all(n < 64 for levels, n in tables if levels[0] > 0)
+        assert all(n < 64 for levels, n in tables if levels[0] > 0)
 
 
 class TestOwnLevelMatchesGather:
@@ -622,6 +622,21 @@ class TestDiffusionMemory:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
 
+
+    def test_shared_run_peak_within_three_tables(self):
+        # 16,912 walks of 61 steps fill one run, a position table of
+        # 62 x 16,912 int64 entries (8.4 MB)
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
+        w_per_level = 16_912
+        assert 62 * w_per_level <= mstp._TERMS < 62 * (w_per_level + 1)
+        tracemalloc.start()
+        try:
+            estimate_diffusion(g, 0, 1, pagerank_weights(0.2, 61), 1e-3, w_per_level,
+                               RandomStream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 62 * w_per_level * 8, peak
 
 def hoeffding_tolerance(weights, d_t, r_max, w, p_fail):
     """Truncation tail plus a Hoeffding bound on the mean of w walk samples.
