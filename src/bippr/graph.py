@@ -1,6 +1,7 @@
 """Undirected weighted graph storage, edge-list ingestion, and walk steps."""
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, TextIO
 
@@ -66,13 +67,13 @@ class Graph:
         ``label_ids`` as it is.
 
         The build is array code throughout. Each edge is canonicalised to
-        ``(lo, hi)``; repeated pairs (in either direction) merge by
-        ``np.unique`` on ``lo*n + hi`` and ``np.bincount``, which adds each
-        pair's weights in input order starting from 0.0, so a merged weight
-        is the left fold ``((0.0 + w1) + w2) + ...``. ``total_weight`` is
-        Python's ``sum`` over the merged weights in first-appearance order.
-        The CSR is one sort of the stored entries by ``row*n + col``; each
-        row lists its neighbors in increasing id order.
+        ``(lo, hi)``; repeated pairs (in either direction) merge by one sort
+        of ``lo*n + hi`` and ``np.bincount``, which adds each pair's weights
+        in input order starting from 0.0, so a merged weight is the left fold
+        ``((0.0 + w1) + w2) + ...``. ``total_weight`` is Python's ``sum``
+        over the merged weights in first-appearance order. The CSR is one
+        sort of the stored entries by ``row*n + col``; each row lists its
+        neighbors in increasing id order.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -91,26 +92,48 @@ class Graph:
             raise ValueError(f"edge ({src[i]}, {dst[i]}) has weight {w[i]}; "
                              "weights must be positive and finite")
 
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        keys, first, inv = np.unique(lo * n + hi, return_index=True,
-                                     return_inverse=True)
+        # The unstable sort groups each pair's edges. A run's smallest input
+        # position is the pair's first appearance and its rank each edge's
+        # pair index: the keys, first positions and inverse of np.unique.
+        key = np.minimum(src, dst)
+        key *= n
+        key += np.maximum(src, dst)
+        order = np.argsort(key)
+        key = key[order]
+        new = np.diff(key, prepend=-1) != 0  # keys are nonnegative
+        starts = np.flatnonzero(new)
+        first = np.zeros(key.size, dtype=bool)
+        first[np.minimum.reduceat(order, starts)] = True
+        inv = np.empty(order.size, dtype=np.int64)
+        inv[order] = np.cumsum(new) - 1
+        lo, hi = np.divmod(key[starts], n)
+        del key, order, new, starts
         # astype: bincount returns int64 when there are no edges
-        merged = np.bincount(inv, weights=w, minlength=keys.size).astype(
+        merged = np.bincount(inv, weights=w, minlength=lo.size).astype(
             np.float64, copy=False)
-        lo, hi = lo[first], hi[first]
+        by_first = merged[inv[first]]  # first-appearance order, for total_weight
+        total_weight = float(sum(itertools.chain.from_iterable(
+            by_first[i:i + 65536].tolist() for i in range(0, lo.size, 65536))))
+        del inv, first, by_first
+        self.m = int(lo.size)
         off = lo != hi
         rows = np.concatenate([lo, hi[off]])
         cols = np.concatenate([hi, lo[off]])
-        # keys are distinct after the merge, so an unstable sort is exact
-        order = np.argsort(rows * n + cols)
-        indices = cols[order]
-        weights = np.concatenate([merged, merged[off]])[order]
+        del lo, hi
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        # the CSR key row*n + col, in place; distinct, so an unstable sort is exact
+        rows *= n
+        rows += cols
+        order = np.argsort(rows)
+        del rows
+        indices = cols[order]
+        del cols
+        weights = np.concatenate([merged, merged[off]])
+        del merged, off
+        weights = weights[order]
 
         self.n = n
-        self.m = int(keys.size)
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
@@ -126,7 +149,7 @@ class Graph:
             raise ValueError("label count does not match node count")
         self.label_ids = (labels if isinstance(labels, dict)
                           else dict(zip(self.labels, range(n))))
-        self.total_weight = float(sum(merged[np.argsort(first)].tolist()))
+        self.total_weight = total_weight
         self.unit_weights = bool((weights == 1.0).all())
         self._alias = None
         self._slots: list[np.ndarray] = []
@@ -213,36 +236,42 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
     """Parse an edge-list text stream into a Graph.
 
     Each non-comment line is "u v" (or "u v w" when ``weighted``). '#' starts
-    a comment; blank lines are ignored. Labels are arbitrary strings mapped to
-    dense ids in first-appearance order; duplicate edges sum their weights.
-    The loop only tokenises, interns labels and checks weights; the graph is
-    built from the collected id and weight lists by ``Graph``.
+    a comment, even inside a token; blank lines are ignored. Labels are
+    arbitrary strings mapped to dense ids in first-appearance order;
+    duplicate edges sum their weights. The loop only tokenises, interns
+    labels and checks weights; ``Graph`` builds from its lists as arrays.
     """
     ids: dict[str, int] = {}
-    src: list[int] = []
-    dst: list[int] = []
-    wts: list[float] = []
+    intern = ids.setdefault
+    src, dst, wts = [], [], []
+    add_src, add_dst, add_w = src.append, dst.append, wts.append
     for line_no, raw in enumerate(source, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if len(tokens) == 2:
+            u, v = tokens
+            if weighted:
+                add_w(1.0)
+        elif not tokens:
             continue
-        if weighted:
-            if len(tokens) not in (2, 3):
-                raise EdgeListParseError(line_no, f"expected 2 or 3 tokens, got {len(tokens)}")
-        elif len(tokens) != 2:
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}")
-        w = 1.0
-        if len(tokens) == 3:
+        elif weighted and len(tokens) == 3:
+            u, v, token = tokens
             try:
-                w = float(tokens[2])
+                w = float(token)
             except ValueError:
-                raise EdgeListParseError(line_no, f"non-numeric weight {tokens[2]!r}") from None
+                raise EdgeListParseError(line_no, f"non-numeric weight {token!r}") from None
             if not 0.0 < w < math.inf:
-                raise EdgeListParseError(line_no, f"weight must be positive, got {tokens[2]}")
-        src.append(ids.setdefault(tokens[0], len(ids)))
-        dst.append(ids.setdefault(tokens[1], len(ids)))
-        wts.append(w)
+                raise EdgeListParseError(line_no, f"weight must be positive, got {token}")
+            add_w(w)
+        else:
+            raise EdgeListParseError(
+                line_no, f"expected {'2 or 3' if weighted else 2} tokens, got {len(tokens)}")
+        add_src(intern(u, len(ids)))
+        add_dst(intern(v, len(ids)))
 
+    # the lists (held by the bound appends too) are freed before the build
+    del add_src, add_dst, add_w
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    wts = np.array(wts, dtype=np.float64) if weighted else np.ones(src.size)
     return Graph(len(ids), src, dst, wts, labels=ids)
 
 

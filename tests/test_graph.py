@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,38 @@ class TestLoadEdgeList:
         assert g.labels == ["z", "y", "x"]
         assert g.node_id("x") == 2
 
+    def test_hash_inside_a_token_starts_a_comment(self):
+        g = load("a b#c\nc d # e\n")
+        assert g.labels == ["a", "b", "c", "d"]
+        assert g.m == 2 and g.neighbors(0)[0].tolist() == [1]
+        assert g.neighbors(2)[0].tolist() == [3]
+        g = load("a b 2#x", weighted=True)
+        assert g.weights.tolist() == [2.0, 2.0]
+
+    def test_bad_line_after_comment_only_lines_keeps_its_number(self):
+        with pytest.raises(EdgeListParseError, match=r"^line 4: expected 2 tokens, got 3$"):
+            load("# one\n#two\n  # three\na b c\n")
+        with pytest.raises(EdgeListParseError, match=r"^line 3: non-numeric weight 'x'$"):
+            load("#\n# a b 1\na b x#1\n", weighted=True)
+
+    def test_ingest_peak_memory_is_under_three_graphs(self):
+        # about 100k edges over 20k labels, skewed as real graphs are; the
+        # lines exist before tracing, so the peak is the parse and the build
+        rng = np.random.default_rng(11)
+        p = (np.arange(20_000) + 1.0) ** -0.6
+        ends = rng.choice(20_000, size=(100_000, 2), p=p / p.sum())
+        lines = [f"n{u} n{v}\n" for u, v in ends.tolist()]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = load_edge_list(lines)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m > 90_000
+        ratio = (peak - before) / (after - before)
+        assert ratio < 3, ratio
+
 
 class TestFromEdges:
     @pytest.mark.parametrize("edges", [
@@ -94,6 +127,20 @@ class TestFromEdges:
             Graph.from_edges([(0, 1), (0, 3)], n=3)
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges([(0, -1)], n=3)
+
+    def test_first_edge_of_a_pair_not_first_in_its_sorted_run(self):
+        # The unstable key sort puts a later (1, 2) edge ahead of the pair's
+        # first, at position 10, so (1, 2) must still enter total_weight after
+        # (4, 5) and before (0, 1) and (2, 3), and the tenths of (4, 5) must
+        # still add in input order; another order changes the bits of either.
+        tenths = [0.1, 0.2, 0.3]
+        edges = ([(4, 5, tenths[i % 3]) for i in range(10)]
+                 + [(1, 2, 1e16), (0, 1, 1.0), (3, 2, 1.0)]
+                 + [[(2, 1, 4.0), (1, 2, 4.0), (5, 4, tenths[i % 3])][i % 3]
+                    for i in range(300)])
+        keys = np.array([min(u, v) * 6 + max(u, v) for u, v, _ in edges])
+        assert np.argsort(keys)[np.sort(keys) == 8][0] != 10
+        assert_same_graph(Graph.from_edges(edges), reference_from_edges(edges))
 
     def test_pair_keys_must_fit_int64(self):
         with pytest.raises(ValueError, match="overflow int64"):
