@@ -218,13 +218,15 @@ class Graph:
         return self._alias
 
     def check(self) -> None:
-        """Verify adjacency symmetry and the degree-sum identity."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        fwd = np.lexsort((self.indices, rows))
-        rev = np.lexsort((rows, self.indices))
-        if not (np.array_equal(rows[fwd], self.indices[rev])
-                and np.array_equal(self.indices[fwd], rows[rev])
-                and np.allclose(self.weights[fwd], self.weights[rev], rtol=0, atol=0)):
+        """Verify adjacency symmetry and the degree-sum identity. The CSR keys
+        ``row*n + col`` must strictly increase (rows sorted, no entry repeated),
+        and one sort by the transposed key ``col*n + row`` must give back the
+        CSR's own (row, col) pairs and weights, entry for entry."""
+        rows, cols = np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices
+        rising = bool((np.diff(rows * self.n + cols) > 0).all())
+        order = np.argsort(cols * self.n + rows)  # unstable: rising keys are distinct
+        if not (rising and np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)
+                and np.array_equal(self.weights[order], self.weights)):
             raise ValueError("adjacency is not symmetric")
         loop_mass = float(self.weights[rows == self.indices].sum())
         expected = 2.0 * self.total_weight - loop_mass

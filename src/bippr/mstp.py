@@ -135,35 +135,38 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
     from the state's source to t, using w fixed-length walks from t."""
     _check_count("ell", ell, low=0, high=state.ell_max)
     _check_table_walks("w", w, ell + 1)
-    res = _Residuals(state, g, t)
-    with _SlotMap(g, state.node) as sm:
-        q_t = state.q_levels.at(sm.slot[t]).tolist()
-        sums = _own_level_sums(g, sm, res, t, [ell], w, rng)
-    return q_t[ell] + float(sums[ell] / w)
+    with _Terms(state, g, t) as terms:
+        return terms.q_t[ell] + float(_own_level_sums(terms, [ell], w, rng)[ell] / w)
 
 
 _TERMS = 1 << 20  # entries per walk table: bounds the memory of a run
 
 
-class _Residuals:
-    """The terms r[l][v] * d_t / d_v of an MstpState's residuals for target t,
-    over the push's slots only, never dense in n.
+class _Terms(_SlotMap):
+    """One query's combine at target t: the graph's slot map over the state's
+    nodes, ``q_t``, the value q[l][t] of every level l, and the terms
+    r[k][v] * d_t / d_v of the state's residuals, over the push's slots and
+    the levels that hold an entry, never dense in n or in ell_max.
 
-    ``R`` is the levels x columns table of the terms: column c+1 stands for
-    slot c of the state, column 0 for every node the push never touched, so a
-    walk position v reads column ``slot[v] + 1`` through the graph's slot map
-    holding the state's nodes (``-1 + 1`` is the empty column). ``levels``
-    lists, increasing, the levels that hold an entry; every other row is 0.
+    ``levels`` lists, increasing, the levels that hold an entry, and row i of
+    ``R`` holds level ``levels[i]``: column c+1 stands for slot c of the
+    state, column 0 for every node the push never touched, so a walk
+    position v reads column ``slot[v] + 1`` (``-1 + 1`` is the empty column).
     """
 
     def __init__(self, state: MstpState, g: Graph, t: int):
         lv = state.r_levels
-        self.R = np.zeros((state.ell_max + 1, state.node.size + 1))
-        self.R[lv.level(), lv.slot + 1] = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
-        self.levels = np.flatnonzero(np.diff(lv.ptr)).tolist()
+        count = np.diff(lv.ptr)
+        self.t, self.levels = t, np.flatnonzero(count).tolist()
+        self.R = np.zeros((len(self.levels), state.node.size + 1))
+        row = np.repeat(np.arange(len(self.levels)), count[self.levels])
+        # g.degree checks t before the slot array leaves the graph
+        self.R[row, lv.slot + 1] = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
+        super().__init__(g, state.node)
+        self.q_t = state.q_levels.at(self.slot[t]).tolist()
 
 
-def _sample_sums(res: _Residuals, top: int, size: int, cols) -> np.ndarray:
+def _sample_sums(terms: _Terms, top: int, size: int, cols) -> np.ndarray:
     """Per sample, sum_k r[k][v_k] * d_t / d_{v_k} over levels k <= top.
 
     For each level k that holds an entry, in increasing k, the samples still
@@ -173,22 +176,25 @@ def _sample_sums(res: _Residuals, top: int, size: int, cols) -> np.ndarray:
     only +0.0 terms, which change no bit. The cost is (levels holding an
     entry) x (live samples) gathers."""
     acc = np.zeros(size)
-    for k in res.levels:
+    for k, row in zip(terms.levels, terms.R):
         if k <= top:
             c = cols(k)
-            acc[:c.size] += res.R[k][c]
+            acc[:c.size] += row[c]
     return acc
 
 
-def _shared_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, ell: int, n: int,
-                 rng: RandomStream) -> np.ndarray:
-    """Per level l <= ell, the sum of the level-l samples of n shared walks of
-    length ell, each walk's prefix read backward. Samples go by level, ell
-    down to 0, so at level k the live ones read rows k.. of the walk table
-    turned upside down: row i of ``cols`` is every walk's step ell - i."""
-    cols = sm.slot[fixed_walk_positions(g, t, ell, n, rng).T[::-1]] + 1
-    acc = _sample_sums(res, ell, cols.size, lambda k: cols[k:].ravel())
-    return acc.reshape(ell + 1, n).sum(axis=1)[::-1]
+def _shared_sums(terms: _Terms, ell: int, w: int, rng: RandomStream) -> np.ndarray:
+    """Per level l <= ell, the sum of the level-l samples of w shared walks of
+    length ell, each walk's prefix read backward, a run at a time. Samples go
+    by level, ell down to 0, so at level k the live ones read rows k.. of the
+    run's table upside down: row i of ``cols`` is every walk's step ell - i."""
+    sums = np.zeros(ell + 1)
+    for _, n in _runs([ell], w):
+        cols = terms.slot[fixed_walk_positions(terms.g, terms.t, ell, n, rng).T[::-1]] + 1
+        acc = _sample_sums(terms, ell, cols.size, lambda k: cols[k:].ravel())
+        sums += acc.reshape(ell + 1, n).sum(axis=1)[::-1]
+        del cols, acc  # before the next run draws its table
+    return sums
 
 
 def _runs(levels, w: int):
@@ -217,31 +223,24 @@ def _runs(levels, w: int):
         yield run, w
 
 
-def _own_level_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, levels, w: int,
-                    rng: RandomStream) -> np.ndarray:
+def _own_level_sums(terms: _Terms, levels, w: int, rng: RandomStream) -> np.ndarray:
     """Sums over w walks from t of each of ``levels`` (nonincreasing) of their
-    own-level samples sum_k r[k][pos[L-k]] * d_t / d_pos, indexed by level;
-    ``_run_sums`` draws and sums them one run, and one table, at a time."""
+    own-level samples sum_k r[k][pos[L-k]] * d_t / d_pos, indexed by level, a
+    run at a time: walk j of length L_j reads level k at its step L_j - k,
+    the flat index ``last[j] - k * stride`` of the run's table, and the walks
+    live at k (L_j >= k) are a prefix of the run, as lengths do not rise."""
     sums = np.zeros(levels[0] + 1)
     for run, n in _runs(levels, w):
-        sums[run] += _run_sums(g, sm, res, t, run, n, rng)
+        table = fixed_walk_levels(terms.g, terms.t, run, n, rng)
+        flat, stride = table.ravel(), table.shape[1]
+        ells = np.repeat(run, n)
+        last = ells * stride + np.arange(stride)
+        live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
+        acc = _sample_sums(terms, run[0], stride,
+                           lambda k: terms.slot[flat[last[:live[k]] - k * stride]] + 1)
+        sums[run] += acc.reshape(len(run), n).sum(axis=1)
+        del table, flat, ells, last, acc  # before the next run draws its table
     return sums
-
-
-def _run_sums(g: Graph, sm: _SlotMap, res: _Residuals, t: int, run: list[int], n: int,
-              rng: RandomStream) -> np.ndarray:
-    """Per level of ``run``, the sum of the own-level samples of its n walks:
-    walk j of length L_j reads level k at its step L_j - k, the flat table
-    index ``last[j] - k * stride``, and the walks with L_j >= k, the ones
-    live at k, are a prefix of the run (lengths are nonincreasing)."""
-    table = fixed_walk_levels(g, t, run, n, rng)
-    flat, stride = table.ravel(), table.shape[1]
-    ells = np.repeat(run, n)
-    last = ells * stride + np.arange(stride)
-    live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
-    acc = _sample_sums(res, run[0], stride,
-                       lambda k: sm.slot[flat[last[:live[k]] - k * stride]] + 1)
-    return acc.reshape(len(run), n).sum(axis=1)
 
 
 @dataclass
@@ -359,28 +358,23 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     prefix-read for every length (cheaper by a factor of ell_max, at the cost
     of cross-level correlation); disable it for independent per-level batches,
     every one drawn from ``rng`` with no uniform used twice. The residual
-    terms are tabled once, over their support, and both modes sum them by
-    one rule (``_sample_sums``): every sample still live at a level that
-    holds an entry gathers that level's term once, so a run costs (levels
-    holding an entry) x (live samples) gathers. Walks run one table of at
-    most ``_TERMS`` positions at a time, and a level split over several runs
-    takes at most ``_TERMS // (ell_max + 1)`` walks per run, so memory does
-    not grow with w_per_level. Which uniforms an independent walk draws
-    depends on the runs (see ``_runs``).
+    terms are tabled once (``_Terms``), over their support and the levels
+    that hold an entry, so the table does not grow with empty levels, and
+    both modes sum them by one rule (``_sample_sums``): every sample still
+    live at a level that holds an entry gathers that level's term once, so
+    a run costs (levels holding an entry) x (live samples) gathers. Walks
+    run one table of at most ``_TERMS`` positions at a time, and a level
+    split over several runs takes at most ``_TERMS // (ell_max + 1)`` walks
+    per run, so memory does not grow with w_per_level. Which uniforms an
+    independent walk draws depends on the runs (see ``_runs``).
     """
     g.require_walkable(t)  # before the push; approximate_mstp checks s
     ell_max = weights.ell_max
     _check_table_walks("w_per_level", w_per_level, ell_max + 1)
     state = approximate_mstp(g, s, ell_max, r_max)
-    res = _Residuals(state, g, t)
-    with _SlotMap(g, state.node) as sm:
-        q_t = state.q_levels.at(sm.slot[t]).tolist()
-        if shared_walks:
-            sums = np.zeros(ell_max + 1)
-            for _, n in _runs([ell_max], w_per_level):
-                sums += _shared_sums(g, sm, res, t, ell_max, n, rng)
-        else:
-            sums = _own_level_sums(g, sm, res, t, range(ell_max, -1, -1), w_per_level, rng)
-    per_level = [q + m for q, m in zip(q_t, (sums / w_per_level).tolist())]
+    with _Terms(state, g, t) as terms:
+        sums = (_shared_sums(terms, ell_max, w_per_level, rng) if shared_walks else
+                _own_level_sums(terms, range(ell_max, -1, -1), w_per_level, rng))
+    per_level = [q + m for q, m in zip(terms.q_t, (sums / w_per_level).tolist())]
     value = float(np.dot(weights.alphas, per_level))
     return DiffusionEstimate(value=value, trunc_bound=weights.tail, per_level=per_level)

@@ -208,6 +208,32 @@ class TestInvariants:
         g.check()
         assert g.degrees.sum() == pytest.approx(2 * g.total_weight, abs=1e-12)
 
+    @pytest.mark.parametrize("j", [0, 17, -1])
+    def test_one_changed_weight_is_not_symmetric(self, j):
+        g = random_connected(30, "er", 0)
+        g.weights[j] = 2.0
+        with pytest.raises(ValueError, match="adjacency is not symmetric"):
+            g.check()
+
+    @pytest.mark.parametrize("pick", [0, -1], ids=["lowest", "highest"])
+    @pytest.mark.parametrize("j", [0, 17, -1])
+    def test_one_moved_entry_is_not_symmetric(self, j, pick):
+        # the entry moves to the lowest or highest node its row does not hold,
+        # so some moves keep the row sorted and some do not
+        g = random_connected(30, "er", 0)
+        j %= g.indices.size
+        row = int(np.searchsorted(g.indptr, j, side="right")) - 1
+        g.indices[j] = np.setdiff1d(np.arange(g.n), g.neighbors(row)[0])[pick]
+        with pytest.raises(ValueError, match="adjacency is not symmetric"):
+            g.check()
+
+    @pytest.mark.parametrize("v", [0, 29])
+    def test_one_changed_degree_breaks_the_degree_sum(self, v):
+        g = random_connected(30, "er", 0)
+        g.degrees[v] += 0.5
+        with pytest.raises(ValueError, match="degree sum does not match total edge weight"):
+            g.check()
+
 
 class TestStep:
     def test_sole_neighbor(self, k2):

@@ -15,13 +15,12 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    heat_kernel_weights, pagerank_weights)
 from bippr import mstp, walk
 from bippr.graph import step_many
-from bippr.mstp import _own_level_sums, _Residuals
-from bippr.push import _SlotMap
+from bippr.mstp import _own_level_sums, _Terms
 from bippr.walk import fixed_walk_levels
 
 from conftest import dense_walk_matrix, mstp_dicts, random_connected
 from test_estimator import reweighted
-from test_push import push_graphs
+from test_push import assert_slots_released, push_graphs
 from test_walk import lockstep_positions
 
 
@@ -181,6 +180,16 @@ class TestBidirMstp:
         state = approximate_mstp(k2, 0, 2, 0.5)
         with pytest.raises(ValueError):
             bidir_mstp(k2, state, 0, 3, 10, RandomStream(0))
+
+    @pytest.mark.parametrize("t, message", [(5, "out of range"), (3, "isolated"),
+                                            (1.0, "must be an integer")])
+    def test_bad_target_leaves_the_slot_array_on_the_graph(self, t, message):
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 0)], n=5)  # nodes 3 and 4 isolated
+        state = approximate_mstp(g, 0, 4, 1e-2)
+        assert_slots_released(g)
+        with pytest.raises(ValueError, match=message):
+            bidir_mstp(g, state, t, 2, 10, RandomStream(0))
+        assert_slots_released(g)
 
 
 class TestDiffusionWeights:
@@ -414,24 +423,36 @@ def same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def own_level_by_gather(res, cols):
+def level_table(g, state, t):
+    """The terms r[l][v] * d_t / d_v of every level l <= ell_max, one row per
+    level, column c+1 for slot c of the state and column 0 for every other
+    node, built from the dense residual as reference."""
+    R = np.zeros((state.ell_max + 1, state.node.size + 1))
+    R[:, 1:] = state.residual_dense(g.n)[:, state.node] * (g.degree(t) / g.degrees[state.node])
+    return R
+
+
+def own_level_by_gather(R, cols):
     """Sums sum_k r[k][pos[j, L-k]] * d_t / d_pos of w walks of length L,
     ``cols[i, j]`` the column of walk j's i-th last position, as reference:
-    one gather of R[i, cols[i, j]] and a cumsum down the rows (``sum`` over
-    the rows of a column is not promised to add them in order)."""
-    idx = cols + (np.arange(cols.shape[0]) * res.R.shape[1])[:, None]
-    return np.cumsum(res.R.ravel()[idx], axis=0)[-1]
+    one gather of R[i, cols[i, j]] from ``level_table`` and a cumsum down
+    the rows (``sum`` over the rows of a column is not promised to add them
+    in order)."""
+    idx = cols + (np.arange(cols.shape[0]) * R.shape[1])[:, None]
+    return np.cumsum(R.ravel()[idx], axis=0)[-1]
 
 
-def own_level_sums_by_gather(g, sm, res, t, levels, w, rng):
+def own_level_sums_by_gather(g, state, t, levels, w, rng):
     """``_own_level_sums`` as reference: the same runs from the same stream,
     each level's block of a run summed by ``own_level_by_gather``."""
+    R = level_table(g, state, t)
+    col = np.zeros(g.n, np.intp)
+    col[state.node] = np.arange(1, state.node.size + 1)
     sums = np.zeros(levels[0] + 1)
     for run, n in mstp._runs(levels, w):
         table = fixed_walk_levels(g, t, run, n, rng)
         for b, ell in enumerate(run):
-            cols = sm.slot[table[ell::-1, b * n:(b + 1) * n]] + 1
-            sums[ell] += own_level_by_gather(res, cols).sum()
+            sums[ell] += own_level_by_gather(R, col[table[ell::-1, b * n:(b + 1) * n]]).sum()
     return sums
 
 
@@ -445,7 +466,7 @@ class TestLevelEstimateMatchesLoop:
         state = approximate_mstp(g, s, ell_max, r_max)
         q, _ = mstp_dicts(state)
         rd = state.residual_dense(g.n)
-        res = _Residuals(state, g, t)
+        R = level_table(g, state, t)
         weights = pagerank_weights(0.2, ell_max)
         est = {mode: estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
                                         shared_walks=mode) for mode in (True, False)}
@@ -464,7 +485,7 @@ class TestLevelEstimateMatchesLoop:
         for ell in range(ell_max + 1):
             runs = [pos[:, :ell + 1] for pos in shared]
             want = loop_level_estimate(g, q, rd, runs, t)
-            own = sum((own_level_by_gather(res, columns(state, pos[:, ::-1].T)).sum()
+            own = sum((own_level_by_gather(R, columns(state, pos[:, ::-1].T)).sum()
                        for pos in runs), 0.0)
             assert same_bits(q[ell].get(t, 0.0) + float(own / w), want)
             assert same_bits(est[True].per_level[ell], want)
@@ -506,7 +527,9 @@ class TestLevelEstimateMatchesLoop:
         # on a 6-node path the push leaves entries on levels 4, 6 and 8 only,
         # so a walk's sum skips levels between its terms, not only around them
         g = Graph.from_edges([(i, i + 1) for i in range(5)])
-        assert _Residuals(approximate_mstp(g, 0, 8, 0.1), g, t).levels == [4, 6, 8]
+        with _Terms(approximate_mstp(g, 0, 8, 0.1), g, t) as terms:
+            assert terms.levels == [4, 6, 8]
+            assert len(terms.R) == 3  # a row per level that holds an entry
         self.check_levels(g, 0, t, 8, 0.1, 64, 11)
 
     @pytest.mark.parametrize("ell_max", [17, 40])
@@ -552,12 +575,11 @@ class TestOwnLevelMatchesGather:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mstp, "_TERMS", terms)  # at 50 positions most levels split
             state = approximate_mstp(g, s, ell_max, r_max)
-            res = _Residuals(state, g, t)
-            with _SlotMap(g, state.node) as sm:
-                q_t = state.q_levels.at(sm.slot[t]).tolist()
-                got = _own_level_sums(g, sm, res, t, levels, w, RandomStream(seed))
-                want = own_level_sums_by_gather(g, sm, res, t, levels, w, RandomStream(seed))
-                one = own_level_sums_by_gather(g, sm, res, t, [ell], w, RandomStream(seed))
+            q_t = [q.get(t, 0.0) for q in mstp_dicts(state)[0]]
+            with _Terms(state, g, t) as terms:
+                got = _own_level_sums(terms, levels, w, RandomStream(seed))
+            want = own_level_sums_by_gather(g, state, t, levels, w, RandomStream(seed))
+            one = own_level_sums_by_gather(g, state, t, [ell], w, RandomStream(seed))
             est = estimate_diffusion(g, s, t, weights, r_max, w, RandomStream(seed),
                                      shared_walks=False)
             value = bidir_mstp(g, state, t, ell, w, RandomStream(seed))
@@ -622,6 +644,31 @@ class TestDiffusionMemory:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
 
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+    def test_peak_does_not_grow_with_empty_levels(self, shared, monkeypatch):
+        # one push at ell_max 61 (alpha 0.2) and 1374 (alpha 0.01): it leaves
+        # no residual above level 13, so the longer weights add 1313 empty
+        # levels, and a table row per level would add 1313 x (support + 1)
+        # floats. A budget of 2^15 positions keeps the walk tables, which do
+        # grow with ell_max, small next to that
+        monkeypatch.setattr(mstp, "_TERMS", 1 << 15)
+        g = Graph.from_edges(list(nx.barabasi_albert_graph(3000, 2, seed=3).edges()))
+        states = [approximate_mstp(g, 0, ell_max, 1e-4) for ell_max in (61, 1374)]
+        assert states[0].node.tobytes() == states[1].node.tobytes()
+        assert all(np.diff(st.r_levels.ptr)[14:].sum() == 0 for st in states)
+        peaks = []
+        for alpha, ell_max in ((0.2, 61), (0.01, 1374)):
+            assert choose_ell_max("pagerank", 1e-6, alpha=alpha) == ell_max
+            tracemalloc.start()
+            try:
+                estimate_diffusion(g, 0, 5, pagerank_weights(alpha, ell_max), 1e-4, 1,
+                                   RandomStream(0), shared_walks=shared)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        empty_rows = (1374 - 61) * (states[0].node.size + 1) * 8
+        assert peaks[1] - peaks[0] < empty_rows / 10, (peaks, empty_rows)
 
     def test_shared_run_peak_within_three_tables(self):
         # 16,912 walks of 61 steps fill one run, a position table of
