@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bippr import approximate_pagerank, exact_ppr, exact_ppr_from, mc_estimate
+from bippr import (RandomStream, approximate_pagerank, exact_ppr, exact_ppr_from,
+                   mc_estimate)
 from bippr.cli import main
 
 from conftest import random_connected
@@ -297,6 +298,21 @@ class TestBadArguments:
         assert proc.stderr.startswith(f"error: {name} must be "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-8"])
+    def test_tiny_alpha_rounds_refused_before_any_draw(self, k3_file, alpha, monkeypatch,
+                                                       capsys):
+        # one walk expects 1/alpha steps, under 2^32, in as many rounds, each
+        # charged as 256 steps: refused before the push and before any draw
+        for name in ("random", "multinomial", "permutation"):
+            monkeypatch.setattr(RandomStream, name, pytest.fail)
+        argv = ["estimate", "--graph", k3_file, "--source", "a", "--target", "b",
+                "--alpha", alpha, "--rmax", "1", "--walks", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: alpha must be large enough for at most 2^32 expected steps, " \
+                      f"got {float(alpha)}\n"
 
     def test_threads_option_removed(self, k3_file):
         proc = run_cli("validate", "--graph", k3_file, "--threads", "1")

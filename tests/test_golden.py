@@ -52,6 +52,17 @@ still takes its own walks and every uniform is used once, so the levels
 stay independent and each keeps its law; only which uniforms feed which
 walk changed. Shared walks, fixed-length walks and every other entry draw
 the same numbers as before and pass unedited.
+
+The geometric-walk entries (``'ppr *'``, ``'mc'``, ``'geometric'`` and
+``'scalar geometric'``) were re-recorded again when each chunk of walks
+came to draw its lengths as one multinomial histogram, in place of one
+uniform per walk, and to be stepped longest first with no scatter back to
+draw order; a chunk of several batches, as in ``'geometric'``, now deals
+its walks to the batches by one uniform permutation. The lengths keep
+their Geometric(alpha) law, each step still takes one uniform, and the
+batches stay iid, but the stream is consumed in another order, so the
+walks are a new sample. The diffusion and fixed-length entries and
+``PUSH_GOLDEN`` pass unedited.
 """
 import pytest
 
@@ -128,22 +139,22 @@ GOLDEN = {
              [3, 2, 17, 16, 19, 18, 9], [3, 24, 23, 22, 21, 14, 21],
              [3, 24, 3, 4, 5, 6, 29], [3, 0, 11, 10, 33, 10, 11]],
         'geometric':
-            [39, 3, 1, 24, 24, 3, 4, 3, 32, 3, 3, 2, 21, 0, 39, 11, 3, 18, 23,
-             34, 16, 2, 7, 10, 3, 3, 32, 0, 2, 3, 2, 3, 27, 4, 3, 3, 3, 0, 0,
-             37, 33, 11, 24, 3, 0, 1, 3, 3, 19, 29, 2, 2, 2, 24, 24, 0, 16, 2,
-             11, 36, 253],
+            [28, 3, 0, 23, 3, 4, 3, 3, 35, 24, 1, 3, 21, 22, 3, 3, 17, 25, 3, 1,
+             5, 5, 15, 2, 1, 3, 26, 4, 17, 4, 16, 6, 3, 7, 27, 17, 27, 32, 3, 0,
+             8, 0, 3, 7, 3, 1, 1, 0, 11, 1, 31, 11, 34, 3, 3, 24, 21, 7, 3, 3,
+             234],
         'mc':
-            [0.013, 7939],
+            [0.012, 8097],
         'ppr 0-17':
-            [0.01130103395031523, 2715],
+            [0.01161558307197616, 2574],
         'ppr 5-30':
-            [0.019292607532780354, 2371],
+            [0.019875259806488292, 2445],
         'scalar fixed':
             [3, 24, 3, 2, 17, 18, 19, 20, 19, 18, 9, 26, 9, 10, 33, 34, 1, 10,
              1, 10, 9],
         'scalar geometric':
-            [0, 24, 10, 28, 15, 1, 4, 38, 31, 3, 2, 3, 3, 0, 38, 24, 24, 3, 33,
-             3, 17, 2, 1, 3, 29, 9, 24, 33, 24, 0],
+            [3, 23, 31, 3, 3, 22, 3, 3, 3, 31, 36, 0, 3, 3, 3, 2, 28, 33, 3, 2,
+             11, 39, 11, 16, 3, 25, 17, 3, 3, 35],
     },
     'weighted': {
         'diffusion shared=False':
@@ -164,22 +175,22 @@ GOLDEN = {
              [3, 4, 5, 4, 23, 22, 21], [3, 24, 23, 22, 23, 20, 31],
              [3, 24, 3, 4, 5, 4, 31], [3, 0, 11, 12, 13, 12, 13]],
         'geometric':
-            [5, 3, 5, 24, 4, 10, 28, 3, 18, 3, 3, 4, 9, 0, 31, 20, 3, 18, 25,
-             38, 24, 4, 23, 10, 25, 3, 32, 28, 2, 3, 4, 3, 33, 4, 37, 3, 3, 16,
-             0, 27, 33, 15, 34, 3, 0, 3, 3, 3, 29, 29, 2, 2, 4, 38, 24, 2, 30,
-             4, 17, 36, 253],
+            [28, 3, 0, 23, 17, 20, 3, 3, 27, 24, 7, 3, 5, 22, 3, 3, 31, 17, 3,
+             9, 23, 23, 29, 2, 1, 3, 34, 4, 17, 4, 20, 4, 3, 11, 33, 29, 17, 34,
+             3, 2, 8, 0, 3, 5, 3, 11, 1, 2, 23, 1, 17, 17, 34, 3, 3, 24, 15, 7,
+             3, 3, 234],
         'mc':
-            [0.0195, 7939],
+            [0.0135, 8097],
         'ppr 0-17':
-            [0.020342725709038695, 1686],
+            [0.020241569323503603, 1606],
         'ppr 5-30':
-            [0.012622943047867798, 1510],
+            [0.012335112142295119, 1676],
         'scalar fixed':
             [3, 2, 1, 2, 17, 18, 17, 18, 17, 18, 9, 8, 9, 8, 35, 34, 33, 34, 33,
              34, 33],
         'scalar geometric':
-            [2, 24, 4, 28, 17, 5, 11, 10, 5, 10, 2, 3, 7, 0, 38, 2, 10, 3, 33,
-             3, 23, 4, 3, 3, 19, 1, 24, 35, 2, 0],
+            [3, 23, 37, 3, 3, 12, 3, 3, 23, 5, 16, 2, 3, 25, 3, 10, 16, 5, 3, 2,
+             17, 11, 17, 22, 3, 35, 29, 3, 3, 17],
     },
 }
 

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,16 +72,23 @@ def walk_terminals(g, start, alpha, num, rng, trials=1):
     return np.concatenate(seen), steps
 
 
-def replay_lengths(rng, alpha, sizes):
-    """Walk lengths of chunks of the given sizes, read back from a copy of the
-    sampler's stream: a chunk takes one uniform per walk for its lengths, by
-    inversion, then one uniform per step."""
-    out = []
-    for size in sizes:
-        length = (np.log1p(-rng.random(size)) / math.log1p(-alpha)).astype(np.int64)
-        rng.random(int(length.sum()))
-        out.append(length)
-    return np.concatenate(out)
+def replay_chunks(rng, alpha, num, trials=1):
+    """Walk lengths and batches of a sampler call, read back from a copy of
+    its stream. Each chunk, as many whole batches as fit in ``_CHUNK`` walks
+    or a ``_CHUNK`` piece of a longer batch, draws its length histogram
+    (lengths longest first), then one uniform per step, then, if it holds
+    several batches, one permutation that puts walk i in batch perm[i]//num."""
+    lengths, batch = [], []
+    span = max(1, walk._CHUNK // num)
+    for b in range(0, trials, span):
+        batches = min(span, trials - b)
+        for lo in range(0, batches * num, walk._CHUNK):
+            size = min(walk._CHUNK, batches * num - lo)
+            length = walk._geometric_lengths(rng, alpha, size).astype(np.int64)
+            rng.random(int(length.sum()))
+            lengths.append(length)
+            batch.append(b + rng.permutation(size) // num if batches > 1 else np.full(size, b))
+    return np.concatenate(lengths), np.concatenate(batch)
 
 
 class TestGeometricWalk:
@@ -100,21 +107,22 @@ class TestGeometricWalk:
         _, steps = geometric_terminals(k3, 0, 0.2, 100_000, RandomStream(2), lambda v: v)
         assert abs(steps / 100_000 - 4.0) < 0.05
 
-    def test_length_law(self, k2):
-        alpha = 0.2
+    def test_length_histogram_chi_square(self, k2):
+        # at alpha 0.05, 0.95^64 (3.7%) of the walks reach the last cell, so
+        # the histogram is drawn again for them, and again past 128 steps
+        alpha = 0.05
         n = 100_000
-        terminals, steps = walk_terminals(k2, 0, alpha, n, RandomStream(3))
-        lengths = replay_lengths(RandomStream(3), alpha, [n])
+        rng = RecordingStream(3)
+        terminals, steps = walk_terminals(k2, 0, alpha, n, rng)
+        lengths, _ = replay_chunks(RandomStream(3), alpha, n)
+        draws = [c for c in rng.sizes if isinstance(c, tuple)]
+        assert draws[:3] == [("multinomial", int((lengths >= k).sum())) for k in (0, 64, 128)]
         # the replay is the sampler's: on K2 a walk from 0 ends at 0 exactly
         # when its length is even
         assert steps == lengths.sum()
         assert np.array_equal(terminals == 0, lengths % 2 == 0)
-        p0 = (lengths == 0).mean()
-        sigma = np.sqrt(alpha * (1 - alpha) / n)
-        assert abs(p0 - alpha) < 3 * sigma
-        for ell in range(6):
-            ratio = (lengths == ell + 1).sum() / (lengths == ell).sum()
-            assert ratio == pytest.approx(1 - alpha, rel=0.05)
+        pmf = alpha * (1 - alpha) ** np.arange(lengths.max() + 1)
+        assert chi_square_pvalue(np.bincount(lengths), pmf) > 1e-3
 
     def test_terminal_law_chi_square(self):
         g = random_connected(8, "er", seed=12)
@@ -140,58 +148,58 @@ class TestGeometricWalk:
         a, steps_a = walk_terminals(k2, 0, alpha, _CHUNK, RandomStream(6))
         b, steps_b = walk_terminals(k2, 0, alpha, _CHUNK + 5, RandomStream(6))
         assert np.array_equal(b[:_CHUNK], a)
-        len_b = replay_lengths(RandomStream(6), alpha, [_CHUNK, 5])
+        len_b, _ = replay_chunks(RandomStream(6), alpha, _CHUNK + 5)
         assert steps_a == len_b[:_CHUNK].sum()
         assert steps_b == len_b.sum()
         # on K2 a walk from 0 ends at 0 exactly when its length is even
         assert np.array_equal(b == 0, len_b % 2 == 0)
 
-    def test_one_uniform_per_walk_and_per_step(self, k3):
+    def test_one_histogram_per_chunk_and_one_uniform_per_step(self, k3):
         rng = RandomStream(21)
         _, steps = geometric_terminals(k3, 0, 0.2, 1000, rng, lambda v: v)
         ref = RandomStream(21)
-        ref.random(1000 + steps)
+        # the length cells 0..63, then 64 or more
+        ref.multinomial(1000, np.append(0.2 * 0.8 ** np.arange(64), 0.8 ** 64))
+        ref.random(steps)
         assert np.array_equal(rng.random(4), ref.random(4))
 
     @pytest.mark.parametrize("chunk", [_CHUNK, 4096])
-    def test_walk_order_does_not_depend_on_length(self, k2, monkeypatch, chunk):
-        # walks are stepped longest first; their terminals must come back in
-        # draw order, so either half of the batch is an iid sample
+    def test_walks_stepped_longest_first(self, k2, monkeypatch, chunk):
+        # each chunk hands its walks to the round loop longest first: one
+        # round per step of its longest walk, over the walks still going
         alpha, n = 0.2, 100_000
         monkeypatch.setattr(walk, "_CHUNK", chunk)
         rounds = []
         monkeypatch.setattr(walk, "step_many",
                             lambda *a: rounds.append(a[1].size) or step_many(*a))
         terminals, steps = walk_terminals(k2, 0, alpha, n, RandomStream(22))
-        sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
-        lengths = replay_lengths(RandomStream(22), alpha, sizes)
+        lengths, _ = replay_chunks(RandomStream(22), alpha, n)
         assert steps == lengths.sum()
-        # one round per step of each chunk's longest walk, over the walks still going
         chunks = [lengths[lo:lo + chunk] for lo in range(0, n, chunk)]
-        assert len(rounds) == sum(c.max() for c in chunks)
-        assert rounds == [int((c > k).sum()) for c in chunks for k in range(c.max())]
+        assert all(np.all(np.diff(c) <= 0) for c in chunks)
+        assert rounds == [int((c > k).sum()) for c in chunks for k in range(c[0])]
         # on K2 a walk from 0 ends at 0 exactly when its length is even
         assert np.array_equal(terminals == 0, lengths % 2 == 0)
-        half = n // 2
-        length_se = np.sqrt((1 - alpha) / alpha ** 2 * 2 / half)
-        assert abs(lengths[:half].mean() - lengths[half:].mean()) < 4 * length_se
-        at_start = (terminals == 0).mean()
-        start_se = np.sqrt(at_start * (1 - at_start) * 2 / half)
-        assert abs((terminals[:half] == 0).mean() - (terminals[half:] == 0).mean()) \
-            < 4 * start_se
+        # the chunks' histograms add up to n iid lengths of mean (1-alpha)/alpha
+        length_se = np.sqrt((1 - alpha) / alpha ** 2 / n)
+        assert abs(lengths.mean() - (1 - alpha) / alpha) < 4 * length_se
 
     def test_estimate_many_trials_are_iid(self, k2, monkeypatch):
-        # the trials are consecutive blocks of one chunk of walks from t=1;
-        # the push leaves residual only at node 0, reached by odd lengths
+        # the trials are 20 batches of one chunk of walks from t=1, which one
+        # permutation deals out; the push leaves residual only at node 0,
+        # reached by odd lengths
         trials, w = 20, 5000
         prepared = PreparedSource(k2, 0.2, 0, 0.5)
         assert list(prepared.push.r) == [0]
         drawn = recording_sampler(monkeypatch)
         values = prepared.estimate_many(1, w, RandomStream(23), trials)
         terminals = np.concatenate([v for v, _ in drawn])
-        lengths = replay_lengths(RandomStream(23), 0.2, [trials * w])
+        lengths, batch = replay_chunks(RandomStream(23), 0.2, w, trials)
         assert np.array_equal(terminals == 0, lengths % 2 == 1)
-        per_trial = lengths.reshape(trials, w).mean(axis=1)
+        assert np.bincount(batch).tolist() == [w] * trials
+        x = np.concatenate([x for _, x in drawn])
+        assert values.tobytes() == (prepared.push.p_at(1) + np.bincount(batch, x) / w).tobytes()
+        per_trial = np.bincount(batch, lengths) / w
         length_se = np.sqrt(lengths.var() / w)
         assert np.abs(per_trial - lengths.mean()).max() < 4 * length_se
         x0 = prepared.push.r[0]
@@ -235,14 +243,18 @@ class TestChunkedReduction:
         return PreparedSource(random_connected(30, "er", seed=5), 0.2, 0, 1e-2)
 
     def test_whole_batches_per_chunk(self, monkeypatch):
-        # w does not divide _CHUNK and w*trials > _CHUNK: chunks of 3, 3, 1 batches
+        # w does not divide _CHUNK and w*trials > _CHUNK: chunks of 3, 3, 1
+        # batches, the walks of each dealt to its batches by a permutation
         monkeypatch.setattr(walk, "_CHUNK", 1000)
         prepared = self.prepared()
         drawn = recording_sampler(monkeypatch)
         values = prepared.estimate_many(7, 300, RandomStream(31), trials=7)
         assert [t.size for t, _ in drawn] == [900, 900, 300]
-        x = np.concatenate([v for _, v in drawn]).reshape(7, 300)
-        assert values.tobytes() == (prepared.push.p_at(7) + x.mean(axis=1)).tobytes()
+        _, batch = replay_chunks(RandomStream(31), 0.2, 300, 7)
+        assert [np.unique(batch[lo:lo + 900]).tolist() for lo in (0, 900)] == [[0, 1, 2],
+                                                                                [3, 4, 5]]
+        x = np.concatenate([v for _, v in drawn])
+        assert values.tobytes() == (prepared.push.p_at(7) + np.bincount(batch, x) / 300).tobytes()
         assert len(set(values.tolist())) > 1
 
     def test_long_batch_split_into_pieces(self, monkeypatch):
@@ -261,12 +273,15 @@ class TestChunkedReduction:
         assert est.value == values[0]
 
     def test_draws_of_one_chunk_do_not_depend_on_batching(self, k3):
-        # w*trials <= _CHUNK: the batches split one chunk of draws
+        # w*trials <= _CHUNK: the batches share out one chunk of walks, the
+        # walks of one batch of w*trials, then one permutation
         flat, steps = walk_terminals(k3, 0, 0.2, 600, RandomStream(33))
-        means, batched_steps = geometric_terminals(k3, 0, 0.2, 200, RandomStream(33),
-                                                   lambda v: v, trials=3)
+        batched, batched_steps = walk_terminals(k3, 0, 0.2, 200, RandomStream(33), trials=3)
+        means, _ = geometric_terminals(k3, 0, 0.2, 200, RandomStream(33), lambda v: v, trials=3)
         assert batched_steps == steps
-        assert means.tobytes() == flat.reshape(3, 200).mean(axis=1).tobytes()
+        assert np.array_equal(batched, flat)
+        _, batch = replay_chunks(RandomStream(33), 0.2, 200, 3)
+        assert means.tobytes() == (np.bincount(batch, flat) / 200).tobytes()
 
     def test_tiny_alpha_refused_before_any_draw(self, k2):
         # expected steps num*trials*(1-alpha)/alpha over 2^32
@@ -275,6 +290,33 @@ class TestChunkedReduction:
             with pytest.raises(ValueError, match="^alpha must be large enough"):
                 geometric_terminals(k2, 0, alpha, num, rng, pytest.fail, trials)
             assert rng.random() == RandomStream(34).random()
+
+    def test_tiny_alpha_rounds_refused_before_any_draw(self, k2):
+        # few expected steps, but a chunk's rounds, (1 + ln n)/alpha at most,
+        # each charged _ROUND_STEPS steps, over 2^32
+        for num, trials, alpha in [(1, 1, 1e-8), (1, 1, 1e-9), (5, 4, 2e-7)]:
+            assert num * trials / alpha < 2**32
+            rng = RandomStream(34)
+            with pytest.raises(ValueError, match="^alpha must be large enough"):
+                geometric_terminals(k2, 0, alpha, num, rng, pytest.fail, trials)
+            assert rng.random() == RandomStream(34).random()
+        # one walk expects 1/alpha rounds: admitted from alpha = 256/2^32
+        assert walk._check_walk_steps(6e-8, 1) is None
+        with pytest.raises(ValueError, match="^alpha must be large enough"):
+            walk._check_walk_steps(5.9e-8, 1)
+
+    def test_many_one_walk_trials_hold_one_chunk(self):
+        # 2^16 trials of one walk are one chunk of 2^16 batches, dealt out by
+        # a permutation: no table of batches by length cells
+        prepared = self.prepared()
+        tracemalloc.start()
+        try:
+            values = prepared.estimate_many(7, 1, RandomStream(36), 2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.size == 2**16 and len(set(values.tolist())) > 1
+        assert peak < 8 * 2**20, peak
 
     def test_step_cap_admits_every_alpha_from_one_seventeenth(self, k2, monkeypatch):
         # at the walk cap, alpha = 1/17 expects exactly 2^32 steps; it walks
@@ -404,7 +446,8 @@ class TestFixedWalkLevels:
 
 
 class RecordingStream(RandomStream):
-    """A stream that records the size of every ``random`` call."""
+    """A stream that records the size of every ``random`` call, and a
+    (name, n) pair for every ``multinomial`` or ``permutation`` call."""
 
     def __init__(self, seed, stream_id=0):
         super().__init__(seed, stream_id)
@@ -414,10 +457,20 @@ class RecordingStream(RandomStream):
         self.sizes.append(size)
         return super().random(size)
 
+    def multinomial(self, n, pvals):
+        self.sizes.append(("multinomial", n))
+        return super().multinomial(n, pvals)
+
+    def permutation(self, n):
+        self.sizes.append(("permutation", n))
+        return super().permutation(n)
+
 
 class TestDrawPolicy:
     """Both samplers draw step uniforms alike: one ``random`` call per round,
-    sized to the walks still going."""
+    sized to the walks still going. ``geometric_terminals`` draws each
+    chunk's length histogram before its rounds, and deals a chunk of several
+    batches out after them."""
 
     def test_fixed_walk_levels_draws_once_per_round(self):
         g = random_connected(40, "ba", seed=5)
@@ -426,16 +479,19 @@ class TestDrawPolicy:
         fixed_walk_levels(g, 3, ells, num, rng)
         assert rng.sizes == [num * sum(ell > k for ell in ells) for k in range(12)]
 
-    def test_geometric_terminals_draws_lengths_per_chunk_then_once_per_round(
-            self, k3, monkeypatch):
+    @pytest.mark.parametrize("num, trials, sizes", [(10_000, 1, [4096, 4096, 1808]),
+                                                    (100, 50, [4000, 1000])])
+    def test_geometric_terminals_draws_a_histogram_per_chunk_then_once_per_round(
+            self, k3, monkeypatch, num, trials, sizes):
         monkeypatch.setattr(walk, "_CHUNK", 4096)
         alpha = 0.2
         rng = RecordingStream(22)
-        geometric_terminals(k3, 0, alpha, 10_000, rng, lambda v: v)
-        replay, want = RandomStream(22), []
-        for size in [4096, 4096, 1808]:
-            length = replay_lengths(replay, alpha, [size])
-            want += [size] + [int((length > k).sum()) for k in range(length.max())]
+        geometric_terminals(k3, 0, alpha, num, rng, lambda v: v, trials)
+        lengths, _ = replay_chunks(RandomStream(22), alpha, num, trials)
+        want = []
+        for c in np.split(lengths, np.cumsum(sizes)[:-1]):
+            want += [("multinomial", c.size)] + [int((c > k).sum()) for k in range(c[0])]
+            want += [("permutation", c.size)] if trials > 1 else []
         assert rng.sizes == want
 
 
