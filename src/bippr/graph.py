@@ -33,11 +33,12 @@ class Graph:
     graph samples from per-row alias tables (see :func:`step_many`), built
     by array code on its first weighted step and cached in ``_alias``, so
     ingest and unit-weight graphs never pay for them. The cache holds each
-    slot's keep probability, the slot pair table (the slot's own neighbour
-    and its alias, interleaved, so a step reads its node with one gather)
-    and the float64 row lengths the step scales its uniforms by. An
-    unweighted edge list that repeats a pair merges it to weight 2.0, so its
-    graph is not unit-weight.
+    slot's absolute alias threshold (the smallest double at or above the
+    slot's offset in its row plus its keep probability), the slot pair table
+    (the slot's own neighbour and its alias, interleaved, so a step reads
+    its node with one gather) and the float64 row lengths the step scales
+    its uniforms by. An unweighted edge list that repeats a pair merges it
+    to weight 2.0, so its graph is not unit-weight.
 
     A self-loop is stored once in its node's row and contributes its weight
     once to that node's degree. Isolated nodes are storable, but any walk or
@@ -55,7 +56,8 @@ class Graph:
                  "_alias", "_slots")
 
     def __init__(self, n: int, src, dst, weight,
-                 labels: list[str] | dict[str, int] | None = None):
+                 labels: list[str] | dict[str, int] | None = None, *,
+                 _columns: list | None = None):
         """Build the graph from one entry per input edge, in input order.
 
         ``src``, ``dst`` and ``weight`` are equal-length sequences: edge ``i``
@@ -74,10 +76,19 @@ class Graph:
         over the merged weights in first-appearance order. The CSR is one
         sort of the stored entries by ``row*n + col``; each row lists its
         neighbors in increasing id order.
+
+        ``_columns``, given by :func:`load_edge_list` with the three
+        sequences ``None``, is the list ``[src, dst, weight]`` in their place.
+        The build empties it on entry and drops each array after its last
+        use, so arrays that nothing else holds are freed during the build;
+        arrays passed as arguments stay held by the call until it returns.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        w = np.asarray(weight, dtype=np.float64)
+        if _columns is None:
+            _columns = [src, dst, weight]
+        del src, dst, weight
+        src, dst, w = (np.asarray(c, dtype=t) for c, t in
+                       zip(_columns, (np.int64, np.int64, np.float64)))
+        _columns.clear()
         if not (src.ndim == 1 and src.shape == dst.shape == w.shape):
             raise ValueError("src, dst and weight must be 1-d and of equal length")
         if n > _MAX_NODES:
@@ -98,6 +109,7 @@ class Graph:
         key = np.minimum(src, dst)
         key *= n
         key += np.maximum(src, dst)
+        del src, dst
         order = np.argsort(key)
         key = key[order]
         new = np.diff(key, prepend=-1) != 0  # keys are nonnegative
@@ -111,6 +123,7 @@ class Graph:
         # astype: bincount returns int64 when there are no edges
         merged = np.bincount(inv, weights=w, minlength=lo.size).astype(
             np.float64, copy=False)
+        del w
         by_first = merged[inv[first]]  # first-appearance order, for total_weight
         total_weight = float(sum(itertools.chain.from_iterable(
             by_first[i:i + 65536].tolist() for i in range(0, lo.size, 65536))))
@@ -208,13 +221,14 @@ class Graph:
         return self.label_ids[label]
 
     def _alias_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(prob, pair, row_len)``, built on first use: one keep
-        probability per CSR slot, two ``pair`` entries per slot (its own
-        neighbour, then its alias; the aliases are the view ``pair[1::2]``),
-        and each row's length as a float64."""
+        """``(thr, pair, row_len)``, built on first use: one absolute alias
+        threshold per CSR slot (see :func:`_thresholds`), two ``pair``
+        entries per slot (its own neighbour, then its alias; the aliases are
+        the view ``pair[1::2]``), and each row's length as a float64."""
         if self._alias is None:
-            self._alias = _build_alias(self.indptr, self.indices, self.weights,
-                                       self.degrees)
+            prob, pair, row_len = _build_alias(self.indptr, self.indices, self.weights,
+                                               self.degrees)
+            self._alias = (_thresholds(prob, self.indptr), pair, row_len)
         return self._alias
 
     def check(self) -> None:
@@ -270,11 +284,16 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
         add_src(intern(u, len(ids)))
         add_dst(intern(v, len(ids)))
 
-    # the lists (held by the bound appends too) are freed before the build
+    # the lists (held by the bound appends too) are freed before the build,
+    # and the arrays are held only by the list the build empties
     del add_src, add_dst, add_w
-    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-    wts = np.array(wts, dtype=np.float64) if weighted else np.ones(src.size)
-    return Graph(len(ids), src, dst, wts, labels=ids)
+    columns = [np.array(src, dtype=np.int64)]
+    del src
+    columns.append(np.array(dst, dtype=np.int64))
+    del dst
+    columns.append(np.array(wts, dtype=np.float64) if weighted else np.ones(columns[0].size))
+    del wts
+    return Graph(len(ids), None, None, None, labels=ids, _columns=columns)
 
 
 def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -301,24 +320,32 @@ def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
       next row's slot.
     - On other graphs, per-row alias tables (Walker 1977): slot j is kept
       when ``x - floor(x) < prob[j]`` and swapped for its alias otherwise.
+      The step tests ``x >= thr[j]`` instead, ``thr[j]`` the smallest double
+      at or above ``k + prob[j]``, k the slot's offset in its row (see
+      :func:`_thresholds`). It is the same test: ``x - k`` is exact
+      (Sterbenz 1974: ``k <= x < k + 1 <= 2k``, or k = 0), so ``x - k >=
+      prob[j]`` holds exactly when the double x is at least the real number
+      ``k + prob[j]``, that is at least the smallest double at or above it.
       The slot pair table holds slot j's own neighbour at ``2j`` and its
-      alias at ``2j + 1``, so the step is one gather, ``pair[2j + alias]``
-      with ``alias = x - floor(x) >= prob[j]``, from a table of the smallest
-      signed type that holds every node id; the result is int64.
+      alias at ``2j + 1``, so the step is one gather, ``pair[2j + alias]``,
+      from a table of the smallest signed type that holds every node id; the
+      result is int64. Its four gathers use ``ndarray.take``.
     """
     if u.shape != nodes.shape:  # a length-1 u would otherwise broadcast
         raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
     if g.unit_weights:
         return g.indices[g.indptr[nodes] + (u * g.degrees[nodes]).astype(np.int64)]
-    prob, pair, row_len = g._alias_tables()
-    x = u * row_len[nodes]
-    k = x.astype(np.int64)
-    j = g.indptr[nodes] + k
-    x -= k
-    alias = x >= prob[j]
+    thr, pair, row_len = g._alias_tables()
+    x = u * row_len.take(nodes)
+    j = g.indptr.take(nodes)
+    j += x.astype(np.int64)
+    alias = x >= thr.take(j)
     j += j
     j += alias
-    return pair[j].astype(np.int64)
+    return pair.take(j).astype(np.int64)
+
+
+_ALIAS_BLOCK = 1 << 16  # slots per block of the alias build: bounds its temporaries
 
 
 def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,6 +362,11 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     a heavy with no such light) keeps 1. Every alias is clamped into its own
     row; a row that rounding left without a heavy aliases each slot to itself.
 
+    Every step is row-local, so the rows are built in consecutive blocks of
+    at most ``_ALIAS_BLOCK`` slots (a longer row is a block of its own), each
+    writing its part of the outputs: the build holds its outputs plus one
+    block's temporaries, and gives the same bytes as one pass over all rows.
+
     Returns ``(prob, pair, cnt_v as float64)``. ``pair`` interleaves each
     slot's neighbour ``indices[j]`` at ``2j`` with its alias at ``2j + 1``,
     in the smallest signed type that holds every node id; the aliases are
@@ -342,13 +374,33 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     array.
     """
     n = indptr.size - 1
+    prob = np.empty(weights.size)
+    # the smallest signed type that holds every node id: at n=20k a quarter
+    # of int64's memory, and the step's result is still int64
+    pair = np.empty(2 * weights.size, np.min_scalar_type(-n))
+    r0 = 0
+    while r0 < n:
+        # the rows from r0 that fit in one block, and at least one row
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _ALIAS_BLOCK, "right")) - 1)
+        a, b = indptr[r0], indptr[r1]
+        _alias_rows(indptr[r0:r1 + 1] - a, indices[a:b], weights[a:b], degrees[r0:r1],
+                    prob[a:b], pair[2 * a:2 * b])
+        r0 = r1
+    return prob, pair, np.diff(indptr).astype(np.float64)
+
+
+def _alias_rows(indptr, indices, weights, degrees, prob, pair) -> None:
+    """:func:`_build_alias` on one block of rows, ``indptr`` starting at 0,
+    writing ``prob`` and ``pair`` in place."""
+    n = indptr.size - 1
     cnt = np.diff(indptr)
-    prob = weights * np.repeat(cnt, cnt)
+    np.multiply(weights, np.repeat(cnt, cnt), out=prob)
     prob /= np.repeat(degrees, cnt)
     light = prob < 1.0
     li = np.flatnonzero(light)
     hi = np.flatnonzero(~light)
-    nl = np.diff(np.concatenate([[0], np.cumsum(light)])[indptr])
+    del light
+    nl = np.diff(np.searchsorted(li, indptr))
     nh = cnt - nl
     lrow = np.repeat(np.arange(n), nl)
     hrow = np.repeat(np.arange(n), nh)
@@ -361,25 +413,51 @@ def _build_alias(indptr, indices, weights, degrees) -> tuple[np.ndarray, np.ndar
     last = np.zeros(hi.size, dtype=bool)
     last[(h_first + nh - 1)[nh > 0]] = True
 
-    # the smallest signed type that holds every node id: at n=20k a quarter
-    # of int64's memory, and the step's result is still int64. Every slot
-    # starts out as its own alias.
-    pair = np.repeat(indices.astype(np.min_scalar_type(-n)), 2)
+    # every slot starts out as its own alias
+    pair[0::2] = indices
+    pair[1::2] = indices
     alias_node = pair[1::2]
     # complex keys order lexicographically: by row, then by prefix sum
-    a = np.searchsorted(_keys(hrow, E), _keys(lrow, d_before), side="left")
+    heavy_key = _keys(hrow, E)
+    a = np.searchsorted(heavy_key, _keys(lrow, d_before), side="left")
+    del d_before
     a = np.minimum(a, h_first[lrow] + nh[lrow] - 1)
     has = nh[lrow] > 0
     alias_node[li[has]] = indices[hi[a[has]]]
+    del a, has, li
     nxt = np.flatnonzero(~last)
     alias_node[hi[nxt]] = indices[hi[nxt + 1]]
+    del nxt
 
     # first light past E_j, if any, and whether it lies in heavy j's row
-    b = np.searchsorted(_keys(lrow, D), _keys(hrow, E), side="right")
+    b = np.searchsorted(_keys(lrow, D), heavy_key, side="right")
+    del heavy_key
     d_star = np.append(D, 0.0)[b]
     shared = (np.append(lrow, -1)[b] == hrow) & ~last
     prob[hi] = np.where(shared, (1.0 + E) - d_star, 1.0)
-    return prob, pair, cnt.astype(np.float64)
+
+
+def _thresholds(prob: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Turn ``prob`` into absolute alias thresholds in place, a block of
+    ``_ALIAS_BLOCK`` slots at a time, and return it.
+
+    Slot j, at offset k in its row, gets ``thr[j]``, the smallest double at
+    or above the real number ``k + prob[j]``. Rounding to nearest gives
+    ``fl(k + prob[j])``, which is that double unless it lies below the real
+    sum; it does exactly when ``fl(k + prob[j]) - k < prob[j]``, a test that
+    is exact because the difference is (Sterbenz 1974: the sum lies in
+    ``[k, k + 1]``, within a factor 2 of k, or k = 0), and such a slot moves
+    up one ulp, to the next double, which is above the sum.
+    """
+    for a in range(0, prob.size, _ALIAS_BLOCK):
+        p = prob[a:a + _ALIAS_BLOCK]
+        slot = np.arange(a, a + p.size)
+        off = (slot - indptr[np.searchsorted(indptr, slot, "right") - 1]).astype(np.float64)
+        thr = off + p
+        up = thr - off < p
+        thr[up] = np.nextafter(thr[up], np.inf)
+        p[...] = thr
+    return prob
 
 
 def _keys(row: np.ndarray, value: np.ndarray) -> np.ndarray:

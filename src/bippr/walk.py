@@ -16,6 +16,7 @@ _CELLS = 64  # walk lengths counted per histogram draw: see _geometric_lengths
 _MAX_WALKS = 1 << 28  # walks per sampler call
 _MAX_STEPS = 1 << 32  # expected steps per geometric_terminals call: bounds its time
 _ROUND_STEPS = 256  # steps a lockstep round costs, whatever its width: see _check_walk_steps
+_ROUND_BLOCK = 1024  # rounds whose walk counts _lockstep works out at once: bounds its memory
 
 
 class RandomStream:
@@ -121,8 +122,9 @@ def _geometric_lengths(rng: RandomStream, alpha: float, n: int) -> np.ndarray:
     while n:
         hist = rng.multinomial(n, cells)
         seen = np.flatnonzero(hist[:-1])
-        ends.append(base + seen)
-        counts.append(hist[seen])
+        if seen.size:  # kept only for lengths drawn, so a long walk holds none per draw
+            ends.append(base + seen)
+            counts.append(hist[seen])
         n, base = int(hist[-1]), base + _CELLS
     ends = np.concatenate(ends)[::-1]
     return np.repeat(ends.astype(np.min_scalar_type(int(ends[0]))), np.concatenate(counts)[::-1])
@@ -164,15 +166,20 @@ def _lockstep(g: Graph, start: int, length: np.ndarray, rng: RandomStream,
     and the round draws ``rng.random(a)``, one uniform per step, then makes
     one ``step_many`` call. Returns the terminals, in the order of
     ``length``, or with ``table`` the (length[0]+1, walks) position table,
-    row k every walk's step k; rows past a walk's length are left unset."""
+    row k every walk's step k; rows past a walk's length are left unset.
+
+    The walk counts are worked out ``_ROUND_BLOCK`` rounds at a time, so
+    memory does not grow with the rounds."""
     top = int(length[0])
-    live = length.size - np.searchsorted(length[::-1], np.arange(top, dtype=length.dtype),
-                                         side="right")
     pos = np.empty((top + 1 if table else 1, length.size), np.int64)
     pos[0] = start
-    for k, a in enumerate(live.tolist()):
-        at, to = (k, k + 1) if table else (0, 0)
-        pos[to, :a] = step_many(g, pos[at, :a], rng.random(a))
+    rev = length[::-1]
+    for k0 in range(0, top, _ROUND_BLOCK):
+        rounds = np.arange(k0, min(top, k0 + _ROUND_BLOCK), dtype=length.dtype)
+        live = length.size - np.searchsorted(rev, rounds, side="right")
+        for k, a in enumerate(live.tolist(), k0):
+            at, to = (k, k + 1) if table else (0, 0)
+            pos[to, :a] = step_many(g, pos[at, :a], rng.random(a))
     return pos if table else pos[0]
 
 

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bippr import EdgeListParseError, Graph, RandomStream, load_edge_list
-from bippr.graph import step_many
+from bippr import graph as graph_module
+from bippr.graph import _build_alias, step_many
 
 from conftest import random_connected
 
@@ -91,22 +93,39 @@ class TestLoadEdgeList:
             load("#\n# a b 1\na b x#1\n", weighted=True)
 
     def test_ingest_peak_memory_is_under_three_graphs(self):
-        # about 100k edges over 20k labels, skewed as real graphs are; the
-        # lines exist before tracing, so the peak is the parse and the build
-        rng = np.random.default_rng(11)
-        p = (np.arange(20_000) + 1.0) ** -0.6
-        ends = rng.choice(20_000, size=(100_000, 2), p=p / p.sum())
-        lines = [f"n{u} n{v}\n" for u, v in ends.tolist()]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            g = load_edge_list(lines)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, ratio = skewed_ingest_peak(weighted=False)
         assert g.m > 90_000
-        ratio = (peak - before) / (after - before)
         assert ratio < 3, ratio
+
+    def test_ingest_frees_the_edge_arrays_during_the_build(self):
+        # the parser's id and weight arrays are freed once the build has
+        # formed the pair keys and merged the weights: about 1.97 graphs if
+        # they live to the end of the build
+        g, ratio = skewed_ingest_peak(weighted=True)
+        assert not g.unit_weights
+        assert ratio < 1.75, ratio
+
+
+def skewed_ingest_peak(weighted):
+    """The graph of about 100k edges over 20k labels, skewed as real graphs
+    are, and one ingest's tracemalloc peak over its size; the lines exist
+    before tracing, so the peak is the parse and the build."""
+    rng = np.random.default_rng(11)
+    p = (np.arange(20_000) + 1.0) ** -0.6
+    ends = rng.choice(20_000, size=(100_000, 2), p=p / p.sum())
+    if weighted:
+        w = rng.integers(1, 10, 100_000)
+        lines = [f"n{u} n{v} {x}\n" for (u, v), x in zip(ends.tolist(), w.tolist())]
+    else:
+        lines = [f"n{u} n{v}\n" for u, v in ends.tolist()]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(lines, weighted=weighted)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, (peak - before) / (after - before)
 
 
 class TestFromEdges:
@@ -334,14 +353,15 @@ def step_many_by_alias_loop(g, nodes, u):
 
 def alias_boundary_draws(g, nodes):
     """Uniforms that put ``x = u*cnt`` on, and one or two ulps either side
-    of, each slot start and each keep/alias threshold of each node's row,
-    plus 0 and one ulp below 1, with the node repeated once per draw."""
-    prob, _, _ = g._alias_tables()
+    of, each slot start and each cached absolute keep/alias threshold of
+    each node's row, plus 0 and one ulp below 1, with the node repeated once
+    per draw."""
+    thr, _, _ = g._alias_tables()
     reps, draws = [], []
     for v in nodes:
         a, b = g.indptr[v], g.indptr[v + 1]
         k = np.arange(b - a)
-        base = np.concatenate([k, k + prob[a:b], [0.0, b - a]]) / (b - a)
+        base = np.concatenate([k, thr[a:b], [0.0, b - a]]) / (b - a)
         below = np.nextafter(base, -1.0)
         near = [base, below, np.nextafter(below, -1.0), np.nextafter(base, 2.0)]
         u = np.clip(np.concatenate(near), 0.0, np.nextafter(1.0, 0.0))
@@ -441,9 +461,18 @@ class TestStepMatchesSearch:
         else:
             nodes, u = alias_boundary_draws(g, rows)
             want = step_many_by_alias_loop(g, nodes, u)
-            pair = g._alias_tables()[1]
+            thr, pair, _ = g._alias_tables()
             assert pair.dtype == (np.int16 if n <= 2**15 else np.int32)
             assert want.max() == n - 1
+            # the draws land on, and one ulp below, most thresholds inside
+            # their slots (the ones below the next slot's start)
+            x = u * np.diff(g.indptr)[nodes]
+            j = g.indptr[nodes] + x.astype(np.int64)
+            inner = np.unique(j[thr[j] < slot_offsets(g)[j] + 1.0])
+            on = np.unique(j[x == thr[j]])
+            below = np.unique(j[x == np.nextafter(thr[j], -np.inf)])
+            assert inner.size > 1000
+            assert on.size > inner.size / 2 and below.size > inner.size / 2
         got = step_many(g, nodes, u)
         assert np.array_equal(got, want)
         if g.unit_weights:
@@ -490,6 +519,30 @@ def weighted_graphs(draw):
     return g
 
 
+def slot_offsets(g):
+    """Each CSR slot's offset in its row, as float64."""
+    cnt = np.diff(g.indptr)
+    return (np.arange(g.indices.size) - np.repeat(g.indptr[:-1], cnt)).astype(np.float64)
+
+
+def wide_star(leaves=100_000, seed=5):
+    """A hub joined to ``leaves`` leaves by lognormal weights: one row long
+    enough that offset plus keep probability rounds in most of its slots."""
+    w = np.random.default_rng(seed).lognormal(0.0, 2.0, leaves)
+    return Graph(leaves + 1, np.zeros(leaves, np.int64), np.arange(1, leaves + 1), w)
+
+
+def step_by_keep_probability(g, nodes, u):
+    """The step by keep probabilities, ``x - floor(x) >= prob[j]``, as
+    array code: the test the cached thresholds replace."""
+    prob, pair, row_len = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
+    x = u * row_len[nodes]
+    k = x.astype(np.int64)
+    j = g.indptr[nodes] + k
+    alias = x - k >= prob[j]
+    return pair[2 * j + alias].astype(np.int64)
+
+
 def implied_probabilities(g, prob, alias_node):
     """Per slot, the chance an alias draw on its row picks its neighbour:
     (prob + sum of 1-prob over the row's slots aliased to it) / cnt."""
@@ -506,7 +559,7 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_give_each_neighbour_its_weight(self, g):
-        prob, pair, _ = g._alias_tables()
+        prob, pair, _ = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
         alias_node = pair[1::2]
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         want = g.weights / g.degrees[rows]
@@ -525,7 +578,7 @@ class TestAliasTables:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs())
     def test_tables_match_loop_reference(self, g):
-        prob, pair, _ = g._alias_tables()
+        prob, pair, _ = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
         assert pair.size == 2 * g.indices.size
         assert np.array_equal(pair[0::2], g.indices)
         alias_node = pair[1::2]
@@ -543,6 +596,70 @@ class TestAliasTables:
         got = step_many(g, nodes, u)
         assert np.array_equal(got, step_many_by_alias_loop(g, nodes, u))
 
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_blocks_build_the_same_tables(self, g):
+        whole = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
+        for block in (1, 2, 3):
+            with mock.patch.object(graph_module, "_ALIAS_BLOCK", block):
+                parts = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
+            for a, b in zip(whole, parts):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs())
+    def test_thresholds_are_the_smallest_doubles_at_offset_plus_prob(self, g):
+        self.check_thresholds(g)
+
+    def test_thresholds_on_a_wide_star(self):
+        g = wide_star()
+        bumped = self.check_thresholds(g)
+        assert bumped > 10_000
+
+    @staticmethod
+    def check_thresholds(g):
+        # thr - off and nextafter(thr, -inf) - off are exact (Sterbenz), so
+        # these are exact tests of "smallest double >= off + prob"
+        prob = _build_alias(g.indptr, g.indices, g.weights, g.degrees)[0]
+        thr = g._alias_tables()[0]
+        off = slot_offsets(g)
+        assert (thr - off >= prob).all()
+        assert (np.nextafter(thr, -np.inf) - off < prob).all()
+        return int((thr != off + prob).sum())  # slots moved up one ulp
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(wide_star, id="wide-star"),
+        pytest.param(lambda: random_small_graph(7, "weighted"), id="small"),
+        pytest.param(lambda: Graph(3000, *(np.random.default_rng(9).integers(0, 3000, (2, 400_000))
+                                          ** 2 // 3000), np.ones(400_000)), id="multigraph"),
+    ])
+    def test_step_by_thresholds_equals_step_by_keep_probability(self, make):
+        g = make()
+        assert not g.unit_weights
+        rows = np.flatnonzero(np.diff(g.indptr))
+        nodes, u = alias_boundary_draws(g, rows)
+        rng = np.random.default_rng(1)
+        nodes = np.concatenate([nodes, rng.choice(rows, 300_000)])
+        u = np.concatenate([u, rng.random(300_000)])
+        assert np.array_equal(step_many(g, nodes, u), step_by_keep_probability(g, nodes, u))
+
+    def test_build_peak_memory_is_near_the_tables(self):
+        # a skewed weighted graph of about 600k slots, nine or more blocks
+        rng = np.random.default_rng(12)
+        p = (np.arange(50_000) + 1.0) ** -0.8
+        ends = rng.choice(50_000, size=(300_000, 2), p=p / p.sum())
+        g = Graph(50_000, ends[:, 0], ends[:, 1], rng.integers(1, 10, 300_000).astype(float))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tables = g._alias_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(t.nbytes for t in tables)
+        ratio = (peak - before) / kept
+        assert ratio < 2, ratio
+
     def test_equal_weights_rounding_below_one(self):
         # 6 * w / (((w + w) + w) ...) rounds to 1 - 2**-53: no slot is heavy,
         # so each slot aliases itself and is always kept
@@ -550,7 +667,7 @@ class TestAliasTables:
         g = Graph.from_edges([(0, i, w) for i in range(1, 7)])
         p = w * 6 / g.degrees[0]
         assert p < 1.0
-        prob, pair, _ = g._alias_tables()
+        prob, pair, _ = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
         assert prob[:6].tolist() == [p] * 6
         assert pair[1:12:2].tolist() == g.indices[:6].tolist()
         u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
@@ -562,7 +679,7 @@ class TestAliasTables:
         # deficit starts at 4/7 + 1 ulp, past the one heavy's excess 4/7, so
         # its alias must be clamped to that heavy, not the next row's
         g = Graph.from_edges([(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.7), (1, 4, 0.5)])
-        prob, pair, _ = g._alias_tables()
+        prob, pair, _ = _build_alias(g.indptr, g.indices, g.weights, g.degrees)
         assert pair[1:6:2].tolist() == [2, 2, 2]
         assert prob[1] == 1.0
 

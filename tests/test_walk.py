@@ -318,6 +318,20 @@ class TestChunkedReduction:
         assert values.size == 2**16 and len(set(values.tolist())) > 1
         assert peak < 8 * 2**20, peak
 
+    def test_one_long_walk_holds_no_memory_per_round(self, k3):
+        # one walk of 277,460 steps at alpha 1e-6: neither the length draws
+        # (one histogram per 64 steps) nor the rounds' walk counts are kept
+        # per round
+        rng = RandomStream(1)  # made first: it may import numpy.random
+        tracemalloc.start()
+        try:
+            _, steps = geometric_terminals(k3, 0, 1e-6, 1, rng, np.asarray)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 277_460
+        assert peak < 2**20, peak
+
     def test_step_cap_admits_every_alpha_from_one_seventeenth(self, k2, monkeypatch):
         # at the walk cap, alpha = 1/17 expects exactly 2^32 steps; it walks
         class Walked(Exception):
