@@ -134,7 +134,7 @@ class PreparedSource:
         bound = d_t * self.push.r_max
 
         def sample(terminals):
-            x = residual[terminals] * (d_t / g.degrees[terminals])
+            x = residual.take(terminals) * (d_t / g.degrees.take(terminals))
             if x.max() > bound * (1.0 + 1e-9):
                 raise AssertionError(f"walk sample {x.max():g} exceeds d_t*r_max={bound:g}; "
                                      "push postcondition violated")

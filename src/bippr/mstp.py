@@ -179,7 +179,7 @@ def _sample_sums(terms: _Terms, top: int, size: int, cols) -> np.ndarray:
     for k, row in zip(terms.levels, terms.R):
         if k <= top:
             c = cols(k)
-            acc[:c.size] += row[c]
+            acc[:c.size] += row.take(c)
     return acc
 
 
@@ -190,6 +190,7 @@ def _shared_sums(terms: _Terms, ell: int, w: int, rng: RandomStream) -> np.ndarr
     run's table upside down: row i of ``cols`` is every walk's step ell - i."""
     sums = np.zeros(ell + 1)
     for _, n in _runs([ell], w):
+        # indexing, not take: take would first copy the upside-down view
         cols = terms.slot[fixed_walk_positions(terms.g, terms.t, ell, n, rng).T[::-1]] + 1
         acc = _sample_sums(terms, ell, cols.size, lambda k: cols[k:].ravel())
         sums += acc.reshape(ell + 1, n).sum(axis=1)[::-1]
@@ -237,7 +238,7 @@ def _own_level_sums(terms: _Terms, levels, w: int, rng: RandomStream) -> np.ndar
         last = ells * stride + np.arange(stride)
         live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
         acc = _sample_sums(terms, run[0], stride,
-                           lambda k: terms.slot[flat[last[:live[k]] - k * stride]] + 1)
+                           lambda k: terms.slot.take(flat.take(last[:live[k]] - k * stride)) + 1)
         sums[run] += acc.reshape(len(run), n).sum(axis=1)
         del table, flat, ells, last, acc  # before the next run draws its table
     return sums

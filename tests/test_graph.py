@@ -283,6 +283,22 @@ class TestStep:
         b = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_leaves_inputs_alone_and_refuses_ids_past_n(self, weighted):
+        edges = [(0, 1, 3.0), (1, 2, 1.0), (2, 0, 0.5), (2, 3, 2.0)]
+        g = Graph.from_edges([e if weighted else e[:2] for e in edges])
+        assert g.unit_weights != weighted
+        nodes = np.array([0, 1, 2, 3, 2, 0], dtype=np.int64)
+        u = RandomStream(4).random(nodes.size)
+        nodes_before, u_before = nodes.copy(), u.copy()
+        got = step_many(g, nodes, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(nodes, nodes_before)
+        assert np.array_equal(u, u_before)
+        for bad in (g.n, g.n + 1, 2**40):
+            with pytest.raises(IndexError):
+                step_many(g, np.array([0, bad], dtype=np.int64), u[:2])
+
 
 def step_many_by_search(g, nodes, u):
     """Reference stepping: a binary search in the row's own cumulative

@@ -685,6 +685,24 @@ class TestDiffusionMemory:
             tracemalloc.stop()
         assert peak < 3 * 62 * w_per_level * 8, peak
 
+    def test_independent_run_peak_within_one_and_a_half_tables(self):
+        # 250 walks of each length 61..0 fill one run, a position table of
+        # 62 x (250 x 62) int64 entries (7.69 MB); a gather that copied its
+        # index to the table's size would pass 1.5 tables
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
+        w_per_level = 250
+        table = 62 * w_per_level * 62
+        assert table <= mstp._TERMS
+        tracemalloc.start()
+        try:
+            estimate_diffusion(g, 0, 1, pagerank_weights(0.2, 61), 1e-3, w_per_level,
+                               RandomStream(0), shared_walks=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table * 8, peak
+
+
 def hoeffding_tolerance(weights, d_t, r_max, w, p_fail):
     """Truncation tail plus a Hoeffding bound on the mean of w walk samples.
 
