@@ -1,8 +1,15 @@
 """Undirected weighted graph storage, edge-list ingestion, and walk steps."""
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import itertools
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -296,17 +303,27 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
     return Graph(len(ids), None, None, None, labels=ids, _columns=columns)
 
 
-def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Advance each walk position one transition, w_{vu}/d_v per neighbor,
-    driven by one uniform ``u[i]`` in [0, 1) per node ``nodes[i]``.
+def step_many(g: Graph, pos: np.ndarray, u: np.ndarray,
+              live: np.ndarray | None = None) -> np.ndarray | None:
+    """Advance walk positions one transition each, w_{vu}/d_v per neighbor,
+    driven by one uniform in [0, 1) per step, in one call of the compiled
+    kernel (``_walk.c``, see :func:`_load_kernel`).
 
-    Vectorized over ``nodes``; all nodes must be non-isolated. The caller
-    draws ``u``, so the draw order that fixes every seeded answer is decided
-    by the samplers in :mod:`bippr.walk`, not here.
+    ``step_many(g, nodes, u)`` steps each ``nodes[i]`` with ``u[i]`` and
+    returns the next nodes as a fresh int64 array of the shape of ``nodes``;
+    ``nodes`` and ``u`` are left as they were. ``step_many(g, pos, u, live)``
+    steps a block of rounds in place and returns None: round k steps walks
+    ``0 .. live[k]-1`` with the next ``live[k]`` uniforms of ``u``, which
+    holds ``live.sum()`` of them, laid out round by round. A 2-d ``pos`` is
+    ``live.size + 1`` rows of a position table, round k writing row k+1 from
+    row k; a 1-d ``pos`` is one row, stepped in place. Here ``pos`` is C
+    contiguous int64, ``u`` C contiguous float64 and ``live`` C contiguous
+    int64. The caller draws ``u``, so the draw order that fixes every seeded
+    answer is decided by the samplers in :mod:`bippr.walk`, not here.
 
-    Both paths pick slot ``j = indptr[v] + floor(x)`` of v's row from
-    ``x = u*len_v``, with ``len_v`` the row length as a float64: ``degrees``
-    on unit-weight graphs, where it is the exact integer count, and a cached
+    A step picks slot ``j = indptr[v] + floor(x)`` of v's row from ``x =
+    u*len_v``, with ``len_v`` the row length as a float64: ``degrees`` on
+    unit-weight graphs, where it is the exact integer count, and a cached
     array built with the alias tables on other graphs. O(1) per step.
 
     - On unit-weight graphs the slot's neighbor is the step. No clamp is
@@ -327,32 +344,123 @@ def step_many(g: Graph, nodes: np.ndarray, u: np.ndarray) -> np.ndarray:
       prob[j]`` holds exactly when the double x is at least the real number
       ``k + prob[j]``, that is at least the smallest double at or above it.
       The slot pair table holds slot j's own neighbour at ``2j`` and its
-      alias at ``2j + 1``, so the step is one gather, ``pair[2j + alias]``,
-      from a table of the smallest signed type that holds every node id; the
-      result is int64.
+      alias at ``2j + 1``, so the step is one read, ``pair[2j + alias]``,
+      from a table of the smallest signed type that holds every node id.
 
-    Both paths gather with ``ndarray.take``, about 25% faster than fancy
-    indexing on the wide rounds that hold most steps; an id at or past
-    ``g.n`` still raises ``IndexError``. The row offset is added in place to
-    a fresh array, so ``nodes`` and ``u`` are left as they were. ``take`` is
-    kept off the push (no faster there), off ``out=`` (numpy buffers the
-    output of a checked gather) and off non-contiguous index views, which it
-    copies first.
+    The kernel checks every step before it reads: a node outside [0, n) or
+    isolated raises ``IndexError``, and a uniform outside [0, 1)
+    ``ValueError``; the steps before the bad one are taken.
     """
-    if u.shape != nodes.shape:  # a length-1 u would otherwise broadcast
-        raise ValueError(f"need one uniform per node, got {u.shape} for {nodes.shape}")
+    if live is None:
+        if u.shape != pos.shape:  # a length-1 u would otherwise broadcast
+            raise ValueError(f"need one uniform per node, got {u.shape} for {pos.shape}")
+        src = np.ascontiguousarray(pos.astype(np.int64, casting="same_kind", copy=False))
+        out = np.empty_like(src)
+        _run_kernel(g, src, out.ctypes.data, 0, np.ascontiguousarray(u, np.float64),
+                    np.array([src.size]), src.size)
+        return out
+    table = pos.ndim == 2
+    if not (pos.dtype == np.int64 and u.dtype == np.float64 and live.dtype == np.int64
+            and pos.flags.c_contiguous and u.flags.c_contiguous and live.flags.c_contiguous
+            and pos.ndim == 1 + table and (not table or pos.shape[0] == live.size + 1)):
+        raise ValueError("a block of rounds needs C-contiguous int64 positions, one row or "
+                         "a row per round plus one, float64 uniforms and int64 live counts")
+    width = pos.shape[-1]
+    _run_kernel(g, pos, pos.ctypes.data + table * pos.strides[0], table * width, u, live, width)
+    return None
+
+
+def _run_kernel(g: Graph, src: np.ndarray, dst: int, stride: int, u: np.ndarray,
+                live: np.ndarray, width: int) -> None:
+    """One kernel call: round k reads ``src`` from slot ``k*stride`` and
+    writes from address ``dst`` plus ``k*stride`` slots; raise at a bad
+    step or a bad block."""
     if g.unit_weights:
-        j = (u * g.degrees.take(nodes)).astype(np.int64)
-        j += g.indptr.take(nodes)
-        return g.indices.take(j)
-    thr, pair, row_len = g._alias_tables()
-    x = u * row_len.take(nodes)
-    j = g.indptr.take(nodes)
-    j += x.astype(np.int64)
-    alias = x >= thr.take(j)
-    j += j
-    j += alias
-    return pair.take(j).astype(np.int64)
+        kernel, row_len, pair, thr = _KERNELS[np.dtype(np.int64)], g.degrees, g.indices, None
+    else:
+        thr, pair, row_len = g._alias_tables()
+        kernel = _KERNELS[pair.dtype]
+    bad = kernel(g.indptr.ctypes.data, row_len.ctypes.data, pair.ctypes.data,
+                 None if thr is None else thr.ctypes.data, g.n, src.ctypes.data, dst, stride,
+                 u.ctypes.data, u.size, live.ctypes.data, live.size, width)
+    if bad == -1:
+        return
+    if bad == -2:
+        raise ValueError(f"live counts must lie in [0, {width}] and sum to the "
+                         f"{u.size} uniforms")
+    ends = np.cumsum(live)
+    k = int(np.searchsorted(ends, bad, "right"))
+    v = int(src.reshape(-1)[k * stride + bad - ends[k] + live[k]])
+    if not 0 <= v < g.n:
+        raise IndexError(f"step from node {v}, out of range [0, {g.n})")
+    if g.indptr[v] == g.indptr[v + 1]:
+        raise IndexError(f"step from node {v}, which is isolated")
+    raise ValueError(f"step with uniform {float(u[bad])!r}, outside [0, 1)")
+
+
+_KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+
+
+def _load_kernel() -> dict:
+    """The walk kernel ``_walk.c`` for each pair table type, compiled on the
+    first import and loaded with ctypes.
+
+    The compiler is Python's own (``sysconfig`` ``CC``), and the flags keep
+    every float operation as written: no FMA contraction, no
+    ``-ffast-math``, no ``-march``, so a step's bits do not depend on the
+    build. The library is cached in ``$XDG_CACHE_HOME/bippr`` (by default
+    ``~/.cache/bippr``, made with mode 0700) under a sha256 of the source,
+    the compiler, the flags and the platform, so a changed source builds
+    anew. It is compiled to a temporary name in that directory and moved
+    into place with ``os.replace``, so processes that import bippr at once
+    each load a whole library. Without a compiler the import fails with one
+    line.
+    """
+    with open(os.path.join(os.path.dirname(__file__), "_walk.c"), "rb") as fh:
+        source = fh.read()
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        raise ImportError("bippr needs a C compiler to build its walk kernel "
+                          "on first import, and Python names none (sysconfig CC)")
+    key = hashlib.sha256(b"\0".join(
+        [source, *(x.encode() for x in cc + _KERNEL_FLAGS), sysconfig.get_platform().encode()]))
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.path.join(base, "bippr")
+    path = os.path.join(cache, f"walk-{key.hexdigest()[:32]}.so")
+    if not os.path.exists(path):
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", "build-", cache)
+        os.close(fd)
+        try:
+            subprocess.run([*cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
+                           input=source, capture_output=True, check=True)
+        except FileNotFoundError:
+            raise ImportError(f"bippr needs a C compiler to build its walk kernel on "
+                              f"first import, and {cc[0]!r} was not found") from None
+        except subprocess.CalledProcessError as e:
+            why = e.stderr.decode(errors="replace").strip().splitlines() or ["no output"]
+            raise ImportError(f"bippr could not build its walk kernel with "
+                              f"{cc[0]!r}: {why[-1]}") from None
+        else:
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(path)
+    kernels = {}
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        kernel = getattr(lib, f"walk_{np.dtype(t).name}_t")
+        kernel.restype = ctypes.c_int64
+        kernel.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64]
+                           + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+                           + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_int64])
+        kernels[np.dtype(t)] = kernel
+    return kernels
+
+
+_KERNELS = _load_kernel()
 
 
 _ALIAS_BLOCK = 1 << 16  # slots per block of the alias build: bounds its temporaries

@@ -17,6 +17,7 @@ _MAX_WALKS = 1 << 28  # walks per sampler call
 _MAX_STEPS = 1 << 32  # expected steps per geometric_terminals call: bounds its time
 _ROUND_STEPS = 256  # steps a lockstep round costs, whatever its width: see _check_walk_steps
 _ROUND_BLOCK = 1024  # rounds whose walk counts _lockstep works out at once: bounds its memory
+_UNIFORMS = 1 << 16  # uniforms a block of rounds draws at most, unless one round is wider
 
 
 class RandomStream:
@@ -163,13 +164,19 @@ def _lockstep(g: Graph, start: int, length: np.ndarray, rng: RandomStream,
               table: bool = False) -> np.ndarray:
     """Walks from start of the nonincreasing ``length``s, advanced together:
     the walks still going at round k (length > k) are a prefix of a walks,
-    and the round draws ``rng.random(a)``, one uniform per step, then makes
-    one ``step_many`` call. Returns the terminals, in the order of
-    ``length``, or with ``table`` the (length[0]+1, walks) position table,
-    row k every walk's step k; rows past a walk's length are left unset.
+    and round k steps them with the next a uniforms of the stream, one per
+    step. Returns the terminals, in the order of ``length``, or with
+    ``table`` the (length[0]+1, walks) position table, row k every walk's
+    step k; rows past a walk's length are left unset.
 
     The walk counts are worked out ``_ROUND_BLOCK`` rounds at a time, so
-    memory does not grow with the rounds."""
+    memory does not grow with the rounds. Within those, the rounds go in
+    blocks: the longest run of rounds whose walk counts sum to at most
+    ``_UNIFORMS``, or one round if it is wider. A block of n steps makes one
+    ``rng.random(n)`` draw and one ``step_many`` call, the compiled kernel.
+    ``Generator.random`` fills its output element by element, so one draw of
+    ``a + b`` uniforms is the draw of ``a`` followed by the draw of ``b``:
+    every step reads the uniform a draw per round would give it."""
     top = int(length[0])
     pos = np.empty((top + 1 if table else 1, length.size), np.int64)
     pos[0] = start
@@ -177,9 +184,13 @@ def _lockstep(g: Graph, start: int, length: np.ndarray, rng: RandomStream,
     for k0 in range(0, top, _ROUND_BLOCK):
         rounds = np.arange(k0, min(top, k0 + _ROUND_BLOCK), dtype=length.dtype)
         live = length.size - np.searchsorted(rev, rounds, side="right")
-        for k, a in enumerate(live.tolist(), k0):
-            at, to = (k, k + 1) if table else (0, 0)
-            pos[to, :a] = step_many(g, pos[at, :a], rng.random(a))
+        ends = np.cumsum(live)
+        b = done = 0
+        while b < live.size:
+            e = max(b + 1, int(np.searchsorted(ends, done + _UNIFORMS, side="right")))
+            u = rng.random(int(ends[e - 1]) - done)
+            step_many(g, pos[k0 + b:k0 + e + 1] if table else pos[0], u, live[b:e])
+            b, done = e, int(ends[e - 1])
     return pos if table else pos[0]
 
 
@@ -206,11 +217,12 @@ def _check_walk_steps(alpha: float, num: int, trials: int = 1) -> None:
     per step of its longest walk. A length is the floor of an exponential
     variable of rate ``-ln(1-alpha) >= alpha``, so the longest of n expects
     at most ``H_n/alpha <= (1 + ln n)/alpha`` rounds. Each round is charged
-    ``_ROUND_STEPS`` steps, a power of two above the measured cost: one walk
-    stepped for 200,000 rounds on a triangle took 3.8 us a round against
-    26-32 ns a step for 2^20 walks of 20 steps, and 10.4 us against 45 ns on
-    a weighted triangle, ratios of 121-145 and 233 (numpy 2.4, one core of
-    an Intel Xeon).
+    ``_ROUND_STEPS`` steps, a power of two above the measured cost: with
+    the compiled kernel, one walk stepped for 200,000 rounds on a triangle
+    took 40-42 ns a round against 4.3-4.7 ns a step for 2^20 walks of 20
+    steps, and 46-49 ns against 4.9-5.0 ns on a weighted triangle, ratios
+    of 9-10 (numpy 2.4, one core of an Intel Xeon), so the charge bounds a
+    round's cost with a wide margin.
     """
     walks = num * trials
     if (walks * (1.0 - alpha) > _MAX_STEPS * alpha

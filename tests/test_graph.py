@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -298,6 +303,115 @@ class TestStep:
         for bad in (g.n, g.n + 1, 2**40):
             with pytest.raises(IndexError):
                 step_many(g, np.array([0, bad], dtype=np.int64), u[:2])
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_refuses_isolated_negative_and_out_of_range_nodes(self, weighted):
+        # node 0 is isolated: its empty row must not step into node 1's
+        g = Graph(4, [1, 2, 3], [2, 3, 1], [1.0, 2.0 if weighted else 1.0, 1.0])
+        assert g.unit_weights != weighted and g.is_isolated(0)
+        for bad, why in [(0, "isolated"), (4, "out of range"), (-1, "out of range"),
+                         (-2**63, "out of range")]:
+            with pytest.raises(IndexError, match=why):
+                step_many(g, np.array([1, bad, 2]), np.full(3, 0.5))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_refuses_uniforms_outside_the_unit_interval(self, weighted):
+        g = Graph(4, [1, 2, 3], [2, 3, 1], [1.0, 2.0 if weighted else 1.0, 1.0])
+        for bad in (1.0, -0.25, 2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                step_many(g, np.array([1, 2]), np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_block_of_rounds_equals_one_call_per_round(self, weighted):
+        g = random_small_graph(3, "weighted" if weighted else "unit")
+        rows = np.flatnonzero(np.diff(g.indptr))
+        live = np.array([6, 6, 4, 1])
+        u = RandomStream(2).random(live.sum())
+        table = np.full((5, 6), -1, dtype=np.int64)
+        table[0] = np.random.default_rng(2).choice(rows, 6)
+        row = table[0].copy()
+        assert step_many(g, table, u, live) is None
+        assert step_many(g, row, u, live) is None
+        want, at = table[0], 0
+        for k, a in enumerate(live.tolist()):
+            want = step_many(g, want[:a], u[at:at + a])
+            at += a
+            assert table[k + 1].tolist() == want.tolist() + [-1] * (6 - a)
+        # stepped in place, walk i ends where the table's walk i is after
+        # the rounds that step it
+        steps = (live[:, None] > np.arange(6)).sum(axis=0)
+        assert row.tolist() == table[steps, np.arange(6)].tolist()
+
+    def test_block_of_rounds_reports_the_bad_step(self):
+        # the steps before the bad one are taken
+        g = Graph(4, [1, 2, 3], [2, 3, 1], [1.0, 1.0, 1.0])
+        table = np.array([[1, 2, 3], [9, 9, 0], [9, 9, 9]])
+        with pytest.raises(IndexError, match="node 0, which is isolated"):
+            step_many(g, table, np.full(5, 0.5), np.array([2, 3]))
+        assert table[1, :2].tolist() == [3, 3] and table[2, :2].tolist() == [2, 2]
+        row = np.array([1, 2, 7])
+        with pytest.raises(IndexError, match="node 7, out of range"):
+            step_many(g, row, np.full(5, 0.5), np.array([2, 3]))
+        assert row.tolist() == [2, 2, 7]
+
+    # a round wider than the row, a negative count, too few uniforms, too many
+    @pytest.mark.parametrize("live, uniforms", [([3, 4], 7), ([3, -1], 3), ([3, 3], 5),
+                                                ([3, 3], 7)])
+    def test_block_of_rounds_refuses_counts_that_do_not_fit(self, live, uniforms):
+        g = Graph(4, [1, 2, 3], [2, 3, 1], [1.0, 1.0, 1.0])
+        table = np.array([[1, 2, 3], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="live counts"):
+            step_many(g, table, np.full(uniforms, 0.5), np.array(live))
+
+    def test_block_of_rounds_refuses_arrays_the_kernel_cannot_read(self, k3):
+        live, u = np.array([2]), np.full(2, 0.5)
+        for pos in (np.zeros((3, 2), np.int64), np.zeros((2, 2), np.int32),
+                    np.zeros((2, 4), np.int64)[:, ::2], np.zeros((2, 2, 2), np.int64)):
+            with pytest.raises(ValueError, match="block of rounds"):
+                step_many(k3, pos, u, live)
+        pos = np.zeros((2, 2), np.int64)
+        for bad_u, bad_live in [(u.astype(np.float32), live), (u, live.astype(np.int32)),
+                                (np.full(4, 0.5)[::2], live)]:
+            with pytest.raises(ValueError, match="block of rounds"):
+                step_many(k3, pos, bad_u, bad_live)
+
+
+def import_bippr(cache, path=None):
+    """``import bippr`` in a fresh interpreter with ``XDG_CACHE_HOME`` set to
+    ``cache`` and, if given, ``PATH`` set to ``path``."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+               PYTHONPATH=str(Path(graph_module.__file__).parents[1]))
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.run([sys.executable, "-c", "import bippr"], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestKernelBuild:
+    """The walk kernel is compiled on the first import into the user's cache
+    and loaded from there afterwards, with no compiler needed."""
+
+    def test_first_import_compiles_and_the_next_loads_from_the_cache(self, tmp_path):
+        first = import_bippr(tmp_path)
+        assert first.returncode == 0, first.stderr
+        cache = tmp_path / "bippr"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        built = sorted(cache.iterdir())
+        assert [p.suffix for p in built] == [".so"]  # no temporary left over
+        mtime = built[0].stat().st_mtime_ns
+        second = import_bippr(tmp_path, path="")
+        assert second.returncode == 0, second.stderr
+        assert sorted(cache.iterdir()) == built
+        assert built[0].stat().st_mtime_ns == mtime
+
+    def test_cold_import_without_a_compiler_fails_in_one_line(self, tmp_path):
+        cold = import_bippr(tmp_path, path="")
+        assert cold.returncode == 1
+        last = cold.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: bippr needs a C compiler to build its walk "
+                               "kernel on first import"), cold.stderr
+        assert "During handling" not in cold.stderr
+        assert list((tmp_path / "bippr").iterdir()) == []
 
 
 def step_many_by_search(g, nodes, u):

@@ -376,8 +376,8 @@ class TestEstimateDiffusion:
         monkeypatch.setattr(mstp, "_TERMS", terms)
         g = random_connected(30, "ba", seed=4)
         uniforms = []
-        monkeypatch.setattr(walk, "step_many", lambda g, v, u:
-                            uniforms.append(u.copy()) or step_many(g, v, u))
+        monkeypatch.setattr(walk, "step_many", lambda g, pos, u, live:
+                            uniforms.append(u.copy()) or step_many(g, pos, u, live))
         estimate_diffusion(g, 0, 5, pagerank_weights(0.2, 6), 1e-2, 40, RandomStream(12, 3),
                            shared_walks=False)
         got = np.concatenate(uniforms)

@@ -91,6 +91,32 @@ def replay_chunks(rng, alpha, num, trials=1):
     return np.concatenate(lengths), np.concatenate(batch)
 
 
+def recording_blocks(monkeypatch):
+    """Make ``_lockstep``'s ``step_many`` record, per call, the live walk
+    counts of the block of rounds it steps. step_many is looked up as the
+    module global, where tracers wrap it."""
+    blocks = []
+    monkeypatch.setattr(walk, "step_many", lambda g, pos, u, live:
+                        blocks.append(live.tolist()) or step_many(g, pos, u, live))
+    return blocks
+
+
+def block_sums(live):
+    """The uniforms of each block ``_lockstep`` draws for rounds of ``live``
+    walks: each ``_ROUND_BLOCK`` rounds go in the longest runs whose counts
+    sum to at most ``_UNIFORMS``, or one round if it is wider."""
+    sums = []
+    for k0 in range(0, len(live), walk._ROUND_BLOCK):
+        run = 0
+        for a in live[k0:k0 + walk._ROUND_BLOCK]:
+            if run and run + a > walk._UNIFORMS:
+                sums.append(run)
+                run = 0
+            run += a
+        sums.append(run)
+    return sums
+
+
 class TestGeometricWalk:
     def test_stop_immediately_limit(self, k3):
         alpha = 1 - 1e-12
@@ -166,18 +192,19 @@ class TestGeometricWalk:
     @pytest.mark.parametrize("chunk", [_CHUNK, 4096])
     def test_walks_stepped_longest_first(self, k2, monkeypatch, chunk):
         # each chunk hands its walks to the round loop longest first: one
-        # round per step of its longest walk, over the walks still going
+        # round per step of its longest walk, over the walks still going,
+        # stepped in blocks of rounds
         alpha, n = 0.2, 100_000
         monkeypatch.setattr(walk, "_CHUNK", chunk)
-        rounds = []
-        monkeypatch.setattr(walk, "step_many",
-                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        blocks = recording_blocks(monkeypatch)
         terminals, steps = walk_terminals(k2, 0, alpha, n, RandomStream(22))
         lengths, _ = replay_chunks(RandomStream(22), alpha, n)
         assert steps == lengths.sum()
         chunks = [lengths[lo:lo + chunk] for lo in range(0, n, chunk)]
         assert all(np.all(np.diff(c) <= 0) for c in chunks)
-        assert rounds == [int((c > k).sum()) for c in chunks for k in range(c[0])]
+        live = [[int((c > k).sum()) for k in range(c[0])] for c in chunks]
+        assert sum(blocks, []) == sum(live, [])
+        assert [sum(b) for b in blocks] == [s for a in live for s in block_sums(a)]
         # on K2 a walk from 0 ends at 0 exactly when its length is even
         assert np.array_equal(terminals == 0, lengths % 2 == 0)
         # the chunks' histograms add up to n iid lengths of mean (1-alpha)/alpha
@@ -407,13 +434,26 @@ class TestFixedWalk:
             fixed_walk_levels(k3, 0, ells, 5, RandomStream(0))
 
 
+def array_step(g, nodes, u):
+    """The kernel's step in array code, as reference: slot
+    ``j = indptr[v] + floor(u*len_v)``, then its neighbour on unit-weight
+    graphs, or ``pair[2j + (x >= thr[j])]`` from the alias tables."""
+    if g.unit_weights:
+        x = u * g.degrees[nodes]
+        return g.indices[g.indptr[nodes] + x.astype(np.int64)]
+    thr, pair, row_len = g._alias_tables()
+    x = u * row_len[nodes]
+    j = g.indptr[nodes] + x.astype(np.int64)
+    return pair[2 * j + (x >= thr[j])].astype(np.int64)
+
+
 def per_step_positions(g, start, ell, num, rng):
     """The per-step loop fixed_walk_positions used before, as reference: one
     ``random(num)`` draw per step."""
     pos = np.empty((num, ell + 1), dtype=np.int64)
     pos[:, 0] = start
     for k in range(ell):
-        pos[:, k + 1] = step_many(g, pos[:, k], rng.random(num))
+        pos[:, k + 1] = array_step(g, pos[:, k], rng.random(num))
     return pos
 
 
@@ -421,13 +461,14 @@ def lockstep_positions(g, start, ells, num, rng):
     """The per-round loop of walks of several lengths from one stream, as
     reference: ``num`` walks of each length in ``ells``, in that order; each
     round, every walk still going (length > round) takes one uniform, the
-    walks in order. Row i is walk i's trajectory, -1 past its length."""
+    walks in order, and steps by :func:`array_step`. Row i is walk i's
+    trajectory, -1 past its length."""
     length = np.repeat(ells, num)
     pos = np.full((length.size, max(ells) + 1), -1, dtype=np.int64)
     pos[:, 0] = start
     for k in range(max(ells)):
         going = np.flatnonzero(length > k)
-        pos[going, k + 1] = step_many(g, pos[going, k], rng.random(going.size))
+        pos[going, k + 1] = array_step(g, pos[going, k], rng.random(going.size))
     return pos
 
 
@@ -447,12 +488,11 @@ class TestFixedWalkLevels:
     def test_blocks_match_separate_batches(self, weighted, monkeypatch):
         g = weighted_loop_graph() if weighted else random_connected(40, "ba", seed=5)
         ells, num = [12, 12, 7, 1, 0], 9
-        rounds = []
-        monkeypatch.setattr(walk, "step_many",
-                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        blocks = recording_blocks(monkeypatch)
         table = fixed_walk_levels(g, 3, ells, num, RandomStream(8))
-        # one round per step of the longest walks, each over the walks still going
-        assert rounds == [num * sum(ell > k for ell in ells) for k in range(12)]
+        # one round per step of the longest walks, each over the walks still
+        # going, all in one block
+        assert blocks == [[num * sum(ell > k for ell in ells) for k in range(12)]]
         want = lockstep_positions(g, 3, ells, num, RandomStream(8))
         for b, ell in enumerate(ells):
             block = table[:ell + 1, b * num:(b + 1) * num].T
@@ -481,30 +521,35 @@ class RecordingStream(RandomStream):
 
 
 class TestDrawPolicy:
-    """Both samplers draw step uniforms alike: one ``random`` call per round,
-    sized to the walks still going. ``geometric_terminals`` draws each
-    chunk's length histogram before its rounds, and deals a chunk of several
-    batches out after them."""
+    """Both samplers draw step uniforms alike: one ``random`` call per block
+    of rounds, sized to the sum of the block's walks still going (see
+    :func:`block_sums`). ``geometric_terminals`` draws each chunk's length
+    histogram before its rounds, and deals a chunk of several batches out
+    after them."""
 
-    def test_fixed_walk_levels_draws_once_per_round(self):
+    @pytest.mark.parametrize("uniforms", [1, 40, 1 << 16])
+    def test_fixed_walk_levels_draws_once_per_block(self, monkeypatch, uniforms):
+        monkeypatch.setattr(walk, "_UNIFORMS", uniforms)
         g = random_connected(40, "ba", seed=5)
         ells, num = [12, 12, 7, 1, 0], 9
         rng = RecordingStream(8)
         fixed_walk_levels(g, 3, ells, num, rng)
-        assert rng.sizes == [num * sum(ell > k for ell in ells) for k in range(12)]
+        assert rng.sizes == block_sums([num * sum(ell > k for ell in ells) for k in range(12)])
 
     @pytest.mark.parametrize("num, trials, sizes", [(10_000, 1, [4096, 4096, 1808]),
                                                     (100, 50, [4000, 1000])])
-    def test_geometric_terminals_draws_a_histogram_per_chunk_then_once_per_round(
+    def test_geometric_terminals_draws_a_histogram_per_chunk_then_once_per_block(
             self, k3, monkeypatch, num, trials, sizes):
         monkeypatch.setattr(walk, "_CHUNK", 4096)
+        monkeypatch.setattr(walk, "_UNIFORMS", 3000)
         alpha = 0.2
         rng = RecordingStream(22)
         geometric_terminals(k3, 0, alpha, num, rng, lambda v: v, trials)
         lengths, _ = replay_chunks(RandomStream(22), alpha, num, trials)
         want = []
         for c in np.split(lengths, np.cumsum(sizes)[:-1]):
-            want += [("multinomial", c.size)] + [int((c > k).sum()) for k in range(c[0])]
+            live = [int((c > k).sum()) for k in range(c[0])]
+            want += [("multinomial", c.size)] + block_sums(live)
             want += [("permutation", c.size)] if trials > 1 else []
         assert rng.sizes == want
 
@@ -547,19 +592,18 @@ class TestLockstep:
         ends = walk._lockstep(g, 2, length, RandomStream(3))
         assert ends.tolist() == table[length, np.arange(length.size)].tolist()
 
+    @pytest.mark.parametrize("uniforms", [1, 7, 1 << 16])
     @pytest.mark.parametrize("profile", LENGTH_PROFILES)
-    def test_one_draw_and_one_step_per_round(self, profile, monkeypatch):
-        # step_many is looked up as the module global, where tracers wrap it
+    def test_one_draw_and_one_step_per_block(self, profile, uniforms, monkeypatch):
+        monkeypatch.setattr(walk, "_UNIFORMS", uniforms)
         g = weighted_loop_graph()
         length = np.array(LENGTH_PROFILES[profile])
-        rounds = []
-        monkeypatch.setattr(walk, "step_many",
-                            lambda *a: rounds.append(a[1].size) or step_many(*a))
+        blocks = recording_blocks(monkeypatch)
         rng = RecordingStream(3)
         walk._lockstep(g, 2, length, rng)
         live = [int((length > k).sum()) for k in range(length[0])]
-        assert rng.sizes == live
-        assert rounds == live
+        assert sum(blocks, []) == live
+        assert rng.sizes == [sum(b) for b in blocks] == block_sums(live)
 
     @pytest.mark.parametrize("graph", ["k2", "path", "ba", "weighted"])
     def test_every_round_steps_along_an_edge(self, graph):
@@ -570,6 +614,38 @@ class TestLockstep:
         for i, ell in enumerate(length.tolist()):
             for u, v in zip(table[:ell, i].tolist(), table[1:ell + 1, i].tolist()):
                 assert v in g.neighbors(u)[0]
+
+    @pytest.mark.parametrize("table", [False, True], ids=["terminals", "table"])
+    @pytest.mark.parametrize("uniforms", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("graph", ["path", "ba", "weighted"])
+    def test_blocks_of_rounds_match_per_round_reference(self, graph, uniforms, table,
+                                                        monkeypatch):
+        # every block size gives the walks the per-round array loop gives
+        monkeypatch.setattr(walk, "_UNIFORMS", uniforms)
+        g = lockstep_graph(graph)
+        ells = [40, 13, 13, 6, 2, 1, 0]
+        got = walk._lockstep(g, 1, np.repeat(ells, 300), RandomStream(14), table=table)
+        want = lockstep_positions(g, 1, ells, 300, RandomStream(14))
+        length = np.repeat(ells, 300)
+        if table:
+            for i, ell in enumerate(length.tolist()):
+                assert got[:ell + 1, i].tobytes() == want[i, :ell + 1].tobytes()
+        else:
+            assert got.tobytes() == want[np.arange(length.size), length].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_each_pair_table_type_walks_alike(self, dtype):
+        # the kernel is built once per pair table type: the table cast to
+        # each gives the per-round reference's walks
+        g = weighted_loop_graph()
+        want = lockstep_positions(g, 2, [25, 9, 3, 0], 50, RandomStream(15))
+        thr, pair, row_len = g._alias_tables()
+        assert pair.dtype == np.int8
+        g._alias = (thr, pair.astype(dtype), row_len)
+        length = np.repeat([25, 9, 3, 0], 50)
+        table = walk._lockstep(g, 2, length, RandomStream(15), table=True)
+        for i, ell in enumerate(length.tolist()):
+            assert table[:ell + 1, i].tobytes() == want[i, :ell + 1].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
     def test_length_dtype_does_not_change_the_walks(self, dtype):
