@@ -2,14 +2,12 @@
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import itertools
 import math
 import os
 import shlex
-import subprocess
 import sysconfig
-import tempfile
+import zlib
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -56,11 +54,18 @@ class Graph:
     ``push._SlotMap``); it is created on the first push, like ``_alias`` on
     the first weighted step. It is a list so that taking the array off the
     graph is one atomic ``pop``.
+
+    ``_walk_args`` caches the walk kernel and the graph's part of its
+    arguments, with the arrays they point into, built on the first walk, so
+    a step reads no graph array's address. ``_spaces`` holds the graph's
+    idle push space (``push._Space``), the arrays the compiled push works
+    in, with the graph's part of its arguments, made by the first push and
+    kept like the slot array.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "weights", "degrees",
                  "labels", "label_ids", "unit_weights", "total_weight",
-                 "_alias", "_slots")
+                 "_alias", "_slots", "_walk_args", "_spaces")
 
     def __init__(self, n: int, src, dst, weight,
                  labels: list[str] | dict[str, int] | None = None, *,
@@ -173,6 +178,8 @@ class Graph:
         self.unit_weights = bool((weights == 1.0).all())
         self._alias = None
         self._slots: list[np.ndarray] = []
+        self._walk_args = None
+        self._spaces: list = []
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], n: int | None = None) -> "Graph":
@@ -375,14 +382,17 @@ def _run_kernel(g: Graph, src: np.ndarray, dst: int, stride: int, u: np.ndarray,
     """One kernel call: round k reads ``src`` from slot ``k*stride`` and
     writes from address ``dst`` plus ``k*stride`` slots; raise at a bad
     step or a bad block."""
-    if g.unit_weights:
-        kernel, row_len, pair, thr = _KERNELS[np.dtype(np.int64)], g.degrees, g.indices, None
-    else:
-        thr, pair, row_len = g._alias_tables()
-        kernel = _KERNELS[pair.dtype]
-    bad = kernel(g.indptr.ctypes.data, row_len.ctypes.data, pair.ctypes.data,
-                 None if thr is None else thr.ctypes.data, g.n, src.ctypes.data, dst, stride,
-                 u.ctypes.data, u.size, live.ctypes.data, live.size, width)
+    if g._walk_args is None:
+        if g.unit_weights:
+            kernel, arrays = _KERNELS[np.dtype(np.int64)], (g.indptr, g.degrees, g.indices, None)
+        else:
+            thr, pair, row_len = g._alias_tables()
+            kernel, arrays = _KERNELS[pair.dtype], (g.indptr, row_len, pair, thr)
+        g._walk_args = (kernel, tuple(None if a is None else a.ctypes.data for a in arrays),
+                        arrays)
+    kernel, args, _ = g._walk_args
+    bad = kernel(*args, g.n, src.ctypes.data, dst, stride, u.ctypes.data, u.size,
+                 live.ctypes.data, live.size, width)
     if bad == -1:
         return
     if bad == -2:
@@ -401,20 +411,25 @@ def _run_kernel(g: Graph, src: np.ndarray, dst: int, stride: int, u: np.ndarray,
 _KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 
-def _load_kernel() -> dict:
-    """The walk kernel ``_walk.c`` for each pair table type, compiled on the
-    first import and loaded with ctypes.
+def _load_kernel() -> ctypes.CDLL:
+    """The kernels of ``_walk.c``, compiled on the first import and loaded
+    with ctypes.
 
     The compiler is Python's own (``sysconfig`` ``CC``), and the flags keep
     every float operation as written: no FMA contraction, no
-    ``-ffast-math``, no ``-march``, so a step's bits do not depend on the
-    build. The library is cached in ``$XDG_CACHE_HOME/bippr`` (by default
-    ``~/.cache/bippr``, made with mode 0700) under a sha256 of the source,
-    the compiler, the flags and the platform, so a changed source builds
-    anew. It is compiled to a temporary name in that directory and moved
-    into place with ``os.replace``, so processes that import bippr at once
-    each load a whole library. Without a compiler the import fails with one
-    line.
+    ``-ffast-math``, no ``-march``, so a step's or a push's bits do not
+    depend on the build. The library is cached in ``$XDG_CACHE_HOME/bippr``
+    (by default ``~/.cache/bippr``, made with mode 0700) as
+    ``walk-<crc>.so``, ``<crc>`` the CRC-32 of the key: the source, the
+    compiler, the flags and the platform. The library holds its full key
+    as the array ``bippr_key``, and a library whose key differs, or that
+    does not load, is built anew, so a changed source or a CRC collision
+    never loads a stale kernel. A build compiles to a temporary name in the
+    cache, loads it from there and moves it into place with ``os.replace``,
+    so processes that import bippr at once each load a whole library; it
+    then removes every other ``walk-*.so`` of the cache, stale builds of
+    other sources, tolerating one that another process removed first.
+    Without a compiler the import fails with one line.
     """
     with open(os.path.join(os.path.dirname(__file__), "_walk.c"), "rb") as fh:
         source = fh.read()
@@ -422,45 +437,76 @@ def _load_kernel() -> dict:
     if not cc:
         raise ImportError("bippr needs a C compiler to build its walk kernel "
                           "on first import, and Python names none (sysconfig CC)")
-    key = hashlib.sha256(b"\0".join(
-        [source, *(x.encode() for x in cc + _KERNEL_FLAGS), sysconfig.get_platform().encode()]))
+    key = b"\0".join([source, *(x.encode() for x in cc + _KERNEL_FLAGS),
+                      sysconfig.get_platform().encode()])
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     cache = os.path.join(base, "bippr")
-    path = os.path.join(cache, f"walk-{key.hexdigest()[:32]}.so")
-    if not os.path.exists(path):
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(".so", "build-", cache)
-        os.close(fd)
-        try:
-            subprocess.run([*cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
-                           input=source, capture_output=True, check=True)
-        except FileNotFoundError:
-            raise ImportError(f"bippr needs a C compiler to build its walk kernel on "
-                              f"first import, and {cc[0]!r} was not found") from None
-        except subprocess.CalledProcessError as e:
-            why = e.stderr.decode(errors="replace").strip().splitlines() or ["no output"]
-            raise ImportError(f"bippr could not build its walk kernel with "
-                              f"{cc[0]!r}: {why[-1]}") from None
-        else:
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    lib = ctypes.CDLL(path)
-    kernels = {}
-    for t in (np.int8, np.int16, np.int32, np.int64):
-        kernel = getattr(lib, f"walk_{np.dtype(t).name}_t")
-        kernel.restype = ctypes.c_int64
-        kernel.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64]
-                           + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
-                           + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_int64])
-        kernels[np.dtype(t)] = kernel
-    return kernels
+    name = f"walk-{zlib.crc32(key):08x}.so"
+    try:
+        lib = ctypes.CDLL(os.path.join(cache, name))
+        if _library_key(lib) == key:
+            return lib
+    except OSError:  # not built yet, or removed since
+        pass
+    return _build_kernel(cc, source, key, cache, name)
 
 
-_KERNELS = _load_kernel()
+def _library_key(lib: ctypes.CDLL) -> bytes | None:
+    try:
+        size = ctypes.c_int64.in_dll(lib, "bippr_key_size").value
+        return bytes((ctypes.c_ubyte * size).in_dll(lib, "bippr_key"))
+    except ValueError:  # a library without the key
+        return None
+
+
+def _build_kernel(cc: list[str], source: bytes, key: bytes, cache: str,
+                  name: str) -> ctypes.CDLL:
+    """Compiles ``source`` with its ``key`` appended into ``cache/name``; see
+    :func:`_load_kernel`."""
+    import subprocess
+    import tempfile
+
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(".so", "build-", cache)
+    os.close(fd)
+    keyed = source + (f"\nconst unsigned char bippr_key[] = {{{','.join(map(str, key))}}};\n"
+                      f"const int64_t bippr_key_size = {len(key)};\n").encode()
+    try:
+        subprocess.run([*cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp],
+                       input=keyed, capture_output=True, check=True)
+        lib = ctypes.CDLL(tmp)
+        os.replace(tmp, os.path.join(cache, name))
+    except FileNotFoundError:
+        raise ImportError(f"bippr needs a C compiler to build its walk kernel on "
+                          f"first import, and {cc[0]!r} was not found") from None
+    except subprocess.CalledProcessError as e:
+        why = e.stderr.decode(errors="replace").strip().splitlines() or ["no output"]
+        raise ImportError(f"bippr could not build its walk kernel with "
+                          f"{cc[0]!r}: {why[-1]}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    for old in os.listdir(cache):
+        if old != name and old.startswith("walk-") and old.endswith(".so"):
+            try:
+                os.unlink(os.path.join(cache, old))
+            except FileNotFoundError:  # removed by another process first
+                pass
+    return lib
+
+
+_LIB = _load_kernel()
+_KERNELS = {}
+for _t in (np.int8, np.int16, np.int32, np.int64):
+    _kernel = getattr(_LIB, f"walk_{np.dtype(_t).name}_t")
+    _kernel.restype = ctypes.c_int64
+    _kernel.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64]
+                        + [ctypes.c_void_p] * 2 + [ctypes.c_int64]
+                        + [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_int64])
+    _KERNELS[np.dtype(_t)] = _kernel
+del _t, _kernel
 
 
 _ALIAS_BLOCK = 1 << 16  # slots per block of the alias build: bounds its temporaries

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
-from .push import _add_work, _first_touch, _push_round, _SlotMap
+from .graph import _LIB, Graph
+from .push import _Push, _SlotMap
 from .walk import (_MAX_WALKS, RandomStream, _check_alpha, _check_count,
                    _check_fraction, _check_positive, _check_table_walks,
                    fixed_walk_levels, fixed_walk_positions)
@@ -29,16 +29,6 @@ class _Levels:
     ptr: np.ndarray
     slot: np.ndarray
     val: np.ndarray
-
-    @classmethod
-    def of(cls, slots: list[np.ndarray], vals: list[np.ndarray],
-           levels: int) -> "_Levels":
-        """``levels`` levels, the first ``len(slots)`` given, the rest empty."""
-        ptr = np.zeros(levels + 1, np.intp)
-        np.cumsum([s.size for s in slots], out=ptr[1:len(slots) + 1])
-        ptr[len(slots) + 1:] = ptr[len(slots)]
-        return cls(ptr, np.concatenate([np.zeros(0, np.intp), *slots]),
-                   np.concatenate([np.zeros(0), *vals]))
 
     def level(self) -> np.ndarray:
         """The level of each entry."""
@@ -86,46 +76,29 @@ def approximate_mstp(g: Graph, s: int, ell_max: int, r_max: float,
     Level i pushes move the full residual at a node into its level-i estimate
     while spreading the same mass (edge-weight proportional) into level i+1;
     mass is indexed by walk length, so each level separately sums to <= 1.
-    Level i is one round of the push kernel: every node whose level-i ratio
-    exceeds r_max is pushed, and nothing spread lands on level i itself.
-    ``on_push(state)``, if given, is called after every level that pushed,
-    with a snapshot of the state, built as the returned one is.
+    Level i is one round of the push kernel that ``approximate_pagerank``
+    runs: every node whose level-i ratio exceeds r_max is pushed, in the
+    order the push first wrote its level-i entry, and nothing spread lands
+    on level i itself.
+
+    All levels are one call of the compiled kernel (``push_levels`` in
+    ``_walk.c``), which logs each level's entries as it goes and returns
+    early only to let the slot arrays or the logs grow. ``on_push(state)``,
+    if given, is called after every level that pushed, with a snapshot of
+    the state, built as the returned one is; the kernel then runs one level
+    per call.
     """
     g.require_walkable(s)
     _check_count("ell_max", ell_max, low=0, high=_MAX_WALKS - 1)
     _check_positive("r_max", r_max)
 
-    q_slots: list[np.ndarray] = []
-    q_vals: list[np.ndarray] = []
-    r_slots = [np.zeros(1, np.intp)]
-    r_vals = [np.ones(1)]
-    push_count = 0
-    degree_work = 0.0
-    with _SlotMap(g, np.array([s], np.intp)) as sm:
+    with _Push(g, s, r_max, levels=ell_max) as push:
 
         def state() -> MstpState:
-            return MstpState(node=sm.node[:sm.k].copy(),
-                             q_levels=_Levels.of(q_slots, q_vals, ell_max + 1),
-                             r_levels=_Levels.of(r_slots, r_vals, ell_max + 1),
-                             ell_max=ell_max, push_count=push_count, degree_work=degree_work)
-        for i in range(ell_max):
-            slots, vals = r_slots[i], r_vals[i]
-            hot = vals / sm.deg[slots] > r_max
-            f = slots[hot]
-            # settle 1: q[i][u] = 0.0 + 1.0 * r_u is r_u itself
-            q_slots.append(f)
-            q_vals.append(vals[hot])
-            r_slots[i], r_vals[i] = slots[~hot], vals[~hot]
-            if not f.size:
-                break  # nothing reaches level i+1, so every later level is empty
-            push_count += f.size
-            degree_work = _add_work(degree_work, sm.deg[f])
-            to, received = _push_round(g, sm, f, q_vals[i], 1.0)
-            nxt = _first_touch(to, sm.k)
-            r_slots.append(nxt)
-            r_vals.append(received[nxt])
-            if on_push is not None:
-                on_push(state())
+            return MstpState(node=push.sp.node[:push.k].copy(), q_levels=_Levels(*push.log("q")),
+                             r_levels=_Levels(*push.log("r")), ell_max=ell_max,
+                             push_count=push.rec.pushes, degree_work=push.rec.work)
+        push.run(_LIB.push_levels, on_push, state)
         return state()
 
 

@@ -2,11 +2,12 @@
 residuals, with degree-weighted work accounting."""
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _LIB, Graph
 from .walk import _check_alpha, _check_positive
 
 __all__ = ["PushResult", "approximate_pagerank"]
@@ -61,7 +62,7 @@ def _as_dict(node: np.ndarray, val: np.ndarray) -> dict[int, float]:
 class _SlotMap:
     """A sparse set of nodes over the graph's reusable slot array (Briggs and
     Torczon 1993): ``slot[v]`` is node v's slot in 0..k-1, or -1, and
-    ``node[:k]``/``deg[:k]`` list the members and their degrees by slot.
+    ``node[:k]`` lists the members by slot.
 
     The array is taken off the graph while the map lives, so a map opened
     inside another on the same graph, or in another thread, gets a fresh one;
@@ -75,11 +76,10 @@ class _SlotMap:
         try:
             self.slot = g._slots.pop()
         except IndexError:
-            self.slot = np.full(g.n, -1, np.intp)
-        self.node = np.empty(16, np.intp)
-        self.deg = np.empty(16)
-        self.k = 0
-        self._claim(nodes)
+            self.slot = np.full(g.n, -1, np.int64)
+        self.k = nodes.size
+        self.node = nodes.astype(np.int64)
+        self.slot[nodes] = np.arange(self.k)
 
     def __enter__(self) -> "_SlotMap":
         return self
@@ -89,82 +89,160 @@ class _SlotMap:
         if not self.g._slots:
             self.g._slots.append(self.slot)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Slots of the nodes ``v``; each new node first claims the next slot."""
-        s = self.slot[v]
-        miss = s < 0
-        if miss.any():
-            new = v[miss]
-            self._reserve(new.size)
-            # one entry of each new node claims its slot, whichever write lands
-            entry = np.arange(new.size)
-            self.slot[new] = entry
-            self._claim(new[self.slot[new] == entry])
-            s[miss] = self.slot[new]
-        return s
 
-    def _claim(self, nodes: np.ndarray) -> None:
-        self._reserve(nodes.size)
-        k, c = self.k, nodes.size
-        self.node[k:k + c] = nodes
-        self.deg[k:k + c] = self.g.degrees[nodes]
-        self.slot[nodes] = np.arange(k, k + c)
-        self.k = k + c
+class _Record(ctypes.Structure):
+    """The kernel's ``Push`` record (``_walk.c``), field for field."""
 
-    def _reserve(self, extra: int) -> None:
-        if self.k + extra > self.node.size:
-            cap = max(self.k + extra, 2 * self.node.size)
-            self.node = np.concatenate([self.node[:self.k], np.empty(cap - self.k, np.intp)])
-            self.deg = np.concatenate([self.deg[:self.k], np.empty(cap - self.k)])
-
-    def fit(self, a: np.ndarray) -> np.ndarray:
-        """``a``, zero-padded to the map's capacity if it is shorter."""
-        if a.size >= self.node.size:
-            return a
-        out = np.zeros(self.node.size)
-        out[:a.size] = a
-        return out
+    _fields_ = ([(f, ctypes.c_void_p) for f in ("indptr", "indices", "weights", "degrees",
+                                                "slot", "node", "deg")]
+                + [(f, ctypes.c_int64) for f in ("k", "cap", "need")]
+                + [(f, ctypes.c_void_p) for f in ("front", "touch", "ru", "acc", "bits", "r", "p",
+                                                  "qptr", "qslot", "rptr", "rslot", "qval",
+                                                  "rval")]
+                + [(f, ctypes.c_int64) for f in ("qcap", "rcap", "qneed", "rneed", "level",
+                                                 "levels", "pushes", "more")]
+                + [(f, ctypes.c_double) for f in ("work", "alpha", "r_max")])
 
 
-def _push_round(g: Graph, sm: _SlotMap, f: np.ndarray, ru: np.ndarray,
-                keep: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pushes every frontier slot u in ``f``, whose residuals ``ru`` the caller
-    has read and zeroed: spreads keep*r_u/d_u*w over u's CSR row.
+for _kernel in (_LIB.push_pagerank, _LIB.push_levels):
+    _kernel.restype = ctypes.c_int64
+    _kernel.argtypes = [ctypes.POINTER(_Record), ctypes.c_int64]
+del _kernel
 
-    Returns the receiving slot of each spread amount, in push order (``f``'s
-    order, then row order), and the amounts summed per slot, an array of
-    length ``sm.k``. The rows are gathered in one pass (row u's entries
-    indptr[u]..indptr[u+1]-1, rows back to back) and scattered with one
-    ``np.bincount``, which adds the amounts a slot receives in push order,
-    starting from 0.0, as pushing the frontier one node at a time would. A
-    push reads its residual before any of the round's spreads lands, so a
-    self-loop, like any edge between two frontier nodes, feeds the next round.
-    """
-    u = sm.node[f]
-    spread = keep * ru / sm.deg[f]
-    start = g.indptr[u]
-    cnt = g.indptr[u + 1] - start
-    ends = np.cumsum(cnt)
-    edge = np.arange(int(ends[-1])) + np.repeat(start - (ends - cnt), cnt)
-    amount = np.repeat(spread, cnt)
-    if not g.unit_weights:
-        amount *= g.weights[edge]
-    to = sm(g.indices[edge])
-    return to, np.bincount(to, weights=amount, minlength=sm.k)
+_ALL_ROUNDS = (1 << 63) - 1
+_FIRST_CAP = 1 << 10  # slots a graph's first push space holds before it first grows
 
 
-def _first_touch(to: np.ndarray, k: int) -> np.ndarray:
-    """The distinct slots of ``to`` (all below ``k``) in order of first appearance."""
-    at = np.full(k, to.size)
-    entry = np.arange(to.size)
-    np.minimum.at(at, to, entry)
-    return to[at[to] == entry]
+class _Space:
+    """The arrays the compiled push works in, over ``cap`` slots, and the
+    kernel's record (``_walk.c``'s ``Push``) holding their addresses and the
+    graph's. Every per-slot array holds ``cap + 1`` entries: ``node`` and
+    ``deg`` (the slot map's members), the scratch ``front``, ``touch``,
+    ``ru``, ``acc`` (-1.0 between rounds) and the bitmap ``bits`` (clear
+    between rounds), and a PageRank push's residual ``r`` and estimate ``p``
+    by slot. An MSTP push logs its levels in ``qslot``/``qval`` and
+    ``rslot``/``rval`` (``qcap``/``rcap`` + 1 entries).
+
+    A finished push leaves its space on the graph (``Graph._spaces``), like
+    the slot array, with ``r`` and ``p`` zero again, so the graph's next
+    push allocates only if its support outgrows every earlier one's. The
+    logs are made by the first MSTP push in the space."""
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.graph = (g.indptr, g.indices, None if g.unit_weights else g.weights, g.degrees)
+        self.rec = _Record(*(None if a is None else a.ctypes.data for a in self.graph))
+        self.cap = self.qcap = self.rcap = 0
+        self.node = self.qslot = self.rslot = np.zeros(0, np.int64)
+        self.deg = self.r = self.p = self.qval = self.rval = np.zeros(0)
+        self.reserve(_FIRST_CAP, 0)
+
+    def reserve(self, need: int, k: int) -> None:
+        """Room for ``need`` slots, at most n: if there is less, every
+        per-slot array grows to twice its capacity or more, keeping the first
+        ``k`` nodes, degrees, residuals and estimates."""
+        if need <= self.cap:
+            return
+        cap = min(self.n, max(need, 2 * self.cap))
+        for name in ("node", "deg", "r", "p"):
+            self._set(name, np.zeros(cap + 1, getattr(self, name).dtype), k)
+        for name, a in (("front", np.empty(cap + 1, np.int64)),
+                        ("touch", np.empty(cap + 1, np.int64)), ("ru", np.empty(cap + 1)),
+                        ("acc", np.full(cap + 1, -1.0)),
+                        ("bits", np.zeros(cap // 64 + 1, np.uint64))):
+            self._set(name, a, 0)
+        self.cap = self.rec.cap = cap
+
+    def reserve_logs(self, qneed: int, rneed: int, qend: int, rend: int) -> None:
+        """Room for ``qneed`` and ``rneed`` log entries: a shorter log grows
+        to twice its capacity or more, keeping its first ``qend`` or ``rend``
+        entries."""
+        for side, need, end in (("q", qneed, qend), ("r", rneed, rend)):
+            if need > getattr(self, side + "cap"):
+                cap = max(need, 2 * getattr(self, side + "cap"))
+                for name in (side + "slot", side + "val"):
+                    self._set(name, np.empty(cap + 1, getattr(self, name).dtype), end)
+                setattr(self, side + "cap", cap)
+                setattr(self.rec, side + "cap", cap)
+
+    def _set(self, name: str, a: np.ndarray, keep: int) -> None:
+        """``a``, holding the first ``keep`` entries of the array it replaces,
+        becomes the space's and the record's array ``name``."""
+        if keep:
+            a[:keep] = getattr(self, name)[:keep]
+        setattr(self, name, a)
+        setattr(self.rec, name, a.ctypes.data)
 
 
-def _add_work(total: float, deg: np.ndarray) -> float:
-    """total + deg[0] + deg[1] + ..., added left to right (``cumsum`` is a
-    sequential fold), so the float sum follows push order."""
-    return float(np.cumsum(np.concatenate(([total], deg)))[-1])
+class _Push(_SlotMap):
+    """A push from s, in slot 0, run by the compiled kernel over the graph's
+    slot map, in a space (:class:`_Space`) taken off the graph like the slot
+    array. Without ``levels`` it is a PageRank push, whose residual and
+    estimate are ``sp.r`` and ``sp.p`` by slot; with ``levels`` = ell_max it
+    is an MSTP push, whose levels are logs (:meth:`log`). When an array is
+    too short the kernel returns with nothing changed, and :meth:`run` grows
+    the space and calls it again."""
+
+    def __init__(self, g: Graph, s: int, r_max: float, alpha: float = 0.0,
+                 levels: int | None = None):
+        try:
+            sp = g._spaces.pop()
+        except IndexError:
+            sp = _Space(g)
+        super().__init__(g, np.array([s], np.int64))
+        self.sp, self.levels = sp, levels
+        self.node = sp.node
+        sp.node[0], sp.deg[0] = s, g.degrees[s]
+        rec = self.rec = sp.rec
+        rec.slot, rec.k, rec.pushes, rec.more, rec.work = self.slot.ctypes.data, 1, 0, 0, 0.0
+        rec.alpha, rec.r_max, rec.level, rec.levels = alpha, r_max, 0, int(levels or 0)
+        if levels is None:
+            sp.r[0] = 1.0
+        else:  # level 0 is slot 0's unit residual
+            self.qptr = np.empty(levels + 2, np.int64)
+            self.rptr = np.empty(levels + 2, np.int64)
+            self.qptr[0], self.rptr[:2] = 0, (0, 1)
+            rec.qptr, rec.rptr = self.qptr.ctypes.data, self.rptr.ctypes.data
+            sp.reserve_logs(sp.cap, 2 * sp.cap, 0, 0)
+            sp.rslot[0], sp.rval[0] = 0, 1.0
+
+    def __exit__(self, *exc) -> None:
+        sp = self.sp
+        super().__exit__(*exc)
+        sp.r[:self.k] = 0.0
+        sp.p[:self.k] = 0.0
+        if not self.g._spaces:
+            self.g._spaces.append(sp)
+
+    def run(self, kernel, on_push, state) -> None:
+        """Runs ``kernel`` to the end of the push, calling ``on_push(state())``,
+        if given, after every round, which the kernel then runs one at a time."""
+        sp, rec, rounds = self.sp, self.rec, _ALL_ROUNDS if on_push is None else 1
+        while True:
+            pushes = rec.pushes
+            short = kernel(rec, rounds)
+            self.k = rec.k
+            if short:
+                sp.reserve(rec.need, self.k)
+                self.node = sp.node
+                if self.levels is not None:
+                    sp.reserve_logs(rec.qneed, rec.rneed, self.qptr[rec.level],
+                                    self.rptr[rec.level + 1])
+                continue
+            if on_push is not None and rec.pushes > pushes:
+                on_push(state())
+            if not rec.more:
+                return
+
+    def log(self, side: str):
+        """``(ptr, slot, val)`` of the ``side`` ("q" or "r") level log, copied,
+        each level past the kernel's current one empty."""
+        known = self.rec.level + (1 if side == "q" else 2)
+        ptr = getattr(self, side + "ptr").copy()
+        end = ptr[known - 1]
+        ptr[known:] = end
+        return (ptr, getattr(self.sp, side + "slot")[:end].copy(),
+                getattr(self.sp, side + "val")[:end].copy())
 
 
 def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
@@ -175,41 +253,27 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
     settled estimate and spreads the rest to its neighbors in proportion to
     edge weight. The push runs in synchronous rounds (parallel push, Shun et
     al. VLDB 2016): each round pushes every node whose ratio exceeds r_max,
-    all reading their residuals before any of the round's mass lands, until
-    no ratio exceeds it. Each push settles alpha*r_u > alpha*r_max*d_u, so
-    degree_work <= 1/(alpha*r_max) holds as for one node at a time, and each
-    round is a composition of valid pushes, so the invariant
-    pi_s = p + sum_v r[v]*pi_v holds after every round. ``on_push(state)``,
-    if given, is called after every round with a snapshot of the state,
-    built as the returned one is.
+    in slot order, all reading their residuals before any of the round's
+    mass lands, until no ratio exceeds it. Each push settles alpha*r_u >
+    alpha*r_max*d_u, so degree_work <= 1/(alpha*r_max) holds as for one node
+    at a time, and each round is a composition of valid pushes, so the
+    invariant pi_s = p + sum_v r[v]*pi_v holds after every round.
+
+    The whole round loop is one call of the compiled kernel
+    (``push_pagerank`` in ``_walk.c``), which returns early only to let the
+    slot arrays grow. ``on_push(state)``, if given, is called after every
+    round with a snapshot of the state, built as the returned one is; the
+    kernel then runs one round per call.
     """
     g.require_walkable(s)
     _check_alpha(alpha)
     _check_positive("r_max", r_max)
-    push_count = 0
-    degree_work = 0.0
-    with _SlotMap(g, np.array([s], np.intp)) as sm:
-        r = sm.fit(np.array([1.0]))
-        p = np.zeros_like(r)
+    with _Push(g, s, r_max, alpha=alpha) as push:
 
         def state() -> PushResult:
-            k = sm.k
-            return PushResult(node=sm.node[:k].copy(), p_val=p[:k].copy(),
-                              r_val=r[:k].copy(), push_count=push_count,
-                              degree_work=degree_work, alpha=alpha, r_max=r_max)
-        while True:
-            k = sm.k
-            f = np.flatnonzero(r[:k] / sm.deg[:k] > r_max)
-            if not f.size:
-                break
-            ru = r[f]
-            r[f] = 0.0
-            p[f] += alpha * ru
-            push_count += f.size
-            degree_work = _add_work(degree_work, sm.deg[f])
-            _, received = _push_round(g, sm, f, ru, 1.0 - alpha)
-            r, p = sm.fit(r), sm.fit(p)
-            r[:received.size] += received
-            if on_push is not None:
-                on_push(state())
+            k, sp = push.k, push.sp
+            return PushResult(node=sp.node[:k].copy(), p_val=sp.p[:k].copy(),
+                              r_val=sp.r[:k].copy(), push_count=push.rec.pushes,
+                              degree_work=push.rec.work, alpha=alpha, r_max=r_max)
+        push.run(_LIB.push_pagerank, on_push, state)
         return state()

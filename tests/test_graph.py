@@ -1,9 +1,11 @@
 import io
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -403,6 +405,35 @@ class TestKernelBuild:
         assert second.returncode == 0, second.stderr
         assert sorted(cache.iterdir()) == built
         assert built[0].stat().st_mtime_ns == mtime
+
+    def test_a_build_removes_the_older_libraries(self, tmp_path):
+        cache = tmp_path / "bippr"
+        cache.mkdir(mode=0o700)
+        older = [cache / "walk-deadbeef.so", cache / f"walk-{'0' * 32}.so"]
+        for path in older:
+            path.write_bytes(b"an older build")
+        (cache / "notes.txt").write_text("kept")
+        first = import_bippr(tmp_path)
+        assert first.returncode == 0, first.stderr
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 2 and "notes.txt" in built
+        assert [p for p in older if p.exists()] == []
+
+    def test_a_library_that_does_not_load_or_holds_another_key_is_rebuilt(self, tmp_path):
+        assert import_bippr(tmp_path).returncode == 0
+        (built,) = (tmp_path / "bippr").iterdir()
+        good = built.read_bytes()
+        other = tmp_path / "other.c"
+        other.write_text("const unsigned char bippr_key[] = {0};\n"
+                         "const long long bippr_key_size = 1;\n")
+        cc = shlex.split(sysconfig.get_config_var("CC"))
+        subprocess.run([*cc, "-shared", "-fPIC", str(other), "-o", str(built)], check=True)
+        for stale in (built.read_bytes(), b"not a library"):
+            built.write_bytes(stale)
+            again = import_bippr(tmp_path)
+            assert again.returncode == 0, again.stderr
+            assert [p.name for p in (tmp_path / "bippr").iterdir()] == [built.name]
+            assert built.read_bytes() == good
 
     def test_cold_import_without_a_compiler_fails_in_one_line(self, tmp_path):
         cold = import_bippr(tmp_path, path="")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bippr.push as push_module
 from bippr import (Graph, PushResult, RandomStream, approximate_mstp,
                    approximate_pagerank, estimate_diffusion, exact_ppr_matrix,
                    pagerank_weights)
@@ -246,10 +247,16 @@ def assert_python_floats(*vecs):
 
 
 def assert_slots_released(g):
-    """The graph's slot array is back on the graph, every entry -1."""
+    """The graph's slot array is back on the graph, every entry -1, and so is
+    its push space, as the next push expects it: residuals and estimates
+    zero, every acc entry -1.0 and the bitmap clear."""
     assert len(g._slots) == 1
     assert g._slots[0].shape == (g.n,)
     assert (g._slots[0] == -1).all()
+    assert len(g._spaces) == 1
+    sp = g._spaces[0]
+    assert not sp.r.any() and not sp.p.any() and not sp.bits.any()
+    assert (sp.acc == -1.0).all()
 
 
 def compact_arrays(state):
@@ -300,6 +307,162 @@ def push_graphs(draw):
     g = Graph.from_edges(edges, n=ids + draw(st.integers(0, 2)))
     walkable = [v for v in range(g.n) if not g.is_isolated(v)]
     return g, walkable
+
+
+class ArraySlotMap:
+    """The numpy slot map the compiled push replaced, kept as its reference:
+    ``slot[v]`` is node v's slot or -1, ``node[:k]``/``deg[:k]`` the members;
+    ``nodes`` claim slots 0..len(nodes)-1."""
+
+    def __init__(self, g, nodes):
+        self.g = g
+        self.slot = np.full(g.n, -1, np.intp)
+        self.node = np.empty(16, np.intp)
+        self.deg = np.empty(16)
+        self.k = 0
+        self._claim(nodes)
+
+    def __call__(self, v):
+        """Slots of the nodes ``v``; each new node first claims the next slot."""
+        s = self.slot[v]
+        miss = s < 0
+        if miss.any():
+            new = v[miss]
+            self._reserve(new.size)
+            # one entry of each new node claims its slot, whichever write lands
+            entry = np.arange(new.size)
+            self.slot[new] = entry
+            self._claim(new[self.slot[new] == entry])
+            s[miss] = self.slot[new]
+        return s
+
+    def _claim(self, nodes):
+        self._reserve(nodes.size)
+        k, c = self.k, nodes.size
+        self.node[k:k + c] = nodes
+        self.deg[k:k + c] = self.g.degrees[nodes]
+        self.slot[nodes] = np.arange(k, k + c)
+        self.k = k + c
+
+    def _reserve(self, extra):
+        if self.k + extra > self.node.size:
+            cap = max(self.k + extra, 2 * self.node.size)
+            self.node = np.concatenate([self.node[:self.k], np.empty(cap - self.k, np.intp)])
+            self.deg = np.concatenate([self.deg[:self.k], np.empty(cap - self.k)])
+
+    def fit(self, a):
+        """``a``, zero-padded to the map's capacity if it is shorter."""
+        if a.size >= self.node.size:
+            return a
+        out = np.zeros(self.node.size)
+        out[:a.size] = a
+        return out
+
+
+def array_push_round(g, sm, f, ru, keep):
+    """The numpy push round: pushes the frontier slots ``f`` with residuals
+    ``ru``, spreading keep*r_u/d_u*w over each row, rows gathered back to
+    back; returns each amount's receiving slot, in push order, and the
+    amounts summed per slot by ``np.bincount``, from 0.0 in push order."""
+    u = sm.node[f]
+    spread = keep * ru / sm.deg[f]
+    start = g.indptr[u]
+    cnt = g.indptr[u + 1] - start
+    ends = np.cumsum(cnt)
+    edge = np.arange(int(ends[-1])) + np.repeat(start - (ends - cnt), cnt)
+    amount = np.repeat(spread, cnt)
+    if not g.unit_weights:
+        amount *= g.weights[edge]
+    to = sm(g.indices[edge])
+    return to, np.bincount(to, weights=amount, minlength=sm.k)
+
+
+def first_touch(to, k):
+    """The distinct slots of ``to`` (all below ``k``) in order of first appearance."""
+    at = np.full(k, to.size)
+    entry = np.arange(to.size)
+    np.minimum.at(at, to, entry)
+    return to[at[to] == entry]
+
+
+def add_work(total, deg):
+    """total + deg[0] + deg[1] + ..., added left to right by ``cumsum``."""
+    return float(np.cumsum(np.concatenate(([total], deg)))[-1])
+
+
+def array_pagerank(g, alpha, s, r_max, on_push=None):
+    """``approximate_pagerank`` as the numpy round loop ran it, the reference."""
+    push_count, degree_work = 0, 0.0
+    sm = ArraySlotMap(g, np.array([s], np.intp))
+    r = sm.fit(np.array([1.0]))
+    p = np.zeros_like(r)
+
+    def state():
+        k = sm.k
+        return PushResult(node=sm.node[:k].copy(), p_val=p[:k].copy(), r_val=r[:k].copy(),
+                          push_count=push_count, degree_work=degree_work, alpha=alpha,
+                          r_max=r_max)
+    while True:
+        k = sm.k
+        f = np.flatnonzero(r[:k] / sm.deg[:k] > r_max)
+        if not f.size:
+            break
+        ru = r[f]
+        r[f] = 0.0
+        p[f] += alpha * ru
+        push_count += f.size
+        degree_work = add_work(degree_work, sm.deg[f])
+        _, received = array_push_round(g, sm, f, ru, 1.0 - alpha)
+        r, p = sm.fit(r), sm.fit(p)
+        r[:received.size] += received
+        if on_push is not None:
+            on_push(state())
+    return state()
+
+
+def array_mstp(g, s, ell_max, r_max, on_push=None):
+    """``approximate_mstp`` as the numpy round ran it per level, the reference."""
+    from bippr.mstp import MstpState, _Levels
+
+    def levels(slots, vals):
+        ptr = np.zeros(ell_max + 2, np.intp)
+        np.cumsum([x.size for x in slots], out=ptr[1:len(slots) + 1])
+        ptr[len(slots) + 1:] = ptr[len(slots)]
+        return _Levels(ptr, np.concatenate([np.zeros(0, np.intp), *slots]),
+                       np.concatenate([np.zeros(0), *vals]))
+
+    q_slots, q_vals, r_slots, r_vals = [], [], [np.zeros(1, np.intp)], [np.ones(1)]
+    push_count, degree_work = 0, 0.0
+    sm = ArraySlotMap(g, np.array([s], np.intp))
+
+    def state():
+        return MstpState(node=sm.node[:sm.k].copy(), q_levels=levels(q_slots, q_vals),
+                         r_levels=levels(r_slots, r_vals), ell_max=ell_max,
+                         push_count=push_count, degree_work=degree_work)
+    for i in range(ell_max):
+        slots, vals = r_slots[i], r_vals[i]
+        hot = vals / sm.deg[slots] > r_max
+        f = slots[hot]
+        q_slots.append(f)
+        q_vals.append(vals[hot])
+        r_slots[i], r_vals[i] = slots[~hot], vals[~hot]
+        if not f.size:
+            break
+        push_count += f.size
+        degree_work = add_work(degree_work, sm.deg[f])
+        to, received = array_push_round(g, sm, f, q_vals[i], 1.0)
+        nxt = first_touch(to, sm.k)
+        r_slots.append(nxt)
+        r_vals.append(received[nxt])
+        if on_push is not None:
+            on_push(state())
+    return state()
+
+
+def state_bytes(state):
+    """Everything a push state holds, as bytes and reprs: its compact arrays,
+    ``push_count`` and ``repr(degree_work)``."""
+    return compact_arrays(state) + [state.push_count, repr(state.degree_work)]
 
 
 R_MAX = st.sampled_from([0.3, 0.05, 1e-2, 3e-3, 1e-3, 1e-4])
@@ -396,6 +559,76 @@ class TestKernelMatchesReference:
         assert [ordered(x) for x in q] == [ordered(x) for x in want]
 
 
+class TestKernelMatchesArrayRounds:
+    """The compiled push against the numpy round loop it replaced
+    (``array_pagerank``, ``array_mstp``): every returned state and every
+    ``on_push`` snapshot is equal byte for byte, with the same
+    ``push_count`` and ``repr(degree_work)``."""
+
+    @staticmethod
+    def assert_same_pushes(g, s, alpha, r_max, ell_max):
+        for push, ref in ((lambda cb: approximate_pagerank(g, alpha, s, r_max, on_push=cb),
+                           lambda cb: array_pagerank(g, alpha, s, r_max, on_push=cb)),
+                          (lambda cb: approximate_mstp(g, s, ell_max, r_max, on_push=cb),
+                           lambda cb: array_mstp(g, s, ell_max, r_max, on_push=cb))):
+            got, want = [], []
+            result = push(lambda state: got.append(state_bytes(state)))
+            assert state_bytes(result) == state_bytes(ref(lambda state: want.append(
+                state_bytes(state))))
+            assert got == want
+            assert state_bytes(push(None)) == state_bytes(result)
+            assert_slots_released(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.integers(0, 6), st.data())
+    def test_same_states(self, case, alpha, r_max, ell_max, data):
+        g, walkable = case
+        self.assert_same_pushes(g, data.draw(st.sampled_from(walkable)), alpha, r_max, ell_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(push_graphs(), ALPHA, R_MAX, st.integers(0, 4), st.data())
+    def test_same_states_on_the_threshold(self, case, alpha, r_max, ell_max, data):
+        # r_max equal to, or one ulp below, a ratio the push reaches
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        first = approximate_pagerank(g, alpha, s, r_max)
+        ratios = sorted({x / g.degree(v) for v, x in first.r.items()})
+        r_max = data.draw(st.sampled_from(ratios))
+        if data.draw(st.booleans()):
+            r_max = math.nextafter(r_max, 0.0)
+        self.assert_same_pushes(g, s, alpha, r_max, ell_max)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_arrays_grow_mid_push(self, monkeypatch, weighted):
+        # a first space of one slot grows in every round and every level
+        g = random_connected(300, "ba", seed=8)
+        if weighted:
+            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            keep = rows <= g.indices
+            w = np.random.default_rng(2).uniform(0.1, 3.0, keep.sum())
+            g = Graph(g.n, rows[keep], g.indices[keep], w)
+        monkeypatch.setattr(push_module, "_FIRST_CAP", 1)
+        caps = []
+        reserve = push_module._Space.reserve
+
+        def recorded(sp, need, k):
+            reserve(sp, need, k)
+            caps.append(sp.cap)
+        monkeypatch.setattr(push_module._Space, "reserve", recorded)
+        for s in (0, 17, 299):
+            g._spaces.clear()
+            self.assert_same_pushes(g, s, 0.2, 1e-4, 12)
+        assert caps[0] == 1 and max(caps) > 100
+
+    def test_a_hub_frontier_claims_in_last_appearance_order(self):
+        # star centre 0 and leaves 1..5, and a hub 6 joined to every leaf in
+        # reverse: the second round's rows list each leaf twice
+        edges = [(0, v) for v in range(1, 6)] + [(6, v) for v in range(5, 0, -1)]
+        g = Graph.from_edges(edges + [(6, 7), (7, 8)])
+        for s in (0, 6, 8):
+            self.assert_same_pushes(g, s, 0.3, 1e-3, 6)
+
+
 class TestPushCounters:
     """Synchronous rounds against FIFO on 2,000-node graphs. A round pushes a
     node with the residual it held when the round began, where FIFO would
@@ -477,17 +710,21 @@ class TestSlotArray:
         assert ordered(approximate_pagerank(g, 0.2, 0, 1e-3).p) == ordered(outer.p)
 
 
-    def test_concurrent_pushes_on_the_same_graph(self):
-        # pushes sharing one slot array would claim each other's slots
+    @pytest.mark.parametrize("push", [
+        lambda g, s: approximate_pagerank(g, 0.2, s, 1e-4),
+        lambda g, s: approximate_mstp(g, s, 8, 1e-4),
+    ])
+    def test_concurrent_pushes_on_the_same_graph(self, push):
+        # pushes sharing one slot array or push space would claim each
+        # other's slots; the kernel runs without the GIL
         g = random_connected(300, "ba", seed=6)
-        want = {s: ordered(approximate_pagerank(g, 0.2, s, 1e-4).r) for s in range(4)}
+        want = {s: state_bytes(push(g, s)) for s in range(4)}
         got, errors = {}, []
 
         def work(s):
             try:
                 for _ in range(20):
-                    got.setdefault(s, set()).add(
-                        tuple(ordered(approximate_pagerank(g, 0.2, s, 1e-4).r)))
+                    got.setdefault(s, []).append(state_bytes(push(g, s)))
             except Exception as exc:  # reported below
                 errors.append(exc)
 
@@ -503,7 +740,7 @@ class TestSlotArray:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert got == {s: {tuple(x)} for s, x in want.items()}
+        assert got == {s: [x] * 20 for s, x in want.items()}
         assert all((slots == -1).all() for slots in g._slots)
 
 
