@@ -58,6 +58,7 @@
  * cap + 1 entries, as the branch-free loops write one past the last entry
  * they keep, and the bitmap cap/64 + 1 words.
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -124,6 +125,21 @@ typedef struct {
     int64_t pushes, more;
     double work, alpha, r_max;
 } Push;
+
+/* The record's layout, for bippr.push to compare with its copy of it
+ * (push._Record) on import: push_fields names every field in declaration
+ * order, and push_layout holds sizeof(Push) and then each field's offset
+ * and size. */
+#define PUSH_FIELDS(X)                                                            \
+    X(indptr) X(indices) X(weights) X(degrees) X(slot) X(node) X(deg) X(k)        \
+    X(cap) X(need) X(front) X(touch) X(ru) X(acc) X(bits) X(r) X(p) X(qptr)       \
+    X(qslot) X(rptr) X(rslot) X(qval) X(rval) X(qcap) X(rcap) X(qneed) X(rneed)   \
+    X(level) X(levels) X(pushes) X(more) X(work) X(alpha) X(r_max)
+#define PUSH_OFFSET(f) offsetof(Push, f), sizeof(((Push *)0)->f),
+#define PUSH_NAME(f) #f " "
+const int64_t push_layout[] = {sizeof(Push), PUSH_FIELDS(PUSH_OFFSET)};
+const int64_t push_layout_size = sizeof push_layout / sizeof *push_layout;
+const char *const push_fields = PUSH_FIELDS(PUSH_NAME);
 
 /* Claims a slot for each node of the frontier's rows that has none, in the
  * order of its last appearance. One pass walks the round's edge list
@@ -290,4 +306,120 @@ int64_t push_levels(Push *s, int64_t rounds)
     }
     s->more = 0;
     return 0;
+}
+
+/* The diffusion combine (bippr.mstp). R holds one row of `cols` terms per
+ * level that holds an entry, levels[i] (increasing) the level of row i:
+ * column c + 1 is r[k][v] * (d_t / d_v) for slot c's node v, column 0,
+ * every node the push never touched, is 0.0.
+ *
+ * terms() fills R, zeroed by the caller, from the push's r-level log: level
+ * l's entries are [ptr[l], ptr[l+1]) of slot and val. Returns -1, or -2
+ * before any write if a level's entries lie outside [0, nval), or the index
+ * of the first entry whose slot is not a column of R or whose node lies
+ * outside [0, n). */
+int64_t terms(const int64_t *ptr, const int64_t *slot, const double *val,
+              int64_t nval, const int64_t *levels, int64_t nlev,
+              const int64_t *node, const double *degrees, int64_t n,
+              double d_t, double *R, int64_t cols)
+{
+    for (int64_t i = 0; i < nlev; i++)
+        if (ptr[levels[i]] < 0 || ptr[levels[i]] > ptr[levels[i] + 1]
+            || ptr[levels[i] + 1] > nval)
+            return -2;
+    for (int64_t i = 0; i < nlev; i++) {
+        double *row = R + i * cols;
+        for (int64_t e = ptr[levels[i]]; e < ptr[levels[i] + 1]; e++) {
+            int64_t c = slot[e];
+            if ((uint64_t)c >= (uint64_t)(cols - 1) || (uint64_t)node[c] >= (uint64_t)n)
+                return e;
+            row[c + 1] = val[e] * (d_t / degrees[node[c]]);
+        }
+    }
+    return -1;
+}
+
+/* combine() sums one run's samples over its position table pos, top + 1
+ * rows of width walks, row p every walk's step p. A sample of length L
+ * starts from 0.0 and adds R[i][slot[pos[(L - levels[i])*width + j]] + 1]
+ * of each level levels[i] <= L in increasing i, as the numpy combine it
+ * replaces added one level at a time, so its bits are the same.
+ * - With len = NULL (shared walks) every walk has length top and gives a
+ *   sample at each level l <= top, the sum of its first l + 1 steps read
+ *   backward, written at acc[(top - l)*width + j]. Each position is read by
+ *   every level, so a first pass turns the whole table, in place, into
+ *   term columns.
+ * - Otherwise (independent levels) walk j has length len[j] and gives one
+ *   sample, at acc[j].
+ * Returns -1, or -2 before any read if the levels do not increase from 0,
+ * -3 if a length lies outside [0, top], or the offset in pos of the first
+ * position read that lies outside [0, n) or whose column slot + 1 lies
+ * outside [0, cols). The bad position is left as it was. */
+/* Adds to each out[j], in order, the terms r[b][c[b][j]] of the k <= 4 rows
+ * b < k: four levels per pass over out, so out is read and written once
+ * per four terms, not once per term. */
+static void add_terms(double *out, int64_t width, const int64_t **c, const double **r,
+                      int64_t k)
+{
+    if (k == 4)
+        for (int64_t j = 0; j < width; j++)
+            out[j] = (((out[j] + r[0][c[0][j]]) + r[1][c[1][j]]) + r[2][c[2][j]])
+                     + r[3][c[3][j]];
+    else if (k == 3)
+        for (int64_t j = 0; j < width; j++)
+            out[j] = ((out[j] + r[0][c[0][j]]) + r[1][c[1][j]]) + r[2][c[2][j]];
+    else if (k == 2)
+        for (int64_t j = 0; j < width; j++)
+            out[j] = (out[j] + r[0][c[0][j]]) + r[1][c[1][j]];
+    else
+        for (int64_t j = 0; j < width; j++)
+            out[j] += r[0][c[0][j]];
+}
+
+int64_t combine(int64_t *pos, int64_t top, int64_t width, const int64_t *len,
+                const int64_t *slot, int64_t n, const double *R, int64_t cols,
+                const int64_t *levels, int64_t nlev, double *acc)
+{
+    for (int64_t i = 0; i < nlev; i++)
+        if (levels[i] < 0 || (i > 0 && levels[i] <= levels[i - 1]))
+            return -2;
+    if (!len) {
+        for (int64_t p = 0; p < (top + 1) * width; p++) {
+            int64_t v = pos[p], c;
+            if ((uint64_t)v >= (uint64_t)n || (uint64_t)(c = slot[v] + 1) >= (uint64_t)cols)
+                return p;
+            pos[p] = c;
+        }
+        for (int64_t l = 0, m = 0; l <= top; l++) {
+            while (m < nlev && levels[m] <= l)
+                m++;
+            double *out = acc + (top - l) * width;
+            for (int64_t j = 0; j < width; j++)
+                out[j] = 0.0;
+            for (int64_t i = 0; i < m; i += 4) {
+                const int64_t *c[4];
+                const double *r[4];
+                for (int64_t b = 0; b < 4 && i + b < m; b++) {
+                    c[b] = pos + (l - levels[i + b]) * width;
+                    r[b] = R + (i + b) * cols;
+                }
+                add_terms(out, width, c, r, m - i < 4 ? m - i : 4);
+            }
+        }
+        return -1;
+    }
+    for (int64_t j = 0; j < width; j++)
+        if (len[j] < 0 || len[j] > top)
+            return -3;
+    for (int64_t j = 0; j < width; j++) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < nlev && levels[i] <= len[j]; i++) {
+            int64_t p = (len[j] - levels[i]) * width + j, v = pos[p], c;
+            if ((uint64_t)v >= (uint64_t)n || (uint64_t)(c = slot[v] + 1) >= (uint64_t)cols)
+                return p;
+            sum += R[i * cols + c];
+        }
+        acc[j] = sum;
+    }
+    return -1;
 }

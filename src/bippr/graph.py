@@ -310,23 +310,20 @@ def load_edge_list(source: TextIO | Iterable[str], weighted: bool = False) -> Gr
     return Graph(len(ids), None, None, None, labels=ids, _columns=columns)
 
 
-def step_many(g: Graph, pos: np.ndarray, u: np.ndarray,
-              live: np.ndarray | None = None) -> np.ndarray | None:
+def step_many(g: Graph, pos: np.ndarray, u: np.ndarray, live: np.ndarray) -> None:
     """Advance walk positions one transition each, w_{vu}/d_v per neighbor,
     driven by one uniform in [0, 1) per step, in one call of the compiled
     kernel (``_walk.c``, see :func:`_load_kernel`).
 
-    ``step_many(g, nodes, u)`` steps each ``nodes[i]`` with ``u[i]`` and
-    returns the next nodes as a fresh int64 array of the shape of ``nodes``;
-    ``nodes`` and ``u`` are left as they were. ``step_many(g, pos, u, live)``
-    steps a block of rounds in place and returns None: round k steps walks
-    ``0 .. live[k]-1`` with the next ``live[k]`` uniforms of ``u``, which
-    holds ``live.sum()`` of them, laid out round by round. A 2-d ``pos`` is
-    ``live.size + 1`` rows of a position table, round k writing row k+1 from
-    row k; a 1-d ``pos`` is one row, stepped in place. Here ``pos`` is C
-    contiguous int64, ``u`` C contiguous float64 and ``live`` C contiguous
-    int64. The caller draws ``u``, so the draw order that fixes every seeded
-    answer is decided by the samplers in :mod:`bippr.walk`, not here.
+    ``step_many(g, pos, u, live)`` steps a block of rounds in place: round k
+    steps walks ``0 .. live[k]-1`` with the next ``live[k]`` uniforms of
+    ``u``, which holds ``live.sum()`` of them, laid out round by round. A
+    2-d ``pos`` is ``live.size + 1`` rows of a position table, round k
+    writing row k+1 from row k; a 1-d ``pos`` is one row, stepped in place.
+    Here ``pos`` is C contiguous int64, ``u`` C contiguous float64 and
+    ``live`` C contiguous int64. The caller draws ``u``, so the draw order
+    that fixes every seeded answer is decided by the samplers in
+    :mod:`bippr.walk`, not here.
 
     A step picks slot ``j = indptr[v] + floor(x)`` of v's row from ``x =
     u*len_v``, with ``len_v`` the row length as a float64: ``degrees`` on
@@ -358,14 +355,6 @@ def step_many(g: Graph, pos: np.ndarray, u: np.ndarray,
     isolated raises ``IndexError``, and a uniform outside [0, 1)
     ``ValueError``; the steps before the bad one are taken.
     """
-    if live is None:
-        if u.shape != pos.shape:  # a length-1 u would otherwise broadcast
-            raise ValueError(f"need one uniform per node, got {u.shape} for {pos.shape}")
-        src = np.ascontiguousarray(pos.astype(np.int64, casting="same_kind", copy=False))
-        out = np.empty_like(src)
-        _run_kernel(g, src, out.ctypes.data, 0, np.ascontiguousarray(u, np.float64),
-                    np.array([src.size]), src.size)
-        return out
     table = pos.ndim == 2
     if not (pos.dtype == np.int64 and u.dtype == np.float64 and live.dtype == np.int64
             and pos.flags.c_contiguous and u.flags.c_contiguous and live.flags.c_contiguous
@@ -374,7 +363,6 @@ def step_many(g: Graph, pos: np.ndarray, u: np.ndarray,
                          "a row per round plus one, float64 uniforms and int64 live counts")
     width = pos.shape[-1]
     _run_kernel(g, pos, pos.ctypes.data + table * pos.strides[0], table * width, u, live, width)
-    return None
 
 
 def _run_kernel(g: Graph, src: np.ndarray, dst: int, stride: int, u: np.ndarray,

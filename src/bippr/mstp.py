@@ -4,6 +4,7 @@ families (PageRank-style geometric, heat-kernel Poisson) with closed-form
 truncation accounting."""
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -114,6 +115,14 @@ def bidir_mstp(g: Graph, state: MstpState, t: int, ell: int, w: int,
 
 _TERMS = 1 << 20  # entries per walk table: bounds the memory of a run
 
+_LIB.terms.restype = _LIB.combine.restype = ctypes.c_int64
+_LIB.terms.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+                       + [ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_double,
+                                                  ctypes.c_void_p, ctypes.c_int64])
+_LIB.combine.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
+                         + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                            ctypes.c_int64, ctypes.c_void_p])
+
 
 class _Terms(_SlotMap):
     """One query's combine at target t: the graph's slot map over the state's
@@ -125,49 +134,72 @@ class _Terms(_SlotMap):
     ``R`` holds level ``levels[i]``: column c+1 stands for slot c of the
     state, column 0 for every node the push never touched, so a walk
     position v reads column ``slot[v] + 1`` (``-1 + 1`` is the empty column).
+    The compiled kernel (``terms`` in ``_walk.c``) fills ``R`` straight from
+    the r-level log, each term ``val * (d_t / d_v)``.
     """
 
     def __init__(self, state: MstpState, g: Graph, t: int):
         lv = state.r_levels
-        count = np.diff(lv.ptr)
-        self.t, self.levels = t, np.flatnonzero(count).tolist()
-        self.R = np.zeros((len(self.levels), state.node.size + 1))
-        row = np.repeat(np.arange(len(self.levels)), count[self.levels])
-        # g.degree checks t before the slot array leaves the graph
-        self.R[row, lv.slot + 1] = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
-        super().__init__(g, state.node)
+        d_t = g.degree(t)  # checks t before the slot array leaves the graph
+        ptr, slot, val, node = (np.ascontiguousarray(a, d) for a, d in (
+            (lv.ptr, np.int64), (lv.slot, np.int64), (lv.val, np.float64),
+            (state.node, np.int64)))
+        self.t, self.levels = t, np.flatnonzero(np.diff(ptr))
+        self.R = np.zeros((self.levels.size, node.size + 1))
+        levels, R = self.levels.ctypes.data, self.R.ctypes.data
+        bad = _LIB.terms(ptr.ctypes.data, slot.ctypes.data, val.ctypes.data,
+                         min(slot.size, val.size), levels, self.levels.size, node.ctypes.data,
+                         g.degrees.ctypes.data, g.n, d_t, R, self.R.shape[1])
+        if bad != -1:
+            raise ValueError("the state's residual log does not fit its slots and nodes")
+        super().__init__(g, node)
+        # combine()'s arguments after the table's: the slot map and the terms
+        self.args = (self.slot.ctypes.data, g.n, R, self.R.shape[1], levels, self.levels.size)
         self.q_t = state.q_levels.at(self.slot[t]).tolist()
 
 
-def _sample_sums(terms: _Terms, top: int, size: int, cols) -> np.ndarray:
-    """Per sample, sum_k r[k][v_k] * d_t / d_{v_k} over levels k <= top.
+def _combine(terms: _Terms, table: np.ndarray, length: np.ndarray | None = None) -> np.ndarray:
+    """Per sample of one run's position ``table`` (row p every walk's step p),
+    sum_k r[k][v] * d_t / d_v over the levels k <= its length L that hold an
+    entry, v the walk's step L - k, added in increasing k from 0.0: one call
+    of the compiled kernel (``combine`` in ``_walk.c``).
 
-    For each level k that holds an entry, in increasing k, the samples still
-    live at k are a prefix, and ``cols(k)`` gives the columns they read; each
-    gathers its level-k term once. So every sample adds its terms in
-    increasing level from 0.0, as the estimator's sum is written, and skips
-    only +0.0 terms, which change no bit. The cost is (levels holding an
-    entry) x (live samples) gathers."""
-    acc = np.zeros(size)
-    for k, row in zip(terms.levels, terms.R):
-        if k <= top:
-            c = cols(k)
-            acc[:c.size] += row.take(c)
-    return acc
+    Without ``length`` (shared walks) every walk has the table's length and
+    gives a sample at each level l, at ``acc[(top - l)*width + j]``, and the
+    table is turned into term columns in place; with ``length``, walk j's
+    own length, each walk gives the one sample of its length, at ``acc[j]``.
+    A position outside [0, n) or past the table raises ``IndexError``."""
+    table = np.require(table, np.int64, ["C", "W"])  # a copy only if it is not
+    if length is not None:
+        length = np.require(length, np.int64, "C")
+    if table.ndim != 2 or length is not None and length.shape != table.shape[1:]:
+        raise ValueError("the combine needs a 2-d position table and one length per walk")
+    top, width = table.shape[0] - 1, table.shape[1]
+    acc = np.empty(table.size if length is None else width)
+    bad = _LIB.combine(table.ctypes.data, top, width,
+                       None if length is None else length.ctypes.data, *terms.args, acc.ctypes.data)
+    if bad == -1:
+        return acc
+    if bad == -2:
+        raise ValueError(f"term levels must increase from 0, got {terms.levels.tolist()}")
+    if bad == -3:
+        raise ValueError(f"walk lengths must lie in [0, {top}]")
+    v = int(table.flat[bad])
+    if not 0 <= v < terms.g.n:
+        raise IndexError(f"walk position {v}, out of range [0, {terms.g.n})")
+    raise IndexError(f"walk position {v} reads term column {int(terms.slot[v]) + 1}, "
+                     f"past the table's {terms.R.shape[1]}")
 
 
 def _shared_sums(terms: _Terms, ell: int, w: int, rng: RandomStream) -> np.ndarray:
     """Per level l <= ell, the sum of the level-l samples of w shared walks of
-    length ell, each walk's prefix read backward, a run at a time. Samples go
-    by level, ell down to 0, so at level k the live ones read rows k.. of the
-    run's table upside down: row i of ``cols`` is every walk's step ell - i."""
+    length ell, each walk's prefix read backward, a run at a time; samples go
+    by level, ell down to 0."""
     sums = np.zeros(ell + 1)
     for _, n in _runs([ell], w):
-        # indexing, not take: take would first copy the upside-down view
-        cols = terms.slot[fixed_walk_positions(terms.g, terms.t, ell, n, rng).T[::-1]] + 1
-        acc = _sample_sums(terms, ell, cols.size, lambda k: cols[k:].ravel())
+        acc = _combine(terms, fixed_walk_positions(terms.g, terms.t, ell, n, rng).T)
         sums += acc.reshape(ell + 1, n).sum(axis=1)[::-1]
-        del cols, acc  # before the next run draws its table
+        del acc  # before the next run draws its table
     return sums
 
 
@@ -200,20 +232,13 @@ def _runs(levels, w: int):
 def _own_level_sums(terms: _Terms, levels, w: int, rng: RandomStream) -> np.ndarray:
     """Sums over w walks from t of each of ``levels`` (nonincreasing) of their
     own-level samples sum_k r[k][pos[L-k]] * d_t / d_pos, indexed by level, a
-    run at a time: walk j of length L_j reads level k at its step L_j - k,
-    the flat index ``last[j] - k * stride`` of the run's table, and the walks
-    live at k (L_j >= k) are a prefix of the run, as lengths do not rise."""
+    run at a time: walk j of length L_j reads level k at its step L_j - k."""
     sums = np.zeros(levels[0] + 1)
     for run, n in _runs(levels, w):
-        table = fixed_walk_levels(terms.g, terms.t, run, n, rng)
-        flat, stride = table.ravel(), table.shape[1]
-        ells = np.repeat(run, n)
-        last = ells * stride + np.arange(stride)
-        live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
-        acc = _sample_sums(terms, run[0], stride,
-                           lambda k: terms.slot.take(flat.take(last[:live[k]] - k * stride)) + 1)
+        acc = _combine(terms, fixed_walk_levels(terms.g, terms.t, run, n, rng),
+                       np.repeat(np.array(run, np.int64), n))
         sums[run] += acc.reshape(len(run), n).sum(axis=1)
-        del table, flat, ells, last, acc  # before the next run draws its table
+        del acc  # before the next run draws its table
     return sums
 
 
@@ -334,9 +359,10 @@ def estimate_diffusion(g: Graph, s: int, t: int, weights: DiffusionWeights,
     every one drawn from ``rng`` with no uniform used twice. The residual
     terms are tabled once (``_Terms``), over their support and the levels
     that hold an entry, so the table does not grow with empty levels, and
-    both modes sum them by one rule (``_sample_sums``): every sample still
-    live at a level that holds an entry gathers that level's term once, so
-    a run costs (levels holding an entry) x (live samples) gathers. Walks
+    both modes, and ``bidir_mstp``, sum them in one compiled routine per run
+    (``_combine``): every sample adds the term of each level that holds an
+    entry and that it reaches, in increasing level from 0.0, so a run costs
+    (levels holding an entry) x (samples) reads. Walks
     run one table of at most ``_TERMS`` positions at a time, and a level
     split over several runs takes at most ``_TERMS // (ell_max + 1)`` walks
     per run, so memory does not grow with w_per_level. Which uniforms an

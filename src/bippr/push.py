@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _LIB, Graph
-from .walk import _check_alpha, _check_positive
+from .walk import _check_alpha, _check_positive, _check_push_work
 
 __all__ = ["PushResult", "approximate_pagerank"]
 
@@ -104,6 +104,31 @@ class _Record(ctypes.Structure):
                 + [(f, ctypes.c_double) for f in ("work", "alpha", "r_max")])
 
 
+def _check_layout(record: type[ctypes.Structure]) -> None:
+    """Raise a one-line ``ImportError`` unless ``record`` lays out the
+    kernel's ``Push`` as the compiled library does: the same field names in
+    the same order, of the same sizes at the same offsets, and the same
+    total size (``push_fields`` and ``push_layout`` in ``_walk.c``). A field
+    added on one side only would otherwise show up as memory corruption."""
+    size = ctypes.c_int64.in_dll(_LIB, "push_layout_size").value
+    layout = list((ctypes.c_int64 * size).in_dll(_LIB, "push_layout"))
+    kernel = list(zip(ctypes.c_char_p.in_dll(_LIB, "push_fields").value.decode().split(),
+                      layout[1::2], layout[2::2]))
+    ours = [(name, getattr(record, name).offset, getattr(record, name).size)
+            for name, _ in record._fields_]
+    if kernel != ours:
+        i = next((i for i, (a, b) in enumerate(zip(kernel, ours)) if a != b),
+                 min(len(kernel), len(ours)))
+        side = [f"field {f[i][0]!r} of {f[i][2]} bytes at offset {f[i][1]}"
+                if i < len(f) else "no field" for f in (kernel, ours)]
+        raise ImportError(f"bippr's compiled Push record does not match push._Record: "
+                          f"{side[0]} in the kernel, {side[1]} in Python")
+    if layout[0] != ctypes.sizeof(record):
+        raise ImportError(f"bippr's compiled Push record takes {layout[0]} bytes, "
+                          f"push._Record {ctypes.sizeof(record)}")
+
+
+_check_layout(_Record)
 for _kernel in (_LIB.push_pagerank, _LIB.push_levels):
     _kernel.restype = ctypes.c_int64
     _kernel.argtypes = [ctypes.POINTER(_Record), ctypes.c_int64]
@@ -257,7 +282,9 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
     mass lands, until no ratio exceeds it. Each push settles alpha*r_u >
     alpha*r_max*d_u, so degree_work <= 1/(alpha*r_max) holds as for one node
     at a time, and each round is a composition of valid pushes, so the
-    invariant pi_s = p + sum_v r[v]*pi_v holds after every round.
+    invariant pi_s = p + sum_v r[v]*pi_v holds after every round. A push
+    whose bound 1/(alpha*r_max) exceeds the walks' budget of 2^32 steps is
+    refused before it starts (``ValueError`` naming alpha).
 
     The whole round loop is one call of the compiled kernel
     (``push_pagerank`` in ``_walk.c``), which returns early only to let the
@@ -268,6 +295,7 @@ def approximate_pagerank(g: Graph, alpha: float, s: int, r_max: float,
     g.require_walkable(s)
     _check_alpha(alpha)
     _check_positive("r_max", r_max)
+    _check_push_work(alpha, r_max)
     with _Push(g, s, r_max, alpha=alpha) as push:
 
         def state() -> PushResult:

