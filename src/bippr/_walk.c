@@ -1,11 +1,15 @@
-/* The compiled kernels: lockstep walk steps (bippr.graph.step_many) and the
- * forward push (bippr.push.approximate_pagerank, bippr.mstp.approximate_mstp).
+/* The compiled kernels: lockstep walk steps (bippr.graph.step_many), the
+ * forward push (bippr.push.approximate_pagerank, bippr.mstp.approximate_mstp)
+ * and the diffusion combine (bippr.mstp: the term table and the per-level
+ * sums of every diffusion query; terms() and combine() at the end).
  *
  * bippr.graph compiles this file on import with -O2 -ffp-contract=off and
- * loads it with ctypes. A step makes exactly the float operations
- * x = u*len[v] and j = indptr[v] + (int64)x, then one comparison, as the
- * array step in the tests does, so a seeded walk takes the same path bit
- * for bit.
+ * loads it with ctypes. Every kernel repeats, float operation for float
+ * operation, the numpy code it replaced, which the tests keep as the
+ * reference, so every seeded answer keeps its bits. A step makes exactly
+ * the float operations x = u*len[v] and j = indptr[v] + (int64)x, then one
+ * comparison, as the array step in the tests does, so a seeded walk takes
+ * the same path bit for bit.
  *
  * walk_<T> steps `rounds` rounds. Round r steps walks 0 .. live[r]-1 from
  * src + r*stride into dst + r*stride, each with the next uniform of u, so the

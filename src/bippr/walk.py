@@ -238,7 +238,7 @@ def _check_push_work(alpha: float, r_max: float) -> None:
     On a triangle at r_max 0.027 the bound is 37/alpha and a push does about
     11/alpha degree work: alpha 1e-8 is allowed (15.4 s on one core of an
     Intel Xeon) and alpha 1e-9 refused."""
-    if alpha * r_max * _MAX_STEPS < 1.0:  # 1/(alpha*r_max) > _MAX_STEPS, without overflow
+    if alpha * r_max * _MAX_STEPS < 1.0:  # 1/(alpha*r_max) > _MAX_STEPS; no division by 0
         raise ValueError(f"alpha must be large enough for a push of at most 2^32 degree work "
                          f"at r_max={r_max}, got {alpha}")
 
